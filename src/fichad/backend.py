@@ -15,7 +15,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 FREE_TEXT = "free-text"
@@ -346,7 +346,6 @@ class BackendConfig:
     api_key_env: str = "FICHAD_API_KEY"
     top_logprobs: int = 20
     cache_path: str | None = None
-    extra: dict = field(default_factory=dict)
 
     def build(self) -> CachedBackend:
         if self.kind == "mock":
@@ -356,7 +355,7 @@ class BackendConfig:
                 raise RequestError("http backend requires endpoint and model")
             inner = HttpBackend(self.endpoint, self.model,
                                 api_key_env=self.api_key_env,
-                                top_logprobs=self.top_logprobs, **self.extra)
+                                top_logprobs=self.top_logprobs)
         else:
             raise RequestError(f"unknown backend kind: {self.kind!r}")
         return CachedBackend(inner, ResponseCache(self.cache_path))

@@ -48,31 +48,22 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _make_backend(args) -> be.CachedBackend:
-    cache_path = getattr(args, "cache", None)
-    if cache_path is None and getattr(args, "out", None):
-        cache_path = str(Path(args.out) / "cache.jsonl")
+def _setup(args):
+    """Dataset, cached backend, prompt templates and out dir for generation."""
+    ds = kg.load_dataset(args.dataset)
+    cache = args.cache or str(Path(args.out) / "cache.jsonl")
     cfg = be.BackendConfig(kind=args.backend, seed=args.seed,
-                           endpoint=getattr(args, "endpoint", "") or "",
-                           model=getattr(args, "model_id", "") or "",
-                           cache_path=cache_path)
-    return cfg.build()
-
-
-def _load_dataset(args) -> kg.Dataset:
-    return kg.load_dataset(args.dataset)
-
-
-def _templates(args) -> cg.PromptTemplateSet:
-    if getattr(args, "prompts", None):
-        return cg.PromptTemplateSet.load_dir(args.prompts)
-    return cg.PromptTemplateSet()
+                           endpoint=args.endpoint, model=args.model_id,
+                           cache_path=cache)
+    templates = (cg.PromptTemplateSet.load_dir(args.prompts) if args.prompts
+                 else cg.PromptTemplateSet())
+    return ds, cfg.build(), templates, _out_dir(args)
 
 
 # -- subcommands ---------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    ds = _load_dataset(args)
+    ds = kg.load_dataset(args.dataset)
     g = ds.graph
     _summary({
         "dataset": ds.dataset_id, "entities": g.n_entities,
@@ -80,12 +71,14 @@ def cmd_ingest(args) -> int:
         "train": len(g.splits["train"]), "valid": len(g.splits["valid"]),
         "test": len(g.splits["test"]),
         "entities_with_images": len(ds.assets.entities_with_images()),
+        "skipped_image_lines": ds.assets.skipped_image_lines,
+        "duplicate_description_lines": ds.assets.duplicate_description_lines,
     }, args)
     return EXIT_OK
 
 
 def cmd_train_embed(args) -> int:
-    ds = _load_dataset(args)
+    ds = kg.load_dataset(args.dataset)
     cfg = embed.TrainConfig(family=args.family, dim=args.dim,
                             epochs=args.epochs, lr=args.lr,
                             batch_size=args.batch_size,
@@ -103,7 +96,7 @@ def cmd_train_embed(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    ds = _load_dataset(args)
+    ds = kg.load_dataset(args.dataset)
     model = embed.EmbeddingModel.load(args.model)
     report = linkpred.evaluate(linkpred.model_scorer(model), ds.graph,
                                split=args.split)
@@ -117,10 +110,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_filter_images(args) -> int:
-    ds = _load_dataset(args)
-    bk = _make_backend(args)
-    templates = _templates(args)
-    out = _out_dir(args)
+    ds, bk, templates, out = _setup(args)
     g, assets = ds.graph, ds.assets
     n_retained = 0
     with open(out / "filtered_images.jsonl", "w", encoding="utf-8",
@@ -144,28 +134,24 @@ def cmd_filter_images(args) -> int:
 
 
 def cmd_gen_context(args) -> int:
-    ds = _load_dataset(args)
-    bk = _make_backend(args)
-    gen = cg.ContextGenerator(ds.graph, ds.assets, bk,
-                              templates=_templates(args), tau=args.tau,
-                              seed=args.seed)
+    ds, bk, templates, out = _setup(args)
+    gen = cg.ContextGenerator(ds.graph, ds.assets, bk, templates=templates,
+                              tau=args.tau, seed=args.seed)
     contexts = gen.generate_for_splits(args.variant,
                                        splits=tuple(args.splits.split(",")))
-    out = _out_dir(args)
     cg.write_context_store(out / "contexts.jsonl", contexts)
     _summary({"contexts": len(contexts),
               "fallbacks": sum(c.fallback for c in contexts),
+              "skipped_images": gen.skipped_images,
+              "degraded_compositions": gen.degraded_compositions,
               "backend_calls": bk.backend_calls,
               "store": str(out / "contexts.jsonl")}, args)
     return EXIT_OK
 
 
 def cmd_hints(args) -> int:
-    ds = _load_dataset(args)
-    bk = _make_backend(args)
-    templates = _templates(args)
+    ds, bk, templates, out = _setup(args)
     g, assets = ds.graph, ds.assets
-    out = _out_dir(args)
     seen = set()
     n = 0
     with open(out / "hints.jsonl", "w", encoding="utf-8", newline="\n") as fh:
@@ -189,15 +175,12 @@ def cmd_hints(args) -> int:
 
 
 def cmd_templates(args) -> int:
-    ds = _load_dataset(args)
-    bk = _make_backend(args)
-    templates = _templates(args)
+    ds, bk, templates, out = _setup(args)
     g = ds.graph
     result = {}
     for r in range(g.n_relations):
         result[g.relations.label_of(r)] = cg.relation_template(
             g, r, bk, templates, assets=ds.assets, seed=args.seed)
-    out = _out_dir(args)
     (out / "templates.json").write_text(
         json.dumps(result, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8")
@@ -206,7 +189,7 @@ def cmd_templates(args) -> int:
 
 
 def cmd_build_prompts(args) -> int:
-    ds = _load_dataset(args)
+    ds = kg.load_dataset(args.dataset)
     g = ds.graph
     contexts = cg.read_context_store(args.store)
     index = prompt.ContextIndex(contexts, g)
@@ -224,17 +207,18 @@ def cmd_build_prompts(args) -> int:
         except prompt.BuildError:
             build_errors += 1
     out = _out_dir(args)
-    prompt.export_prompts(inputs, budget, out / "prompts.jsonl")
+    prompt.export_prompts(inputs, out / "prompts.jsonl")
     if args.preview and inputs:
         print(inputs[0].text, file=sys.stderr)
     _summary({"prompts": len(inputs), "build_errors": build_errors,
               "truncated": sum(i.truncated for i in inputs),
+              "skipped_neighbors": sum(i.skipped_neighbors for i in inputs),
               "out": str(out / "prompts.jsonl")}, args)
     return EXIT_OK
 
 
 def _stats(args) -> cg.CoverageStats:
-    ds = _load_dataset(args)
+    ds = kg.load_dataset(args.dataset)
     contexts = cg.read_context_store(args.store)
     return cg.corpus_stats(contexts, ds.graph, ds.assets,
                            dataset_id=ds.dataset_id)

@@ -16,8 +16,8 @@ import string
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .backend import RELEVANCE, BackendError, GenerationBackend, \
-    GenerationRequest
+from .backend import RELEVANCE, BackendError, CapabilityError, \
+    GenerationBackend, GenerationRequest
 from .kg import KnowledgeGraph, MultimodalAssets, Triple, first_sentence
 
 V1 = "fichad-1"
@@ -125,13 +125,9 @@ class GeneratedContext:
     text: str
     images: list[ScoredImage] = field(default_factory=list)
     fallback: bool = False
-    created: float | None = None  # left None for byte-reproducible stores
 
     def to_json_line(self) -> str:
-        rec = asdict(self)
-        if rec["created"] is None:
-            del rec["created"]
-        return json.dumps(rec, sort_keys=True, ensure_ascii=False)
+        return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
 
     @classmethod
     def from_json_line(cls, line: str) -> "GeneratedContext":
@@ -168,7 +164,9 @@ def filter_images(head_name: str, tail_name: str, images_head: list[str],
     Each image is scored by the backend's yes-probability; images scoring
     >= ``tau`` are kept, and each side is truncated to the ``max_group``
     highest scorers (manifest order breaks ties). A backend failure on an
-    individual image scores it 0 and increments the skipped counter.
+    individual image scores it 0 and increments the skipped counter; a
+    :class:`CapabilityError` (an endpoint that cannot score relevance at all)
+    propagates instead.
 
     Returns (filtered_head, filtered_tail, skipped_count).
     """
@@ -187,6 +185,8 @@ def filter_images(head_name: str, tail_name: str, images_head: list[str],
                                     subjects=(head_name, tail_name))
             try:
                 p = backend.relevance(req)
+            except CapabilityError:
+                raise
             except BackendError:
                 p = 0.0
                 skipped += 1

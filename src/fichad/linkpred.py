@@ -117,8 +117,8 @@ def queries_for_split(graph: KnowledgeGraph, split: str) -> list[Query]:
 def evaluate(scorer, graph: KnowledgeGraph, split: str = "test") -> EvalReport:
     """Run the filtered protocol over ``split``.
 
-    ``scorer(query, candidates)`` must return a score array aligned with the
-    candidate handles; higher = more plausible.
+    ``scorer(query, candidates)`` must return a finite score array aligned
+    with the candidate handles; higher = more plausible.
     """
     queries = queries_for_split(graph, split)
     if not queries:
@@ -129,36 +129,33 @@ def evaluate(scorer, graph: KnowledgeGraph, split: str = "test") -> EvalReport:
         scores = np.asarray(scorer(q, cands), dtype=np.float64)
         if scores.shape != cands.shape:
             raise EvalError("scorer returned wrong-shaped score array")
+        if not np.all(np.isfinite(scores)):
+            raise EvalError("scorer returned non-finite scores")
         ranks[q.direction].append(rank(scores, cands, q.answer))
     return report_from_ranks(ranks[HEAD], ranks[TAIL])
 
 
-def _direction_report(ranks: list[float]) -> DirectionReport:
+def _metrics(ranks) -> tuple[float, float, float, float]:
+    """MRR and Hits@1/3/10 of a rank list; zeros for an empty list."""
     r = np.asarray(ranks, dtype=np.float64)
-    return DirectionReport(
-        mrr=float(np.mean(1.0 / r)),
-        hits1=float(np.mean(r <= 1)),
-        hits3=float(np.mean(r <= 3)),
-        hits10=float(np.mean(r <= 10)),
-        n_queries=len(ranks),
-    )
+    if r.size == 0:
+        return 0.0, 0.0, 0.0, 0.0
+    return (float(np.mean(1.0 / r)), float(np.mean(r <= 1)),
+            float(np.mean(r <= 3)), float(np.mean(r <= 10)))
 
 
 def report_from_ranks(head_ranks: list[float],
                       tail_ranks: list[float]) -> EvalReport:
     """Aggregate per-direction rank lists into the full report."""
-    all_ranks = np.asarray(list(head_ranks) + list(tail_ranks), dtype=np.float64)
-    if all_ranks.size == 0:
+    all_ranks = list(head_ranks) + list(tail_ranks)
+    if not all_ranks:
         raise EvalError("no ranks to aggregate")
-    return EvalReport(
-        mrr=float(np.mean(1.0 / all_ranks)),
-        hits1=float(np.mean(all_ranks <= 1)),
-        hits3=float(np.mean(all_ranks <= 3)),
-        hits10=float(np.mean(all_ranks <= 10)),
-        head=_direction_report(head_ranks) if head_ranks else DirectionReport(0, 0, 0, 0, 0),
-        tail=_direction_report(tail_ranks) if tail_ranks else DirectionReport(0, 0, 0, 0, 0),
-        n_queries=int(all_ranks.size),
-    )
+    return EvalReport(*_metrics(all_ranks),
+                      head=DirectionReport(*_metrics(head_ranks),
+                                           n_queries=len(head_ranks)),
+                      tail=DirectionReport(*_metrics(tail_ranks),
+                                           n_queries=len(tail_ranks)),
+                      n_queries=len(all_ranks))
 
 
 def model_scorer(model):

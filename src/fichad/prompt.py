@@ -19,16 +19,17 @@ downstream description-based KGC models can consume it unchanged::
 
     Query: (<head-or-?>, <relation>, <tail-or-?>)
 
-Truncation trims lowest-priority content first (neighbor entries from the
-last, then the description's word tail) and keeps the Query line at all
-costs; the default counting rule is whitespace-separated words, a stated
-approximation of the downstream model's subword count.
+One truncation policy cuts these sections before they are rendered: neighbor
+entries from the last, then the description's word tail, then the headers,
+then the entity, template and relation lines; the Query line is never
+dropped. Tokens are whitespace-separated words, a stated approximation of the
+downstream model's subword count.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .context import GeneratedContext, V1, V2, V1X, V1Y
 from .kg import KnowledgeGraph, OUT
@@ -59,17 +60,13 @@ def whitespace_words(text: str) -> int:
 
 @dataclass
 class TokenBudget:
-    """Token limit plus the counting rule (pluggable for exact tokenizers)."""
+    """Token limit, counted in whitespace-separated words."""
 
     limit: int
-    counter: object = whitespace_words
 
     def __post_init__(self):
         if self.limit < 1:
             raise ValueError("token budget must be >= 1")
-
-    def count(self, text: str) -> int:
-        return self.counter(text)
 
 
 @dataclass
@@ -170,168 +167,167 @@ def build_kgc_input(query: Query, index: ContextIndex, graph: KnowledgeGraph,
     rel_label = graph.relations.label_of(query.relation)
     template = templates.get(rel_label) or f"[A] {relation_name} [B]"
 
-    text = _render(entity_name, description, neighbor_lines, relation_name,
-                   template, query_line(query, graph), variant)
-    truncated = False
-    if budget is not None:
-        trimmed = truncate(text, budget)
-        truncated = trimmed != text
-        text = trimmed
+    entries = [f"{label}\n{text}" for label, text in neighbor_lines]
+    if entries:
+        marker = _VARIANT_MARKERS.get(variant, "# FICHAD-1")
+        entries[0] = f"{marker}\n{entries[0]}"
+    sections = _Sections(
+        entity=f"{ENTITY_HEADER} {entity_name}", description=description,
+        neighbors=entries, relation=f"{RELATION_HEADER} {relation_name}",
+        template=f"{TEMPLATE_HEADER}\n{template}",
+        query=query_line(query, graph))
+    truncated = budget is not None and _trim(sections, budget.limit)
     return KgcInput(query=query, entity_name=entity_name,
                     description=description, neighbor_lines=neighbor_lines,
-                    relation_name=relation_name, template=template, text=text,
-                    truncated=truncated, skipped_neighbors=skipped)
+                    relation_name=relation_name, template=template,
+                    text=_render(sections), truncated=truncated,
+                    skipped_neighbors=skipped)
 
 
-def _render(entity_name, description, neighbor_lines, relation_name, template,
-            qline, variant) -> str:
-    parts = [f"{ENTITY_HEADER} {entity_name}", ""]
-    parts += [DESC_HEADER, description, ""]
-    parts.append(NEIGHBOR_HEADER)
-    if neighbor_lines:
-        parts.append(_VARIANT_MARKERS.get(variant, "# FICHAD-1"))
-        for label, text in neighbor_lines:
-            parts += [label, text]
-    parts.append("")
-    parts += [f"{RELATION_HEADER} {relation_name}", TEMPLATE_HEADER, template, ""]
-    parts.append(qline)
-    return "\n".join(parts)
-
-
-# -- truncation ----------------------------------------------------------
+# -- sections, rendering and truncation ------------------------------------
 
 @dataclass
 class _Sections:
-    entity: str | None = None
-    desc_header: bool = False
-    desc_words: list[str] = field(default_factory=list)
-    neighbor_header: bool = False
-    marker: str | None = None
-    neighbors: list[list[str]] = field(default_factory=list)  # line groups
-    relation: str | None = None
-    template_lines: list[str] = field(default_factory=list)
-    query: str | None = None
+    """The parts of one KGC input in render order; ``None`` drops a part.
+
+    ``entity``, ``relation`` and ``template`` include their headers. The
+    first neighbor entry starts with the variant marker, so the marker goes
+    with the last entry.
+    """
+
+    entity: str | None
+    description: str | None
+    neighbors: list[str] | None  # "<label>\n<text>" entries
+    relation: str | None
+    template: str | None
+    query: str
 
 
-def _parse_sections(lines: list[str]) -> _Sections:
-    s = _Sections()
-    section = None
-    for line in lines:
-        if line.startswith(ENTITY_HEADER):
-            s.entity = line
-            section = None
-        elif line == DESC_HEADER:
-            s.desc_header = True
-            section = "desc"
-        elif line == NEIGHBOR_HEADER:
-            s.neighbor_header = True
-            section = "neighbors"
-        elif line.startswith(RELATION_HEADER):
-            s.relation = line
-            section = None
-        elif line == TEMPLATE_HEADER:
-            section = "template"
-        elif line.startswith(QUERY_HEADER):
-            s.query = line
-            section = None
-        elif not line.strip():
-            continue
-        elif section == "desc":
-            s.desc_words.extend(line.split())
-        elif section == "neighbors":
-            if line.startswith("# "):
-                s.marker = line
-            elif line.endswith(":") and "|" in line:
-                s.neighbors.append([line])
-            elif s.neighbors:
-                s.neighbors[-1].append(line)
-            else:
-                s.neighbors.append([line])
-        elif section == "template":
-            s.template_lines.append(line)
-    return s
-
-
-def _render_sections(s: _Sections) -> str:
+def _render(s: _Sections) -> str:
     parts: list[str] = []
     if s.entity is not None:
         parts += [s.entity, ""]
-    if s.desc_header or s.desc_words:
-        parts += [DESC_HEADER, " ".join(s.desc_words), ""]
-    if s.neighbor_header:
-        parts.append(NEIGHBOR_HEADER)
-        if s.neighbors and s.marker:
-            parts.append(s.marker)
-        for group in s.neighbors:
-            parts += group
-        parts.append("")
-    if s.relation is not None or s.template_lines:
-        if s.relation is not None:
-            parts.append(s.relation)
-        if s.template_lines:
-            parts += [TEMPLATE_HEADER] + s.template_lines
-        parts.append("")
-    parts.append(s.query or "")
+    if s.description is not None:
+        parts += [DESC_HEADER, s.description, ""]
+    if s.neighbors is not None:
+        parts += [NEIGHBOR_HEADER, *s.neighbors, ""]
+    relation_block = [p for p in (s.relation, s.template) if p is not None]
+    if relation_block:
+        parts += [*relation_block, ""]
+    parts.append(s.query)
     return "\n".join(parts)
+
+
+#: parts dropped whole, in this order, after the neighbors and description
+_WHOLE = ("entity", "template", "relation")
+
+
+def _trim(s: _Sections, limit: int) -> bool:
+    """Cut ``s`` in place to ``limit`` words; True when anything was cut.
+
+    Lines are joined by newlines, so the word count is the sum of the parts'
+    counts: each part is counted once and the cuts are arithmetic.
+    """
+    words = whitespace_words
+    entries = [words(e) for e in s.neighbors or ()]
+    desc = (s.description or "").split()
+    headers = ((s.description is not None) * words(DESC_HEADER)
+               + (s.neighbors is not None) * words(NEIGHBOR_HEADER))
+    whole = [words(getattr(s, name) or "") for name in _WHOLE]
+    query = words(s.query)
+    over = sum(entries) + len(desc) + headers + sum(whole) + query - limit
+    if over <= 0:
+        return False
+    if query > limit:
+        raise TruncationError(f"budget {limit} cannot hold the query line")
+    while entries and over > 0:
+        over -= entries.pop()
+        s.neighbors.pop()
+    if over > 0 and desc:
+        keep = max(len(desc) - over, 0)
+        over -= len(desc) - keep
+        s.description = " ".join(desc[:keep])
+    if over > 0:
+        over -= headers
+        s.description = s.neighbors = None
+    for name, cost in zip(_WHOLE, whole):
+        if over > 0:
+            over -= cost
+            setattr(s, name, None)
+    return True
+
+
+#: section headers in render order; only the "#" ones are whole lines
+_HEADERS = (ENTITY_HEADER, DESC_HEADER, NEIGHBOR_HEADER, RELATION_HEADER,
+            TEMPLATE_HEADER)
+
+
+def _parse(lines: list[str]) -> _Sections:
+    """Sections of rendered text whose last line is the Query line.
+
+    A header opens its section only after the sections before it, so content
+    that looks like an earlier header stays content. Blank lines are dropped.
+    """
+    found: list[list[str] | None] = [None] * len(_HEADERS)
+    current = -1
+    for line in lines[:-1]:
+        level = next((i for i in range(current + 1, len(_HEADERS))
+                      if (line == _HEADERS[i] if _HEADERS[i].startswith("#")
+                          else line.startswith(_HEADERS[i]))), None)
+        if level is not None:
+            current = level
+            found[level] = [line]
+        elif line.strip() and current >= 0:
+            found[current].append(line)
+    entity, desc, nbr, relation, template = found
+
+    body = nbr[1:] if nbr else []
+    marker = body[:1] if body and body[0].startswith("# ") else []
+    entries: list[list[str]] = []
+    for line in body[len(marker):]:
+        if not entries or (line.endswith(":") and "|" in line):
+            entries.append([line])
+        else:
+            entries[-1].append(line)
+    if entries:
+        entries[0][:0] = marker
+    return _Sections(
+        entity=entity[0] if entity else None,
+        description="\n".join(desc[1:]) if desc else None,
+        neighbors=["\n".join(e) for e in entries] if nbr else None,
+        relation=relation[0] if relation else None,
+        template="\n".join(template) if template and len(template) > 1 else None,
+        query=lines[-1])
 
 
 def truncate(text: str, budget: TokenBudget) -> str:
     """Trim ``text`` to the budget, lowest-priority sections first.
 
-    Structured inputs (containing a ``Query:`` line) drop neighbor entries from
-    the last, then trim the description's word tail, then the remaining
-    sections; the Query line is never dropped and a budget smaller than it is
-    an error. Unstructured text is trimmed word-by-word from the end.
-    Idempotent: output always fits the budget, and fitting text is returned
-    unchanged.
+    Structured text (with a ``Query:`` line; the last one is the query) is
+    parsed into its sections and cut by the same policy as
+    :func:`build_kgc_input`; a budget smaller than the Query line is an error.
+    Unstructured text is trimmed word-by-word from the end. Idempotent:
+    output always fits the budget, and fitting text is returned unchanged.
     """
-    if budget.count(text) <= budget.limit:
+    if whitespace_words(text) <= budget.limit:
         return text
-
     lines = text.split("\n")
-    if not any(ln.startswith(QUERY_HEADER) for ln in lines):
-        words = text.split()
-        return " ".join(words[:budget.limit])
-
-    s = _parse_sections(lines)
-    if budget.count(s.query or "") > budget.limit:
-        raise TruncationError(
-            f"budget {budget.limit} cannot hold the query line")
-
-    def fits() -> bool:
-        return budget.count(_render_sections(s)) <= budget.limit
-
-    while s.neighbors and not fits():
-        s.neighbors.pop()
-    if not s.neighbors:
-        s.marker = None
-    while s.desc_words and not fits():
-        overshoot = budget.count(_render_sections(s)) - budget.limit
-        del s.desc_words[-max(overshoot, 1):]
-    if not fits():
-        s.desc_header = False
-        s.neighbor_header = False
-    if not fits():
-        s.entity = None
-    if not fits():
-        s.template_lines = []
-    if not fits():
-        s.relation = None
-    if not fits():
-        return s.query or ""
-    return _render_sections(s)
+    queries = [i for i, ln in enumerate(lines) if ln.startswith(QUERY_HEADER)]
+    if not queries:
+        return " ".join(text.split()[:budget.limit])
+    sections = _parse(lines[:queries[-1] + 1])
+    _trim(sections, budget.limit)
+    return _render(sections)
 
 
-def export_prompts(inputs: list[KgcInput], budget: TokenBudget | None,
-                   path) -> None:
+def export_prompts(inputs: list[KgcInput], path) -> None:
     """Write one JSONL record per assembled input."""
-    counter = budget.count if budget is not None else whitespace_words
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for item in inputs:
             q = item.query
             rec = {"query": {"direction": q.direction, "known": q.known,
                              "relation": q.relation, "answer": q.answer},
                    "text": item.text,
-                   "n_tokens": counter(item.text),
+                   "n_tokens": whitespace_words(item.text),
                    "truncated": item.truncated}
             fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")

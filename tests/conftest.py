@@ -1,8 +1,12 @@
-"""Shared fixtures: random graphs, brute-force oracles, scripted backends."""
+"""Shared fixtures: random graphs, brute-force oracles, scripted backends,
+and a stub chat-completions server."""
 
 from __future__ import annotations
 
+import json
 import random
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -169,3 +173,38 @@ def write_synthetic_dataset(path: Path, n_entities=500, n_relations=8,
         f'"descriptions": "descriptions.tsv", "image_cap": {image_cap}}}\n',
         encoding="utf-8")
     return config
+
+
+class StubHandler(BaseHTTPRequestHandler):
+    """OpenAI-compatible stub; the default reply carries no logprobs."""
+
+    # class-level script: list of (status, payload) consumed per request
+    script = []
+    requests_seen = []
+
+    def do_POST(self):
+        length = int(self.headers["Content-Length"])
+        body = json.loads(self.rfile.read(length))
+        StubHandler.requests_seen.append(body)
+        status, payload = (StubHandler.script.pop(0) if StubHandler.script
+                           else (200, {"choices": [{"message": {"content": "ok"}}]}))
+        data = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def stub_server():
+    server = HTTPServer(("127.0.0.1", 0), StubHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    StubHandler.script = []
+    StubHandler.requests_seen = []
+    yield f"http://127.0.0.1:{server.server_port}"
+    server.shutdown()

@@ -1,13 +1,10 @@
-import json
-import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
-
 import pytest
 
 from fichad.backend import (BackendConfig, BackendError, CachedBackend,
                             CapabilityError, GenerationRequest, HttpBackend,
                             MockBackend, RequestError, ResponseCache,
                             yes_probability)
+from conftest import StubHandler
 
 
 class TestRequest:
@@ -117,42 +114,9 @@ class TestCache:
         assert p1 == p2 and bk.backend_calls == 1
 
 
-class _StubHandler(BaseHTTPRequestHandler):
-    # class-level script: list of (status, payload) consumed per request
-    script = []
-    requests_seen = []
-
-    def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
-        _StubHandler.requests_seen.append(body)
-        status, payload = (_StubHandler.script.pop(0) if _StubHandler.script
-                           else (200, {"choices": [{"message": {"content": "ok"}}]}))
-        data = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _StubHandler.script = []
-    _StubHandler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
-
-
 class TestHttpBackend:
     def test_429_then_200_retries_and_caches_once(self, stub_server, tmp_path):
-        _StubHandler.script = [
+        StubHandler.script = [
             (429, {"error": "rate limited"}),
             (200, {"choices": [{"message": {"content": "generated text"}}]}),
         ]
@@ -162,12 +126,12 @@ class TestHttpBackend:
         assert text == "generated text"
         assert len(bk.cache) == 1
         # cached now: no further wire traffic
-        seen = len(_StubHandler.requests_seen)
+        seen = len(StubHandler.requests_seen)
         assert bk.generate(GenerationRequest(prompt="hi")) == "generated text"
-        assert len(_StubHandler.requests_seen) == seen
+        assert len(StubHandler.requests_seen) == seen
 
     def test_exhausted_retries_carry_last_status(self, stub_server):
-        _StubHandler.script = [(503, {}), (503, {}), (503, {})]
+        StubHandler.script = [(503, {}), (503, {}), (503, {})]
         inner = HttpBackend(stub_server, "m", backoff=0.01, max_attempts=3)
         with pytest.raises(BackendError) as exc:
             inner.generate(GenerationRequest(prompt="hi"))
@@ -175,7 +139,7 @@ class TestHttpBackend:
 
     def test_relevance_parses_logprobs(self, stub_server):
         import math
-        _StubHandler.script = [(200, {"choices": [{
+        StubHandler.script = [(200, {"choices": [{
             "message": {"content": "Yes"},
             "logprobs": {"content": [{"top_logprobs": [
                 {"token": "Yes", "logprob": math.log(0.8)},
@@ -185,10 +149,10 @@ class TestHttpBackend:
         p = inner.relevance(GenerationRequest(prompt="rel?", kind="relevance"))
         assert p == pytest.approx(0.8)
         # relevance requests ask the endpoint for logprobs
-        assert _StubHandler.requests_seen[-1]["logprobs"] is True
+        assert StubHandler.requests_seen[-1]["logprobs"] is True
 
     def test_missing_logprobs_is_capability_error(self, stub_server):
-        _StubHandler.script = [(200, {"choices": [{"message": {"content": "Yes"}}]})]
+        StubHandler.script = [(200, {"choices": [{"message": {"content": "Yes"}}]})]
         inner = HttpBackend(stub_server, "m", backoff=0.01)
         with pytest.raises(CapabilityError):
             inner.relevance(GenerationRequest(prompt="rel?", kind="relevance"))

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from fichad.cli import main, EXIT_OK, EXIT_INPUT, EXIT_USAGE
+from fichad.cli import main, EXIT_OK, EXIT_INPUT, EXIT_BACKEND, EXIT_USAGE
 from conftest import ARLES_CONFIG, write_synthetic_dataset
 
 ARLES = str(ARLES_CONFIG)
@@ -28,6 +28,8 @@ def test_ingest_summary(capsys):
     assert code == EXIT_OK
     assert summary["entities"] == 8
     assert summary["relations"] == 4
+    assert summary["skipped_image_lines"] == 0
+    assert summary["duplicate_description_lines"] == 0
     assert "config_hash" in summary
 
 
@@ -51,6 +53,24 @@ def test_filter_images_writes_jsonl(capsys, tmp_path):
     assert code == EXIT_OK
     lines = (out / "filtered_images.jsonl").read_text().splitlines()
     assert len(lines) == summary["triples"] == 7
+
+
+def test_filter_images_without_logprobs_is_backend_error(
+        capsys, tmp_path, monkeypatch, stub_server):
+    """An endpoint that cannot score relevance fails the run (exit 2)."""
+    config = write_synthetic_dataset(tmp_path / "ds", n_entities=4,
+                                     n_relations=1, n_train=3, n_valid=1,
+                                     n_test=1)
+    monkeypatch.chdir(config.parent)  # image refs are relative paths
+    (config.parent / "img").mkdir()
+    for i in range(4):
+        for j in range(2):
+            (config.parent / f"img/ent_{i:04d}_{j}.jpg").write_bytes(b"\xff")
+    code = main(["filter-images", "--dataset", str(config),
+                 "--out", str(tmp_path / "f"), "--backend", "http",
+                 "--endpoint", stub_server, "--model-id", "m"])
+    assert code == EXIT_BACKEND
+    assert "logprobs" in capsys.readouterr().err
 
 
 def test_templates_and_hints(capsys, tmp_path):
@@ -92,6 +112,8 @@ def test_full_pipeline_determinism_and_cache(capsys, tmp_path):
     assert prompts1 == prompts2
     assert gen1["backend_calls"] > 0
     assert gen2["backend_calls"] == 0  # resumable: all cache hits
+    assert gen1["skipped_images"] == gen1["degraded_compositions"] == 0
+    assert built1["skipped_neighbors"] == 0
 
 
 def test_stats_and_coverage(capsys, tmp_path):

@@ -108,6 +108,21 @@ class TestMetrics:
         with pytest.raises(EvalError):
             evaluate(lambda q, c: np.zeros(len(c)), g)
 
+    def test_non_finite_score_is_error(self):
+        ents = make_vocab([f"e{i}" for i in range(5)])
+        rels = make_vocab(["r"])
+        g = KnowledgeGraph(ents, rels,
+                           {"train": [], "valid": [],
+                            "test": [Triple(0, 0, 1)]})
+
+        def scorer(q, cands):
+            scores = np.zeros(len(cands))
+            scores[cands == q.answer] = np.nan
+            return scores
+
+        with pytest.raises(EvalError, match="non-finite"):
+            evaluate(scorer, g)
+
     def test_report_serialization(self):
         rep = report_from_ranks([1.0], [2.0])
         d = rep.to_dict()

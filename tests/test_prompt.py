@@ -93,6 +93,28 @@ class TestBuild:
         inp = build_kgc_input(query, index, ds.graph, k=1)
         assert "[A] depict [B]" in inp.text
 
+    def test_query_like_description_survives_budget(self, pipeline):
+        """Neighbor entries go before a description that starts with Query:."""
+        ds, index, templates, query = pipeline
+        g = ds.graph
+        description = ("Query: which town does this painting show?\n"
+                       "It shows Arles in summer light.")
+        own = cg.GeneratedContext(
+            variant=cg.V2, subject={"kind": "entity",
+                                    "entity": g.entities.label_of(query.known)},
+            text=description)
+        idx = ContextIndex([own, *index.by_entity.values(),
+                            *index.by_triple.values()], g)
+        full = build_kgc_input(query, idx, g, k=2, relation_templates=templates)
+        n = whitespace_words(full.text)
+        cut = build_kgc_input(query, idx, g, k=2, relation_templates=templates,
+                              budget=TokenBudget(n - 3))
+        assert cut.truncated
+        assert whitespace_words(cut.text) <= n - 3
+        assert description in cut.text
+        assert full.neighbor_lines[-1][1] not in cut.text
+        assert full.neighbor_lines[0][1] in cut.text
+
 
 class TestTruncate:
     def test_under_budget_unchanged(self, pipeline):
@@ -152,8 +174,7 @@ class TestTruncate:
                 with pytest.raises(TruncationError):
                     truncate(text, budget)
                 continue
-            assert whitespace_words(once) <= budget.limit or \
-                budget.counter is not whitespace_words
+            assert whitespace_words(once) <= budget.limit
             assert truncate(once, budget) == once
 
     @given(limit=st.integers(8, 200))
@@ -172,6 +193,8 @@ class TestTruncate:
         text = build_kgc_input(q, index, g, k=3).text
         cut = truncate(text, TokenBudget(limit))
         assert whitespace_words(cut) <= limit
+        built = build_kgc_input(q, index, g, k=3, budget=TokenBudget(limit))
+        assert built.text == cut
         # surviving lines keep their original relative order
         orig_lines = [ln for ln in text.split("\n") if ln.strip()]
         cut_lines = [ln for ln in cut.split("\n")
@@ -187,7 +210,7 @@ def test_export_prompts_jsonl(pipeline, tmp_path):
                           relation_templates=templates,
                           budget=TokenBudget(30))
     out = tmp_path / "prompts.jsonl"
-    export_prompts([inp], TokenBudget(30), out)
+    export_prompts([inp], out)
     rec = json.loads(out.read_text().strip())
     assert rec["n_tokens"] <= 30
     assert rec["truncated"] is True
