@@ -5,6 +5,11 @@ Two realizations of one contract: an OpenAI-compatible chat-completions client
 deterministic offline mock. Either can be fronted by a content-addressed
 append-only JSONL cache, which is what makes whole-pipeline runs resumable
 with zero duplicate backend calls.
+
+The wire client retries 429/5xx replies and connection errors with urllib3's
+``Retry``, at most 3 attempts: ``Retry-After`` is honoured, otherwise the first
+retry is immediate and the n-th waits ``backoff * 2**(n-1)`` s plus jitter.
+Each request opens one connection of its own.
 """
 
 from __future__ import annotations
@@ -14,12 +19,19 @@ import hashlib
 import json
 import math
 import os
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 FREE_TEXT = "free-text"
 RELEVANCE = "relevance"
+
+API_KEY_ENV = "FICHAD_API_KEY"
+#: log-probabilities requested for the first token of a relevance reply
+TOP_LOGPROBS = 20
+TIMEOUT_S = 120.0
+RETRY_STATUSES = (429, 500, 502, 503, 504)
+#: upper bound of the uniform jitter added to each backoff wait
+BACKOFF_JITTER_S = 0.5
 
 
 class BackendError(Exception):
@@ -77,6 +89,8 @@ class GenerationBackend:
 
     backend_id = "abstract"
     model_id = "none"
+    #: requests repeated on the wire; only the wire backend retries
+    wire_retries = 0
 
     def __init__(self):
         self.call_count = 0
@@ -135,26 +149,28 @@ class HttpBackend(GenerationBackend):
     Images are attached as base64 data URLs; relevance requests ask for
     top-k log-probabilities of the first generated token and normalize the
     probability mass over the leading "yes"/"no" tokens (case-insensitive).
-    Transient failures (429/5xx, connection errors) are retried with
-    exponential backoff, at most ``max_attempts`` tries.
+    429/5xx replies and connection errors are retried, at most
+    ``max_attempts`` tries: a ``Retry-After`` header is honoured, otherwise
+    the first retry is immediate and the n-th waits ``backoff * 2**(n-1)``
+    seconds plus jitter. Each request uses one connection of its own.
     """
 
     backend_id = "http"
 
-    def __init__(self, endpoint: str, model: str,
-                 api_key_env: str = "FICHAD_API_KEY",
-                 top_logprobs: int = 20, timeout: float = 120.0,
-                 max_attempts: int = 3, normalize_yes_no: bool = True,
+    def __init__(self, endpoint: str, model: str, max_attempts: int = 3,
                  backoff: float = 1.0):
+        from requests.adapters import Retry
+
         super().__init__()
         self.endpoint = endpoint.rstrip("/")
         self.model_id = model
-        self.api_key = os.environ.get(api_key_env, "")
-        self.top_logprobs = top_logprobs
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.normalize_yes_no = normalize_yes_no
-        self.backoff = backoff
+        self.api_key = os.environ.get(API_KEY_ENV, "")
+        self.retry = Retry(total=max_attempts - 1,
+                           status_forcelist=RETRY_STATUSES,
+                           allowed_methods=None,
+                           respect_retry_after_header=True,
+                           raise_on_status=False, backoff_factor=backoff,
+                           backoff_jitter=BACKOFF_JITTER_S)
 
     def _image_part(self, ref: str) -> dict:
         try:
@@ -178,7 +194,7 @@ class HttpBackend(GenerationBackend):
         if request.kind == RELEVANCE:
             payload["max_tokens"] = 1
             payload["logprobs"] = True
-            payload["top_logprobs"] = self.top_logprobs
+            payload["top_logprobs"] = TOP_LOGPROBS
         return payload
 
     def _post(self, payload: dict) -> dict:
@@ -188,25 +204,20 @@ class HttpBackend(GenerationBackend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         url = f"{self.endpoint}/chat/completions"
-        last_status = None
-        for attempt in range(self.max_attempts):
+        with requests.Session() as session:
+            session.mount(url, requests.adapters.HTTPAdapter(
+                max_retries=self.retry))
             try:
-                resp = requests.post(url, json=payload, headers=headers,
-                                     timeout=self.timeout)
-                last_status = resp.status_code
-                if resp.status_code == 200:
-                    return resp.json()
-                if resp.status_code not in (429, 500, 502, 503, 504):
-                    raise BackendError(
-                        f"backend returned {resp.status_code}: {resp.text[:200]}",
-                        status=resp.status_code)
-            except requests.RequestException:
-                pass
-            if attempt < self.max_attempts - 1:
-                time.sleep(self.backoff * 2 ** attempt)
+                resp = session.post(url, json=payload, headers=headers,
+                                    timeout=TIMEOUT_S)
+            except requests.RequestException as exc:
+                raise BackendError(f"backend unavailable: {exc}") from exc
+            self.wire_retries += len(resp.raw.retries.history)
+            if resp.status_code == 200:
+                return resp.json()
         raise BackendError(
-            f"backend unavailable after {self.max_attempts} attempts",
-            status=last_status)
+            f"backend returned {resp.status_code}: {resp.text[:200]}",
+            status=resp.status_code)
 
     def generate(self, request: GenerationRequest) -> str:
         request.validate()
@@ -231,15 +242,15 @@ class HttpBackend(GenerationBackend):
             raise CapabilityError(
                 "endpoint did not return top logprobs; relevance scoring "
                 "requires logprob support") from None
-        return yes_probability(logprobs, normalize=self.normalize_yes_no)
+        return yes_probability(logprobs)
 
 
-def yes_probability(top_logprobs: list[dict], normalize: bool = True) -> float:
+def yes_probability(top_logprobs: list[dict]) -> float:
     """Yes-token probability from a top-logprobs list.
 
     Tokens whose stripped lowercase form is "yes"/"no" contribute their mass;
-    absent "yes" means 0. In normalized mode the result is
-    p_yes / (p_yes + p_no); raw mode returns p_yes directly.
+    absent "yes" means 0, absent "no" means p_yes, and otherwise the result
+    is p_yes / (p_yes + p_no).
     """
     p_yes = p_no = 0.0
     for item in top_logprobs:
@@ -250,7 +261,7 @@ def yes_probability(top_logprobs: list[dict], normalize: bool = True) -> float:
             p_no += math.exp(float(item["logprob"]))
     if p_yes == 0.0:
         return 0.0
-    if not normalize or p_no == 0.0:
+    if p_no == 0.0:
         return min(p_yes, 1.0)
     return p_yes / (p_yes + p_no)
 
@@ -258,26 +269,28 @@ def yes_probability(top_logprobs: list[dict], normalize: bool = True) -> float:
 class ResponseCache:
     """Content-addressed cache persisted as append-only JSONL.
 
-    One record per line: ``{"k": hash, "kind": ..., "v": ...}``. A truncated
-    final line (crash mid-append) is ignored on load.
+    One record per line: ``{"k": hash, "kind": ..., "v": ...}``. A final
+    line without its newline (crash mid-append) is ignored on load and cut
+    off before the first append, so the next record starts on a fresh line.
     """
 
     def __init__(self, path=None):
         self.path = Path(path) if path is not None else None
         self._index: dict[str, object] = {}
+        self._torn_tail = 0  # bytes after the last newline
         if self.path is not None and self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        with open(self.path, encoding="utf-8") as fh:
+        with open(self.path, encoding="utf-8", newline="\n") as fh:
             for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+                if not line.endswith("\n"):
+                    self._torn_tail = len(line.encode("utf-8"))
+                    break
                 try:
                     rec = json.loads(line)
                 except json.JSONDecodeError:
-                    continue  # torn final line
+                    continue  # blank or corrupt line mid-file
                 self._index[rec["k"]] = rec["v"]
 
     def __len__(self) -> int:
@@ -286,13 +299,14 @@ class ResponseCache:
     def get(self, key: str):
         return self._index.get(key)
 
-    def __contains__(self, key: str) -> bool:
-        return key in self._index
-
     def put(self, key: str, kind: str, value) -> None:
         self._index[key] = value
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self._torn_tail:
+                os.truncate(self.path,
+                            self.path.stat().st_size - self._torn_tail)
+                self._torn_tail = 0
             with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
                 fh.write(json.dumps({"k": key, "kind": kind, "v": value},
                                     sort_keys=True) + "\n")
@@ -307,6 +321,7 @@ class CachedBackend(GenerationBackend):
         self.cache = cache
         self.backend_id = inner.backend_id
         self.model_id = inner.model_id
+        self.cache_hits = 0
 
     def _key(self, request: GenerationRequest) -> str:
         payload = f"{self.inner.backend_id}|{self.inner.model_id}|{request.canonical()}"
@@ -316,6 +331,7 @@ class CachedBackend(GenerationBackend):
         key = self._key(request)
         cached = self.cache.get(key)
         if cached is not None:
+            self.cache_hits += 1
             return cached
         text = self.inner.generate(request)
         self.cache.put(key, FREE_TEXT, text)
@@ -325,37 +341,14 @@ class CachedBackend(GenerationBackend):
         key = self._key(request)
         cached = self.cache.get(key)
         if cached is not None:
+            self.cache_hits += 1
             return float(cached)
         prob = self.inner.relevance(request)
         self.cache.put(key, RELEVANCE, prob)
         return prob
 
-    @property
-    def backend_calls(self) -> int:
-        return self.inner.call_count
-
-
-@dataclass
-class BackendConfig:
-    """Backend selection for CLI runs: mock by default, wire when configured."""
-
-    kind: str = "mock"  # "mock" or "http"
-    seed: int = 0
-    endpoint: str = ""
-    model: str = ""
-    api_key_env: str = "FICHAD_API_KEY"
-    top_logprobs: int = 20
-    cache_path: str | None = None
-
-    def build(self) -> CachedBackend:
-        if self.kind == "mock":
-            inner: GenerationBackend = MockBackend(seed=self.seed)
-        elif self.kind == "http":
-            if not self.endpoint or not self.model:
-                raise RequestError("http backend requires endpoint and model")
-            inner = HttpBackend(self.endpoint, self.model,
-                                api_key_env=self.api_key_env,
-                                top_logprobs=self.top_logprobs)
-        else:
-            raise RequestError(f"unknown backend kind: {self.kind!r}")
-        return CachedBackend(inner, ResponseCache(self.cache_path))
+    def counts(self) -> dict[str, int]:
+        """Calls that reached the backend, cache hits and wire retries."""
+        return {"backend_calls": self.inner.call_count,
+                "cache_hits": self.cache_hits,
+                "wire_retries": self.inner.wire_retries}

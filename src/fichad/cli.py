@@ -50,14 +50,19 @@ def _out_dir(args) -> Path:
 
 def _setup(args):
     """Dataset, cached backend, prompt templates and out dir for generation."""
+    if args.backend == "http":
+        for flag, value in (("--endpoint", args.endpoint),
+                            ("--model-id", args.model_id)):
+            if not value:
+                raise be.RequestError(f"--backend http requires {flag}")
+        inner = be.HttpBackend(args.endpoint, args.model_id)
+    else:
+        inner = be.MockBackend(seed=args.seed)
     ds = kg.load_dataset(args.dataset)
-    cache = args.cache or str(Path(args.out) / "cache.jsonl")
-    cfg = be.BackendConfig(kind=args.backend, seed=args.seed,
-                           endpoint=args.endpoint, model=args.model_id,
-                           cache_path=cache)
+    cache = be.ResponseCache(args.cache or Path(args.out) / "cache.jsonl")
     templates = (cg.PromptTemplateSet.load_dir(args.prompts) if args.prompts
                  else cg.PromptTemplateSet())
-    return ds, cfg.build(), templates, _out_dir(args)
+    return ds, be.CachedBackend(inner, cache), templates, _out_dir(args)
 
 
 # -- subcommands ---------------------------------------------------------
@@ -129,7 +134,7 @@ def cmd_filter_images(args) -> int:
                    "tail_images": [[s.ref, s.score] for s in ftl]}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     _summary({"triples": len(g.splits[args.split]), "retained": n_retained,
-              "backend_calls": bk.backend_calls}, args)
+              **bk.counts()}, args)
     return EXIT_OK
 
 
@@ -144,7 +149,7 @@ def cmd_gen_context(args) -> int:
               "fallbacks": sum(c.fallback for c in contexts),
               "skipped_images": gen.skipped_images,
               "degraded_compositions": gen.degraded_compositions,
-              "backend_calls": bk.backend_calls,
+              **bk.counts(),
               "store": str(out / "contexts.jsonl")}, args)
     return EXIT_OK
 
@@ -170,7 +175,7 @@ def cmd_hints(args) -> int:
                                  "text": text, "flagged": flagged},
                                 sort_keys=True, ensure_ascii=False) + "\n")
             n += 1
-    _summary({"hints": n, "backend_calls": bk.backend_calls}, args)
+    _summary({"hints": n, **bk.counts()}, args)
     return EXIT_OK
 
 
@@ -184,7 +189,7 @@ def cmd_templates(args) -> int:
     (out / "templates.json").write_text(
         json.dumps(result, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8")
-    _summary({"relations": len(result), "backend_calls": bk.backend_calls}, args)
+    _summary({"relations": len(result), **bk.counts()}, args)
     return EXIT_OK
 
 

@@ -178,7 +178,8 @@ def write_synthetic_dataset(path: Path, n_entities=500, n_relations=8,
 class StubHandler(BaseHTTPRequestHandler):
     """OpenAI-compatible stub; the default reply carries no logprobs."""
 
-    # class-level script: list of (status, payload) consumed per request
+    # class-level script: (status, payload) or (status, payload, headers)
+    # entries, consumed one per request
     script = []
     requests_seen = []
 
@@ -186,12 +187,15 @@ class StubHandler(BaseHTTPRequestHandler):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
         StubHandler.requests_seen.append(body)
-        status, payload = (StubHandler.script.pop(0) if StubHandler.script
-                           else (200, {"choices": [{"message": {"content": "ok"}}]}))
+        status, payload, *extra = (
+            StubHandler.script.pop(0) if StubHandler.script
+            else (200, {"choices": [{"message": {"content": "ok"}}]}))
         data = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (extra[0] if extra else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -208,3 +212,4 @@ def stub_server():
     StubHandler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()

@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from fichad.backend import (BackendConfig, BackendError, CachedBackend,
+from fichad.backend import (BackendError, CachedBackend,
                             CapabilityError, GenerationRequest, HttpBackend,
                             MockBackend, RequestError, ResponseCache,
                             yes_probability)
@@ -62,7 +64,6 @@ class TestYesProbability:
         lp = [{"token": "yes", "logprob": math.log(0.6)},
               {"token": "no", "logprob": math.log(0.2)}]
         assert yes_probability(lp) == pytest.approx(0.75)
-        assert yes_probability(lp, normalize=False) == pytest.approx(0.6)
 
     def test_monotone_in_yes_logprob(self):
         last = -1.0
@@ -88,6 +89,16 @@ class TestCache:
         assert cache.get("a") == "ok"
         assert cache.get("b") is None
 
+    def test_put_after_torn_tail_survives_reload(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"k": "a", "kind": "free-text", "v": "ok"}\n'
+                     '{"k": "b", "kind": "free', encoding="utf-8")
+        ResponseCache(p).put("c", "free-text", "new")
+        again = ResponseCache(p)
+        assert again.get("a") == "ok"
+        assert again.get("c") == "new"
+        assert p.read_text(encoding="utf-8").endswith('"v": "new"}\n')
+
     def test_cache_soundness_calls_equal_distinct_keys(self, tmp_path):
         """#backend calls == #distinct cache keys for any request sequence."""
         bk = CachedBackend(MockBackend(5), ResponseCache(tmp_path / "c.jsonl"))
@@ -96,7 +107,7 @@ class TestCache:
         for r in reqs:
             bk.generate(r)
         distinct = len({r.canonical() for r in reqs})
-        assert bk.backend_calls == distinct == len(bk.cache)
+        assert bk.counts()["backend_calls"] == distinct == len(bk.cache)
 
     def test_second_call_served_from_cache(self, tmp_path):
         bk = CachedBackend(MockBackend(1), ResponseCache(tmp_path / "c.jsonl"))
@@ -104,14 +115,16 @@ class TestCache:
         first = bk.generate(req)
         second = bk.generate(req)
         assert first == second
-        assert bk.backend_calls == 1
+        assert bk.counts()["backend_calls"] == 1
 
     def test_relevance_cached_as_float(self, tmp_path):
         bk = CachedBackend(MockBackend(1), ResponseCache(tmp_path / "c.jsonl"))
         req = GenerationRequest(prompt="rel?", kind="relevance")
         p1 = bk.relevance(req)
         p2 = bk.relevance(req)
-        assert p1 == p2 and bk.backend_calls == 1
+        assert p1 == p2
+        assert bk.counts() == {"backend_calls": 1, "cache_hits": 1,
+                               "wire_retries": 0}
 
 
 class TestHttpBackend:
@@ -125,6 +138,7 @@ class TestHttpBackend:
         text = bk.generate(GenerationRequest(prompt="hi"))
         assert text == "generated text"
         assert len(bk.cache) == 1
+        assert inner.wire_retries == 1
         # cached now: no further wire traffic
         seen = len(StubHandler.requests_seen)
         assert bk.generate(GenerationRequest(prompt="hi")) == "generated text"
@@ -136,6 +150,30 @@ class TestHttpBackend:
         with pytest.raises(BackendError) as exc:
             inner.generate(GenerationRequest(prompt="hi"))
         assert exc.value.status == 503
+        assert len(StubHandler.requests_seen) == 3
+
+    def test_retry_after_is_honoured(self, stub_server):
+        StubHandler.script = [
+            (503, {}, {"Retry-After": "1"}),
+            (200, {"choices": [{"message": {"content": "late"}}]}),
+        ]
+        inner = HttpBackend(stub_server, "m", backoff=0.01)
+        t0 = time.perf_counter()
+        assert inner.generate(GenerationRequest(prompt="hi")) == "late"
+        assert time.perf_counter() - t0 >= 1.0
+        assert len(StubHandler.requests_seen) == 2
+
+    def test_client_error_is_not_retried(self, stub_server):
+        StubHandler.script = [
+            (400, {"error": "bad request"}),
+            (200, {"choices": [{"message": {"content": "x"}}]}),
+        ]
+        inner = HttpBackend(stub_server, "m", backoff=0.01)
+        with pytest.raises(BackendError) as exc:
+            inner.generate(GenerationRequest(prompt="hi"))
+        assert exc.value.status == 400
+        assert len(StubHandler.requests_seen) == 1
+        assert inner.wire_retries == 0
 
     def test_relevance_parses_logprobs(self, stub_server):
         import math
@@ -163,13 +201,3 @@ class TestHttpBackend:
             inner.generate(GenerationRequest(prompt="p",
                                              images=("/nope/missing.jpg",)))
 
-
-def test_backend_config_builds_mock_by_default(tmp_path):
-    bk = BackendConfig(seed=7, cache_path=str(tmp_path / "c.jsonl")).build()
-    assert bk.backend_id == "mock"
-    assert bk.model_id == "mock-7"
-
-
-def test_backend_config_http_requires_endpoint():
-    with pytest.raises(RequestError):
-        BackendConfig(kind="http").build()

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fichad
 from fichad.cli import main, EXIT_OK, EXIT_INPUT, EXIT_BACKEND, EXIT_USAGE
-from conftest import ARLES_CONFIG, write_synthetic_dataset
+from fichad.kg import load_dataset
+from conftest import ARLES_CONFIG, StubHandler, write_synthetic_dataset
 
 ARLES = str(ARLES_CONFIG)
 
@@ -33,6 +39,31 @@ def test_ingest_summary(capsys):
     assert "config_hash" in summary
 
 
+def test_mock_runs_never_import_requests(tmp_path):
+    """The wire client's dependency is loaded only for ``--backend http``."""
+    src = str(Path(fichad.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys\n"
+              "from fichad.cli import main\n"
+              f"assert main(['ingest', '--dataset', {ARLES!r}]) == 0\n"
+              f"assert main(['gen-context', '--dataset', {ARLES!r}, "
+              f"'--out', {str(tmp_path)!r}, '--splits', 'test']) == 0\n"
+              "print('requests' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_gen_context_http_without_endpoint_is_input_error(capsys, tmp_path):
+    code = main(["gen-context", "--dataset", ARLES, "--out", str(tmp_path),
+                 "--backend", "http", "--model-id", "m"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "--endpoint" in err and "--model-id" not in err
+
+
 def test_train_then_eval(capsys, tmp_path):
     out = str(tmp_path / "run")
     code, summary = run(capsys, "train-embed", "--dataset", ARLES,
@@ -53,6 +84,13 @@ def test_filter_images_writes_jsonl(capsys, tmp_path):
     assert code == EXIT_OK
     lines = (out / "filtered_images.jsonl").read_text().splitlines()
     assert len(lines) == summary["triples"] == 7
+    # every image lookup is either a backend call or a cache hit
+    ds = load_dataset(ARLES_CONFIG)
+    scored = sum(len(ds.assets.images_of(t.head))
+                 + len(ds.assets.images_of(t.tail))
+                 for t in ds.graph.splits["train"])
+    assert summary["backend_calls"] + summary["cache_hits"] == scored > 0
+    assert summary["wire_retries"] == 0
 
 
 def test_filter_images_without_logprobs_is_backend_error(
@@ -73,6 +111,23 @@ def test_filter_images_without_logprobs_is_backend_error(
     assert "logprobs" in capsys.readouterr().err
 
 
+def test_templates_report_wire_retries(capsys, tmp_path, stub_server):
+    config = write_synthetic_dataset(tmp_path / "ds", n_entities=4,
+                                     n_relations=1, n_train=3, n_valid=1,
+                                     n_test=1, images_per_entity=0)
+    StubHandler.script = [
+        (503, {}, {"Retry-After": "0"}),
+        (200, {"choices": [{"message": {"content": "[A] meets [B]."}}]}),
+    ]
+    code, summary = run(capsys, "templates", "--dataset", str(config),
+                        "--out", str(tmp_path / "t"), "--backend", "http",
+                        "--endpoint", stub_server, "--model-id", "m")
+    assert code == EXIT_OK
+    assert (summary["backend_calls"], summary["wire_retries"],
+            summary["cache_hits"]) == (1, 1, 0)
+    assert len(StubHandler.requests_seen) == 2
+
+
 def test_templates_and_hints(capsys, tmp_path):
     out = tmp_path / "t"
     code, summary = run(capsys, "templates", "--dataset", ARLES,
@@ -86,6 +141,7 @@ def test_templates_and_hints(capsys, tmp_path):
                         "--out", str(out), "--split", "test", "--seed", "1")
     assert code == EXIT_OK
     assert summary["hints"] == 1
+    assert {"backend_calls", "cache_hits", "wire_retries"} <= summary.keys()
 
 
 def test_full_pipeline_determinism_and_cache(capsys, tmp_path):
@@ -112,6 +168,8 @@ def test_full_pipeline_determinism_and_cache(capsys, tmp_path):
     assert prompts1 == prompts2
     assert gen1["backend_calls"] > 0
     assert gen2["backend_calls"] == 0  # resumable: all cache hits
+    assert gen2["cache_hits"] > 0
+    assert gen1["wire_retries"] == gen2["wire_retries"] == 0
     assert gen1["skipped_images"] == gen1["degraded_compositions"] == 0
     assert built1["skipped_neighbors"] == 0
 

@@ -135,8 +135,14 @@ class TestNegativeSampling:
         rng = np.random.default_rng(0)
         negs = negative_sample(Triple(0, 0, 1), g, rng, 8)
         assert len(negs) == 8
-        assert all(not g.contains(n, "train") or n.head == n.tail == 0
-                   or True for n in negs)  # bound-accept path exercised
+        assert not any(g.contains(n, "train") for n in negs)
+
+    def test_forced_acceptance_on_one_entity_graph(self):
+        """Every corruption collides; each is accepted after 100 attempts."""
+        g = KnowledgeGraph(make_vocab(["a"]), make_vocab(["r"]),
+                           {"train": [Triple(0, 0, 0)], "valid": [], "test": []})
+        negs = negative_sample(Triple(0, 0, 0), g, np.random.default_rng(0), 5)
+        assert negs == [Triple(0, 0, 0)] * 5
 
     def test_determinism(self):
         g = two_cluster_graph()
