@@ -117,16 +117,17 @@ def cmd_eval(args) -> int:
 def cmd_filter_images(args) -> int:
     ds, bk, templates, out = _setup(args)
     g, assets = ds.graph, ds.assets
-    n_retained = 0
+    n_retained = n_skipped = 0
     with open(out / "filtered_images.jsonl", "w", encoding="utf-8",
               newline="\n") as fh:
         for t in g.splits[args.split]:
             head = g.entities.display_name(t.head)
             tail = g.entities.display_name(t.tail)
-            fhd, ftl, _ = cg.filter_images(head, tail, assets.images_of(t.head),
-                                           assets.images_of(t.tail), args.tau,
-                                           bk, templates)
+            fhd, ftl, skipped = cg.filter_images(
+                head, tail, assets.images_of(t.head), assets.images_of(t.tail),
+                args.tau, bk, templates)
             n_retained += len(fhd) + len(ftl)
+            n_skipped += skipped
             rec = {"head": g.entities.label_of(t.head),
                    "relation": g.relations.label_of(t.relation),
                    "tail": g.entities.label_of(t.tail),
@@ -134,7 +135,7 @@ def cmd_filter_images(args) -> int:
                    "tail_images": [[s.ref, s.score] for s in ftl]}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     _summary({"triples": len(g.splits[args.split]), "retained": n_retained,
-              **bk.counts()}, args)
+              "skipped_images": n_skipped, **bk.counts()}, args)
     return EXIT_OK
 
 

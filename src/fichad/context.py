@@ -309,7 +309,8 @@ def relation_template(graph: KnowledgeGraph, relation: int,
     """Natural-language [A]/[B] template for a relation.
 
     Backend output must contain [A] and [B] exactly once each; one retry,
-    then the literal ``[A] <label> [B]`` fallback.
+    then the literal ``[A] <label> [B]`` fallback. A :class:`BackendError`
+    propagates.
     """
     templates = templates or PromptTemplateSet()
     rel_name = graph.relations.display_name(relation)
@@ -326,10 +327,7 @@ def relation_template(graph: KnowledgeGraph, relation: int,
     for attempt in range(2):
         req = GenerationRequest(prompt=prompt if attempt == 0 else prompt + " ",
                                 images=tuple(images), subjects=(rel_name,))
-        try:
-            text = backend.generate(req)
-        except BackendError:
-            break
+        text = backend.generate(req)
         if _valid_template(text):
             return text
     return f"[A] {rel_name} [B]"

@@ -1,9 +1,9 @@
-"""Filtered link-prediction protocol: candidate filtering, ranking, metrics.
+"""Filtered link-prediction protocol: ranking and metrics.
 
 Every test triple yields two queries (tail prediction and head prediction).
-Candidates are all entities minus other known-true answers across
-train ∪ valid ∪ test; ties get the real-valued mean rank, so a constant scorer
-cannot game Hits@K.
+The scorer scores every entity; the rank counts all entities except the other
+known answers across train ∪ valid ∪ test; ties get the real-valued mean rank,
+so a constant scorer cannot game Hits@K.
 """
 
 from __future__ import annotations
@@ -72,38 +72,29 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def filtered_candidates(graph: KnowledgeGraph, query: Query) -> np.ndarray:
-    """Sorted entity handles remaining after filtered-protocol removal.
-
-    Removes every entity (other than the true answer) whose substitution forms
-    a triple known in any split; the true answer is always kept.
-    """
+def other_answers(graph: KnowledgeGraph, query: Query) -> set[int]:
+    """Known answers to ``query`` in any split, other than its own answer."""
     if query.direction == TAIL:
-        known_true = graph.known_tails(query.known, query.relation)
-    elif query.direction == HEAD:
-        known_true = graph.known_heads(query.known, query.relation)
+        known = graph.known_tails(query.known, query.relation)
     else:
-        raise ValueError(f"unknown direction: {query.direction!r}")
-    removed = known_true - {query.answer}
-    if not removed:
-        return np.arange(graph.n_entities)
-    keep = np.ones(graph.n_entities, dtype=bool)
-    keep[list(removed)] = False
-    return np.flatnonzero(keep)
+        known = graph.known_heads(query.known, query.relation)
+    known.discard(query.answer)
+    return known
 
 
-def rank(scores: np.ndarray, candidates: np.ndarray, true_entity: int) -> float:
-    """Mean-tie real-valued rank of ``true_entity`` within ``candidates``.
+def rank(scores: np.ndarray, answer: int, excluded: set[int]) -> float:
+    """Mean-tie real-valued rank of ``answer`` among entities not ``excluded``.
 
-    rank = 1 + #{strictly greater} + #{ties excluding the true answer} / 2.
+    rank = 1 + #{strictly greater} + #{ties excluding the answer} / 2, each
+    count taken over all scores minus the same count over the excluded ones.
     """
-    idx = np.flatnonzero(candidates == true_entity)
-    if idx.size != 1:
-        raise EvalError(f"true entity {true_entity} missing from candidate scores")
-    s_true = scores[idx[0]]
-    greater = int(np.sum(scores > s_true))
-    ties = int(np.sum(scores == s_true)) - 1
-    return 1.0 + greater + ties / 2.0
+    s_true = scores[answer]
+    other = scores[np.fromiter(excluded, dtype=np.intp, count=len(excluded))]
+    greater = (np.count_nonzero(scores > s_true)
+               - np.count_nonzero(other > s_true))
+    ties = (np.count_nonzero(scores == s_true)
+            - np.count_nonzero(other == s_true) - 1)
+    return 1.0 + int(greater) + int(ties) / 2.0
 
 
 def queries_for_split(graph: KnowledgeGraph, split: str) -> list[Query]:
@@ -117,21 +108,23 @@ def queries_for_split(graph: KnowledgeGraph, split: str) -> list[Query]:
 def evaluate(scorer, graph: KnowledgeGraph, split: str = "test") -> EvalReport:
     """Run the filtered protocol over ``split``.
 
-    ``scorer(query, candidates)`` must return a finite score array aligned
-    with the candidate handles; higher = more plausible.
+    ``scorer(query)`` must return one finite score per entity handle, shape
+    ``(n_entities,)``; higher = more plausible. The other known answers are
+    left out of the rank, not out of the scoring.
     """
     queries = queries_for_split(graph, split)
     if not queries:
         raise EvalError(f"split {split!r} is empty")
     ranks = {TAIL: [], HEAD: []}
     for q in queries:
-        cands = filtered_candidates(graph, q)
-        scores = np.asarray(scorer(q, cands), dtype=np.float64)
-        if scores.shape != cands.shape:
-            raise EvalError("scorer returned wrong-shaped score array")
+        scores = np.asarray(scorer(q), dtype=np.float64)
+        if scores.shape != (graph.n_entities,):
+            raise EvalError(f"scorer returned scores of shape {scores.shape}, "
+                            f"expected ({graph.n_entities},)")
         if not np.all(np.isfinite(scores)):
             raise EvalError("scorer returned non-finite scores")
-        ranks[q.direction].append(rank(scores, cands, q.answer))
+        ranks[q.direction].append(rank(scores, q.answer,
+                                       other_answers(graph, q)))
     return report_from_ranks(ranks[HEAD], ranks[TAIL])
 
 
@@ -160,10 +153,11 @@ def report_from_ranks(head_ranks: list[float],
 
 def model_scorer(model):
     """Adapt an :class:`~fichad.embed.EmbeddingModel` to the scorer contract."""
+    everyone = np.arange(model.n_entities)
 
-    def scorer(query: Query, candidates: np.ndarray) -> np.ndarray:
+    def scorer(query: Query) -> np.ndarray:
         if query.direction == TAIL:
-            return model.score_tails(query.known, query.relation, candidates)
-        return model.score_heads(query.relation, query.known, candidates)
+            return model.score_tails(query.known, query.relation, everyone)
+        return model.score_heads(query.relation, query.known, everyone)
 
     return scorer

@@ -111,6 +111,46 @@ def test_filter_images_without_logprobs_is_backend_error(
     assert "logprobs" in capsys.readouterr().err
 
 
+def test_filter_images_reports_skipped_images(capsys, tmp_path, monkeypatch,
+                                              stub_server):
+    """Images whose relevance call fails are counted, not silently zeroed."""
+    config = write_synthetic_dataset(tmp_path / "ds", n_entities=4,
+                                     n_relations=1, n_train=3, n_valid=1,
+                                     n_test=1, images_per_entity=1)
+    monkeypatch.chdir(config.parent)  # image refs are relative paths
+    (config.parent / "img").mkdir()
+    for i in range(4):
+        (config.parent / f"img/ent_{i:04d}_0.jpg").write_bytes(b"\xff")
+    StubHandler.script = [(503, {}, {"Retry-After": "0"})] * 100
+    code, summary = run(capsys, "filter-images", "--dataset", str(config),
+                        "--out", str(tmp_path / "f"), "--backend", "http",
+                        "--endpoint", stub_server, "--model-id", "m")
+    assert code == EXIT_OK
+    ds = load_dataset(config)
+    scored = sum(len(ds.assets.images_of(t.head))
+                 + len(ds.assets.images_of(t.tail))
+                 for t in ds.graph.splits["test"])
+    assert summary["skipped_images"] == scored > 0
+    assert summary["retained"] == 0
+    assert len(StubHandler.requests_seen) == 3 * scored
+
+
+def test_templates_wire_failure_is_backend_error(capsys, tmp_path,
+                                                 stub_server):
+    """A dead endpoint fails the run instead of yielding literal templates."""
+    config = write_synthetic_dataset(tmp_path / "ds", n_entities=4,
+                                     n_relations=1, n_train=3, n_valid=1,
+                                     n_test=1, images_per_entity=0)
+    StubHandler.script = [(503, {}, {"Retry-After": "0"})] * 100
+    code = main(["templates", "--dataset", str(config),
+                 "--out", str(tmp_path / "t"), "--backend", "http",
+                 "--endpoint", stub_server, "--model-id", "m"])
+    assert code == EXIT_BACKEND
+    assert "503" in capsys.readouterr().err
+    assert not (tmp_path / "t" / "templates.json").exists()
+    assert len(StubHandler.requests_seen) == 3
+
+
 def test_templates_report_wire_retries(capsys, tmp_path, stub_server):
     config = write_synthetic_dataset(tmp_path / "ds", n_entities=4,
                                      n_relations=1, n_train=3, n_valid=1,

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fichad.kg import KnowledgeGraph, Triple
-from fichad.linkpred import (EvalError, Query, evaluate, filtered_candidates,
+from fichad.linkpred import (EvalError, Query, evaluate, other_answers,
                              queries_for_split, rank, report_from_ranks)
 from conftest import (brute_force_candidates, brute_force_report, make_vocab,
                       random_graph)
@@ -24,28 +24,42 @@ def make_random_scorer(seed):
     return score
 
 
+def entity_scorer(score, graph, f=lambda s: s):
+    """``scorer(query)`` scoring each entity of ``graph`` as ``f(score)``."""
+
+    def scorer(q):
+        if q.direction == "tail":
+            return np.array([f(score(q.known, q.relation, e))
+                             for e in range(graph.n_entities)])
+        return np.array([f(score(e, q.relation, q.known))
+                         for e in range(graph.n_entities)])
+
+    return scorer
+
+
 class TestFilteredCandidates:
+    """The filtered candidates are all entities minus ``other_answers``."""
+
     def test_known_answer_filtered(self):
         ents = make_vocab(["a", "b", "c"])
         rels = make_vocab(["r"])
         g = KnowledgeGraph(ents, rels,
                            {"train": [Triple(0, 0, 1), Triple(0, 0, 2)],
                             "valid": [], "test": []})
-        cands = filtered_candidates(g, Query("tail", 0, 0, 1))
-        assert set(cands.tolist()) == {0, 1}
+        assert other_answers(g, Query("tail", 0, 0, 1)) == {2}
+        assert other_answers(g, Query("head", 2, 0, 0)) == set()
 
     def test_no_other_answers_keeps_all(self):
         ents = make_vocab(["a", "b", "c"])
         rels = make_vocab(["r"])
         g = KnowledgeGraph(ents, rels,
                            {"train": [Triple(0, 0, 1)], "valid": [], "test": []})
-        cands = filtered_candidates(g, Query("tail", 0, 0, 1))
-        assert set(cands.tolist()) == {0, 1, 2}
+        assert other_answers(g, Query("tail", 0, 0, 1)) == set()
 
     def test_matches_brute_force_on_random_graph(self):
         g = random_graph(random.Random(99))
         for q in queries_for_split(g, "test"):
-            got = set(filtered_candidates(g, q).tolist())
+            got = set(range(g.n_entities)) - other_answers(g, q)
             want = brute_force_candidates(g, q.direction, q.known,
                                           q.relation, q.answer)
             assert got == want
@@ -55,22 +69,20 @@ class TestRank:
     def test_mean_tie_example(self):
         # A:0.9  B(true):0.5  C:0.5  D:0.1
         scores = np.array([0.9, 0.5, 0.5, 0.1])
-        cands = np.array([0, 1, 2, 3])
-        assert rank(scores, cands, 1) == pytest.approx(2.5)
-        assert 1.0 / rank(scores, cands, 1) == pytest.approx(0.4)
+        assert rank(scores, 1, set()) == pytest.approx(2.5)
+        assert 1.0 / rank(scores, 1, set()) == pytest.approx(0.4)
+        # two other known answers, one above and one tied, are not counted
+        with_known = np.append(scores, [0.99, 0.5])
+        assert rank(with_known, 1, {4, 5}) == pytest.approx(2.5)
 
     def test_unique_maximum(self):
         scores = np.array([0.1, 0.9, 0.3])
-        assert rank(scores, np.array([0, 1, 2]), 1) == 1.0
+        assert rank(scores, 1, set()) == 1.0
 
     def test_full_tie(self):
         m = 7
         scores = np.full(m, 0.5)
-        assert rank(scores, np.arange(m), 3) == pytest.approx((m + 1) / 2)
-
-    def test_missing_true_entity_is_error(self):
-        with pytest.raises(EvalError):
-            rank(np.array([0.1, 0.2]), np.array([0, 1]), 5)
+        assert rank(scores, 3, set()) == pytest.approx((m + 1) / 2)
 
 
 class TestMetrics:
@@ -84,9 +96,7 @@ class TestMetrics:
     def test_hits_monotone_and_bounds(self):
         g = random_graph(random.Random(17))
         score = make_random_scorer(3)
-        rep = evaluate(lambda q, c: np.array([
-            score(q.known, q.relation, int(e)) if q.direction == "tail"
-            else score(int(e), q.relation, q.known) for e in c]), g)
+        rep = evaluate(entity_scorer(score, g), g)
         assert rep.hits1 <= rep.hits3 <= rep.hits10
         assert 0.0 < rep.mrr <= 1.0
         assert rep.mrr >= rep.hits1
@@ -97,7 +107,7 @@ class TestMetrics:
         g = KnowledgeGraph(ents, rels,
                            {"train": [], "valid": [],
                             "test": [Triple(0, 0, 1)]})
-        rep = evaluate(lambda q, c: np.zeros(len(c)), g)
+        rep = evaluate(lambda q: np.zeros(g.n_entities), g)
         # 20 candidates, full tie -> rank 10.5 for both queries
         assert rep.mrr == pytest.approx(1 / 10.5)
 
@@ -106,7 +116,7 @@ class TestMetrics:
         rels = make_vocab(["r"])
         g = KnowledgeGraph(ents, rels, {"train": [], "valid": [], "test": []})
         with pytest.raises(EvalError):
-            evaluate(lambda q, c: np.zeros(len(c)), g)
+            evaluate(lambda q: np.zeros(g.n_entities), g)
 
     def test_non_finite_score_is_error(self):
         ents = make_vocab([f"e{i}" for i in range(5)])
@@ -115,13 +125,22 @@ class TestMetrics:
                            {"train": [], "valid": [],
                             "test": [Triple(0, 0, 1)]})
 
-        def scorer(q, cands):
-            scores = np.zeros(len(cands))
-            scores[cands == q.answer] = np.nan
+        def scorer(q):
+            scores = np.zeros(g.n_entities)
+            scores[q.answer] = np.nan
             return scores
 
         with pytest.raises(EvalError, match="non-finite"):
             evaluate(scorer, g)
+
+    def test_wrong_shaped_scores_is_error(self):
+        ents = make_vocab([f"e{i}" for i in range(5)])
+        rels = make_vocab(["r"])
+        g = KnowledgeGraph(ents, rels,
+                           {"train": [], "valid": [],
+                            "test": [Triple(0, 0, 1)]})
+        with pytest.raises(EvalError, match="shape"):
+            evaluate(lambda q: np.zeros(g.n_entities - 1), g)
 
     def test_report_serialization(self):
         rep = report_from_ranks([1.0], [2.0])
@@ -138,15 +157,7 @@ class TestOracleEquivalence:
         rng = random.Random(seed)
         g = random_graph(rng)
         score = make_random_scorer(seed + 1)
-
-        def scorer(q, cands):
-            if q.direction == "tail":
-                return np.array([score(q.known, q.relation, int(e))
-                                 for e in cands])
-            return np.array([score(int(e), q.relation, q.known)
-                             for e in cands])
-
-        rep = evaluate(scorer, g)
+        rep = evaluate(entity_scorer(score, g), g)
         mrr, h1, h3, h10 = brute_force_report(score, g)
         assert rep.mrr == pytest.approx(mrr, abs=1e-12)
         assert rep.hits1 == pytest.approx(h1, abs=1e-12)
@@ -156,15 +167,7 @@ class TestOracleEquivalence:
     def test_monotone_transform_invariance(self):
         g = random_graph(random.Random(5))
         score = make_random_scorer(2)
-
-        def scorer_with(f):
-            def scorer(q, cands):
-                base = [score(q.known, q.relation, int(e))
-                        if q.direction == "tail"
-                        else score(int(e), q.relation, q.known) for e in cands]
-                return np.array([f(s) for s in base])
-            return scorer
-
-        base = evaluate(scorer_with(lambda s: s), g)
-        warped = evaluate(scorer_with(lambda s: np.exp(3 * s) + 1), g)
+        base = evaluate(entity_scorer(score, g), g)
+        warped = evaluate(entity_scorer(score, g, lambda s: np.exp(3 * s) + 1),
+                          g)
         assert base.to_dict() == warped.to_dict()
