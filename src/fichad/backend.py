@@ -7,9 +7,10 @@ append-only JSONL cache, which is what makes whole-pipeline runs resumable
 with zero duplicate backend calls.
 
 The wire client retries 429/5xx replies and connection errors with urllib3's
-``Retry``, at most 3 attempts: ``Retry-After`` is honoured, otherwise the first
-retry is immediate and the n-th waits ``backoff * 2**(n-1)`` s plus jitter.
-Each request opens one connection of its own.
+``Retry``, at most 3 attempts: ``Retry-After`` is honoured (``Retry-After: 0``
+retries at once), otherwise the first retry is immediate and the n-th waits
+``backoff * 2**(n-1)`` s plus jitter. Each request opens one connection of its
+own.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import hashlib
 import json
 import math
 import os
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,27 +152,21 @@ class HttpBackend(GenerationBackend):
     top-k log-probabilities of the first generated token and normalize the
     probability mass over the leading "yes"/"no" tokens (case-insensitive).
     429/5xx replies and connection errors are retried, at most
-    ``max_attempts`` tries: a ``Retry-After`` header is honoured, otherwise
-    the first retry is immediate and the n-th waits ``backoff * 2**(n-1)``
-    seconds plus jitter. Each request uses one connection of its own.
+    ``max_attempts`` tries: a ``Retry-After`` header is honoured (0 retries at
+    once), otherwise the first retry is immediate and the n-th waits
+    ``backoff * 2**(n-1)`` seconds plus jitter. Each request uses one
+    connection of its own.
     """
 
     backend_id = "http"
 
     def __init__(self, endpoint: str, model: str, max_attempts: int = 3,
                  backoff: float = 1.0):
-        from requests.adapters import Retry
-
         super().__init__()
         self.endpoint = endpoint.rstrip("/")
         self.model_id = model
         self.api_key = os.environ.get(API_KEY_ENV, "")
-        self.retry = Retry(total=max_attempts - 1,
-                           status_forcelist=RETRY_STATUSES,
-                           allowed_methods=None,
-                           respect_retry_after_header=True,
-                           raise_on_status=False, backoff_factor=backoff,
-                           backoff_jitter=BACKOFF_JITTER_S)
+        self.retry = _retry_policy(max_attempts, backoff)
 
     def _image_part(self, ref: str) -> dict:
         try:
@@ -245,6 +241,25 @@ class HttpBackend(GenerationBackend):
         return yes_probability(logprobs)
 
 
+def _retry_policy(max_attempts: int, backoff: float):
+    """urllib3 ``Retry`` for :class:`HttpBackend`, imported on first use."""
+    from urllib3.util import Retry
+
+    class RetryPolicy(Retry):
+        def sleep_for_retry(self, response) -> bool:
+            # urllib3 reads ``Retry-After: 0`` as absent and backs off instead
+            retry_after = self.get_retry_after(response)
+            if retry_after is None:
+                return False
+            time.sleep(retry_after)
+            return True
+
+    return RetryPolicy(total=max_attempts - 1, status_forcelist=RETRY_STATUSES,
+                       allowed_methods=None, respect_retry_after_header=True,
+                       raise_on_status=False, backoff_factor=backoff,
+                       backoff_jitter=BACKOFF_JITTER_S)
+
+
 def yes_probability(top_logprobs: list[dict]) -> float:
     """Yes-token probability from a top-logprobs list.
 
@@ -272,12 +287,15 @@ class ResponseCache:
     One record per line: ``{"k": hash, "kind": ..., "v": ...}``. A final
     line without its newline (crash mid-append) is ignored on load and cut
     off before the first append, so the next record starts on a fresh line.
+    Other lines that are not records are skipped and counted in
+    ``corrupt_lines``.
     """
 
     def __init__(self, path=None):
         self.path = Path(path) if path is not None else None
         self._index: dict[str, object] = {}
         self._torn_tail = 0  # bytes after the last newline
+        self.corrupt_lines = 0
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -289,9 +307,9 @@ class ResponseCache:
                     break
                 try:
                     rec = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # blank or corrupt line mid-file
-                self._index[rec["k"]] = rec["v"]
+                    self._index[rec["k"]] = rec["v"]
+                except (json.JSONDecodeError, KeyError, TypeError):
+                    self.corrupt_lines += 1  # blank or corrupt line mid-file
 
     def __len__(self) -> int:
         return len(self._index)
@@ -348,7 +366,9 @@ class CachedBackend(GenerationBackend):
         return prob
 
     def counts(self) -> dict[str, int]:
-        """Calls that reached the backend, cache hits and wire retries."""
+        """Calls that reached the backend, cache hits, wire retries and
+        corrupt cache lines skipped on load."""
         return {"backend_calls": self.inner.call_count,
                 "cache_hits": self.cache_hits,
-                "wire_retries": self.inner.wire_retries}
+                "wire_retries": self.inner.wire_retries,
+                "cache_corrupt_lines": self.cache.corrupt_lines}

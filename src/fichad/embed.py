@@ -25,6 +25,8 @@ FAMILIES = ("transe", "distmult", "complex", "rotate")
 LOSSES = ("margin", "logistic")
 
 _MAGIC = b"FKGE0001"
+#: entity rows per scoring block; a block's temporaries stay cache-sized
+SCORE_BLOCK = 256
 
 
 class TrainingError(Exception):
@@ -95,14 +97,31 @@ class EmbeddingModel:
         return float(self._score_vec(self.entity[h], self.relation[r],
                                      self.entity[t]))
 
-    def score_tails(self, h: int, r: int, tails: np.ndarray) -> np.ndarray:
-        """Vectorized score of (h, r, t') for every t' in ``tails``."""
-        return self._score_vec(self.entity[h], self.relation[r],
-                               self.entity[tails])
+    def score_tails(self, h: int, r: int,
+                    tails: np.ndarray | None = None) -> np.ndarray:
+        """Score of (h, r, t') for every t' in ``tails``, or every entity."""
+        eh, er = self.entity[h], self.relation[r]
+        return self._score_blocks(lambda et: self._score_vec(eh, er, et),
+                                  tails)
 
-    def score_heads(self, r: int, t: int, heads: np.ndarray) -> np.ndarray:
-        return self._score_vec(self.entity[heads], self.relation[r],
-                               self.entity[t])
+    def score_heads(self, r: int, t: int,
+                    heads: np.ndarray | None = None) -> np.ndarray:
+        """Score of (h', r, t) for every h' in ``heads``, or every entity."""
+        er, et = self.relation[r], self.entity[t]
+        return self._score_blocks(lambda eh: self._score_vec(eh, er, et),
+                                  heads)
+
+    def _score_blocks(self, score, rows) -> np.ndarray:
+        """``score`` over the entity rows ``rows`` (all when None), one block
+        of ``SCORE_BLOCK`` rows at a time; all entities are scored through
+        views of ``entity``, so no row is copied."""
+        n = self.n_entities if rows is None else len(rows)
+        out = np.empty(n)
+        for s in range(0, n, SCORE_BLOCK):
+            e = min(s + SCORE_BLOCK, n)
+            out[s:e] = score(self.entity[s:e] if rows is None
+                             else self.entity[rows[s:e]])
+        return out
 
     def _score_vec(self, eh, er, et):
         # all arguments broadcast over a leading candidate axis

@@ -153,11 +153,10 @@ def report_from_ranks(head_ranks: list[float],
 
 def model_scorer(model):
     """Adapt an :class:`~fichad.embed.EmbeddingModel` to the scorer contract."""
-    everyone = np.arange(model.n_entities)
 
     def scorer(query: Query) -> np.ndarray:
         if query.direction == TAIL:
-            return model.score_tails(query.known, query.relation, everyone)
-        return model.score_heads(query.relation, query.known, everyone)
+            return model.score_tails(query.known, query.relation)
+        return model.score_heads(query.relation, query.known)
 
     return scorer

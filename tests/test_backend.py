@@ -124,7 +124,19 @@ class TestCache:
         p2 = bk.relevance(req)
         assert p1 == p2
         assert bk.counts() == {"backend_calls": 1, "cache_hits": 1,
-                               "wire_retries": 0}
+                               "wire_retries": 0, "cache_corrupt_lines": 0}
+
+    def test_corrupt_line_mid_file_is_counted(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"k": "a", "kind": "free-text", "v": "one"}\n'
+                     'not json at all\n'
+                     '{"k": "b", "kind": "free-text", "v": "two"}\n',
+                     encoding="utf-8")
+        cache = ResponseCache(p)
+        assert (cache.get("a"), cache.get("b")) == ("one", "two")
+        assert cache.corrupt_lines == 1
+        bk = CachedBackend(MockBackend(1), cache)
+        assert bk.counts()["cache_corrupt_lines"] == 1
 
 
 class TestHttpBackend:
@@ -162,6 +174,19 @@ class TestHttpBackend:
         assert inner.generate(GenerationRequest(prompt="hi")) == "late"
         assert time.perf_counter() - t0 >= 1.0
         assert len(StubHandler.requests_seen) == 2
+
+    def test_retry_after_zero_retries_at_once(self, stub_server):
+        StubHandler.script = [
+            (503, {}, {"Retry-After": "0"}),
+            (503, {}, {"Retry-After": "0"}),
+            (200, {"choices": [{"message": {"content": "now"}}]}),
+        ]
+        inner = HttpBackend(stub_server, "m", backoff=2)
+        t0 = time.perf_counter()
+        assert inner.generate(GenerationRequest(prompt="hi")) == "now"
+        assert time.perf_counter() - t0 < 1.0
+        assert len(StubHandler.requests_seen) == 3
+        assert inner.wire_retries == 2
 
     def test_client_error_is_not_retried(self, stub_server):
         StubHandler.script = [

@@ -181,7 +181,8 @@ def test_templates_and_hints(capsys, tmp_path):
                         "--out", str(out), "--split", "test", "--seed", "1")
     assert code == EXIT_OK
     assert summary["hints"] == 1
-    assert {"backend_calls", "cache_hits", "wire_retries"} <= summary.keys()
+    assert {"backend_calls", "cache_hits", "wire_retries",
+            "cache_corrupt_lines"} <= summary.keys()
 
 
 def test_full_pipeline_determinism_and_cache(capsys, tmp_path):

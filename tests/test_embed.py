@@ -74,6 +74,22 @@ class TestScore:
             singles = [m.score(2, 1, int(t)) for t in cands]
             np.testing.assert_allclose(batch, singles, rtol=1e-12)
 
+    @pytest.mark.parametrize("family,norm", [("transe", 1), ("transe", 2),
+                                             ("distmult", 1), ("complex", 1),
+                                             ("rotate", 1)])
+    def test_blocks_equal_unblocked_scores(self, family, norm):
+        n = 2 * embed.SCORE_BLOCK + 3
+        m = init_model(family, n, 3, 5, seed=7, transe_norm=norm)
+        perm = np.random.default_rng(1).permutation(n)
+        h, r, t = 4, 2, n - 1
+        eh, er, et = m.entity[h], m.relation[r], m.entity[t]
+        for rows in (None, perm):
+            cands = m.entity if rows is None else m.entity[rows]
+            np.testing.assert_array_equal(m.score_tails(h, r, rows),
+                                          m._score_vec(eh, er, cands))
+            np.testing.assert_array_equal(m.score_heads(r, t, rows),
+                                          m._score_vec(cands, er, et))
+
     def test_rotate_phase_2pi_invariance(self):
         m = init_model("rotate", 5, 2, 8, seed=4)
         before = m.score(0, 1, 3)
