@@ -42,6 +42,16 @@ def _summary(payload: dict, args) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+def _split_list(text: str) -> str:
+    """``--splits`` value: comma-separated names from :data:`kg.SPLITS`."""
+    for name in text.split(","):
+        if name not in kg.SPLITS:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {name!r} (choose from "
+                f"{', '.join(map(repr, kg.SPLITS))})")
+    return text
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -202,7 +212,8 @@ def cmd_build_prompts(args) -> int:
     rel_templates = {}
     if args.templates:
         rel_templates = json.loads(Path(args.templates).read_text("utf-8"))
-    budget = prompt.TokenBudget(args.budget) if args.budget else None
+    budget = (prompt.TokenBudget(args.budget) if args.budget is not None
+              else None)
     inputs = []
     build_errors = 0
     for q in linkpred.queries_for_split(g, args.split):
@@ -293,14 +304,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="filtered link-prediction evaluation")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", choices=kg.SPLITS, default="test")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("filter-images", help="link-aware image filtering")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", choices=kg.SPLITS, default="test")
     _add_backend_args(p)
     p.set_defaults(func=cmd_filter_images)
 
@@ -308,14 +319,14 @@ def build_parser() -> _Parser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=list(cg.VARIANTS), default=cg.V1)
-    p.add_argument("--splits", default="train,valid,test")
+    p.add_argument("--splits", type=_split_list, default="train,valid,test")
     _add_backend_args(p)
     p.set_defaults(func=cmd_gen_context)
 
     p = sub.add_parser("hints", help="conceptual hints for query relations")
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", choices=kg.SPLITS, default="test")
     _add_backend_args(p)
     p.set_defaults(func=cmd_hints)
 
@@ -331,7 +342,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.add_argument("--templates", default=None,
                    help="templates.json from the templates subcommand")
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", choices=kg.SPLITS, default="test")
     p.add_argument("--variant", choices=list(cg.VARIANTS), default=cg.V1)
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--budget", type=int, default=None)

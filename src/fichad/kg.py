@@ -10,13 +10,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 SPLITS = ("train", "valid", "test")
 
 #: neighbor edge directions; outgoing sorts before incoming
 OUT, IN = "out", "in"
-_DIR_ORDER = {OUT: 0, IN: 1}
+_DIRECTIONS = (OUT, IN)
 
 
 class DatasetError(Exception):
@@ -127,8 +131,25 @@ def save_triples(path, triples: list[Triple], entities: Vocab,
 class KnowledgeGraph:
     """Triples per split plus the query-time indices derived from them.
 
-    Immutable after construction; indices cover train ∪ valid ∪ test (the
-    filtered-evaluation universe) and per-split membership sets.
+    Immutable after construction. ``splits`` keeps each split's triples in
+    file order; every index is built from one (n, 3) int64 array of
+    (head, relation, tail) rows per split. A triple is keyed by the integer
+    ``(h·R + r)·E + t`` (R relations, E entities), so sorting keys sorts
+    triples by (head, relation, tail):
+
+    - ``contains``: the sorted unique keys of each split and of their union
+      (the filtered-evaluation universe), searched with ``searchsorted``;
+    - ``known_tails``/``known_heads``: the union keys in (h, r, t) order and
+      again in (t, r, h) order; the answers to (h, r) are the key range
+      ``[(h·R + r)·E, (h·R + r + 1)·E)``, found by binary search;
+    - ``neighbors``: the incident edges of the union sorted by (entity,
+      relation, neighbor, out before in), with per-entity offsets;
+    - ``triples_with_relation``: each split's triples sorted by (relation,
+      head, tail), with per-relation offsets.
+
+    Answers are plain Python ``int``, ``bool``, ``set`` and ``list`` values.
+    A triple whose handles lie outside the vocabularies, or a vocabulary so
+    large that ``E²·R`` does not fit in int64, raises :class:`DatasetError`.
     """
 
     def __init__(self, entities: Vocab, relations: Vocab,
@@ -137,23 +158,47 @@ class KnowledgeGraph:
         self.relations = relations
         self.splits = {name: list(splits.get(name, [])) for name in SPLITS}
 
-        self._split_sets = {name: frozenset(ts) for name, ts in self.splits.items()}
-        self._all = frozenset().union(*self._split_sets.values())
+        n_ent, n_rel = self._n_ent, self._n_rel = len(entities), len(relations)
+        if n_ent * n_ent * n_rel > np.iinfo(np.int64).max:
+            raise DatasetError(
+                f"{n_ent} entities and {n_rel} relations overflow the int64 "
+                "triple key")
+        rows = {name: _triple_rows(ts, n_ent, n_rel, name)
+                for name, ts in self.splits.items()}
 
-        tails: dict[tuple[int, int], set[int]] = {}
-        heads: dict[tuple[int, int], set[int]] = {}
-        incident: dict[int, set[tuple[int, int, str]]] = {}
-        for tr in self._all:
-            tails.setdefault((tr.head, tr.relation), set()).add(tr.tail)
-            heads.setdefault((tr.tail, tr.relation), set()).add(tr.head)
-            incident.setdefault(tr.head, set()).add((tr.relation, tr.tail, OUT))
-            incident.setdefault(tr.tail, set()).add((tr.relation, tr.head, IN))
-        self._tails = tails
-        self._heads = heads
-        self._incident = {
-            e: sorted(edges, key=lambda x: (x[0], x[1], _DIR_ORDER[x[2]]))
-            for e, edges in incident.items()
-        }
+        self._split_keys = {
+            name: _sorted_unique(self._key(a[:, 0], a[:, 1], a[:, 2]))
+            for name, a in rows.items()}
+        self._hrt = _sorted_unique(
+            np.concatenate(list(self._split_keys.values())))
+        head_rel, tail = np.divmod(self._hrt, n_ent)
+        head, rel = np.divmod(head_rel, n_rel)
+        self._trh = np.sort(self._key(tail, rel, head))
+
+        # out-edges of the union, then in-edges; the stable sort keeps an
+        # out-edge before the in-edge with the same (entity, relation, neighbor)
+        entity = np.concatenate((head, tail))
+        edges = np.stack((np.concatenate((rel, rel)),
+                          np.concatenate((tail, head)),
+                          np.repeat(np.array([0, 1]), len(head))), axis=1)
+        order = np.argsort(self._key(entity, edges[:, 0], edges[:, 1]),
+                           kind="stable")
+        self._edges = edges[order]
+        self._edge_offsets = _offsets(entity, n_ent)
+
+        self._by_relation = {}
+        for name, a in rows.items():
+            order = np.argsort((a[:, 1] * n_ent + a[:, 0]) * n_ent + a[:, 2],
+                               kind="stable")
+            triples = self.splits[name]
+            self._by_relation[name] = ([triples[i] for i in order.tolist()],
+                                       _offsets(a[:, 1], n_rel).tolist())
+
+    def _key(self, first, relation, last):
+        return (first * self._n_rel + relation) * self._n_ent + last
+
+    def _pair_ok(self, entity, relation) -> bool:
+        return 0 <= entity < self._n_ent and 0 <= relation < self._n_rel
 
     @property
     def n_entities(self) -> int:
@@ -165,15 +210,26 @@ class KnowledgeGraph:
 
     def contains(self, triple: Triple, split: str | None = None) -> bool:
         """Membership in one split, or in the union of all splits."""
-        if split is None:
-            return triple in self._all
-        return triple in self._split_sets[split]
+        keys = self._hrt if split is None else self._split_keys[split]
+        h, r, t = triple.head, triple.relation, triple.tail
+        if not (self._pair_ok(h, r) and 0 <= t < self._n_ent):
+            return False
+        key = self._key(h, r, t)
+        i = int(keys.searchsorted(key))
+        return i < len(keys) and int(keys[i]) == key
+
+    def _answers(self, keys, entity: int, relation: int) -> set[int]:
+        if not self._pair_ok(entity, relation):
+            return set()
+        base = self._key(entity, relation, 0)
+        lo, hi = keys.searchsorted((base, base + self._n_ent)).tolist()
+        return set((keys[lo:hi] - base).tolist())
 
     def known_tails(self, head: int, relation: int) -> set[int]:
-        return set(self._tails.get((head, relation), ()))
+        return self._answers(self._hrt, head, relation)
 
     def known_heads(self, tail: int, relation: int) -> set[int]:
-        return set(self._heads.get((tail, relation), ()))
+        return self._answers(self._trh, tail, relation)
 
     def neighbors(self, entity: int, k: int) -> list[tuple[int, int, str]]:
         """First ``k`` incident edges of ``entity`` as (relation, neighbor, direction).
@@ -184,12 +240,48 @@ class KnowledgeGraph:
         """
         if k < 0:
             raise ValueError("k must be >= 0")
-        return self._incident.get(entity, [])[:k]
+        if not 0 <= entity < self._n_ent:
+            return []
+        lo, hi = self._edge_offsets[entity:entity + 2].tolist()
+        return [(r, n, _DIRECTIONS[d])
+                for r, n, d in self._edges[lo:min(hi, lo + k)].tolist()]
 
     def triples_with_relation(self, relation: int,
                               split: str = "train") -> list[Triple]:
         """Triples of one split carrying ``relation``, sorted by handles."""
-        return sorted(t for t in self.splits[split] if t.relation == relation)
+        triples, offsets = self._by_relation[split]
+        if not 0 <= relation < self._n_rel:
+            return []
+        return triples[offsets[relation]:offsets[relation + 1]]
+
+
+def _triple_rows(triples: list[Triple], n_ent: int, n_rel: int,
+                 split: str) -> np.ndarray:
+    """(n, 3) int64 array of (head, relation, tail) rows, handles checked."""
+    rows = np.fromiter(
+        chain.from_iterable(map(attrgetter("head", "relation", "tail"), triples)),
+        dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
+    bad = ((rows < 0) | (rows >= (n_ent, n_rel, n_ent))).any(axis=1)
+    if bad.any():
+        raise DatasetError(
+            f"{split} triple {triples[int(bad.argmax())]} has a handle "
+            f"outside {n_ent} entities / {n_rel} relations")
+    return rows
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values (``np.unique`` imports ``numpy.ma`` on numpy 2)."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _offsets(group: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets: rows of group ``g`` lie at ``[off[g], off[g + 1])`` once sorted."""
+    off = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(group, minlength=n), out=off[1:])
+    return off
 
 
 @dataclass

@@ -8,7 +8,7 @@ import pytest
 
 import fichad
 from fichad.cli import main, EXIT_OK, EXIT_INPUT, EXIT_BACKEND, EXIT_USAGE
-from fichad.kg import load_dataset
+from fichad.kg import SPLITS, load_dataset
 from conftest import ARLES_CONFIG, StubHandler, write_synthetic_dataset
 
 ARLES = str(ARLES_CONFIG)
@@ -213,6 +213,37 @@ def test_full_pipeline_determinism_and_cache(capsys, tmp_path):
     assert gen1["wire_retries"] == gen2["wire_retries"] == 0
     assert gen1["skipped_images"] == gen1["degraded_compositions"] == 0
     assert built1["skipped_neighbors"] == 0
+
+
+def test_build_prompts_zero_budget_is_input_error(capsys, tmp_path):
+    """``--budget 0`` is a budget of zero tokens, not "no budget"."""
+    code, _ = run(capsys, "gen-context", "--dataset", ARLES, "--out",
+                  str(tmp_path), "--splits", "test")
+    assert code == EXIT_OK
+    code = main(["build-prompts", "--dataset", ARLES, "--store",
+                 str(tmp_path / "contexts.jsonl"), "--out", str(tmp_path / "p"),
+                 "--budget", "0"])
+    assert code == EXIT_INPUT
+    assert "token budget must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "p" / "prompts.jsonl").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--model", "model.ckpt", "--split", "bogus"],
+    ["filter-images", "--out", "o", "--split", "bogus"],
+    ["hints", "--out", "o", "--split", "bogus"],
+    ["build-prompts", "--store", "s.jsonl", "--out", "o", "--split", "bogus"],
+    ["gen-context", "--out", "o", "--splits", "train,bogus"],
+], ids=lambda argv: argv[0])
+def test_unknown_split_is_usage_error(capsys, tmp_path, argv):
+    argv = [argv[0], "--dataset", ARLES,
+            *(str(tmp_path / a) if a in ("o", "s.jsonl", "model.ckpt") else a
+              for a in argv[1:])]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    # argparse quotes the choices on some Python versions only
+    assert "bogus" in err and all(split in err for split in SPLITS)
+    assert not (tmp_path / "o").exists()
 
 
 def test_stats_and_coverage(capsys, tmp_path):

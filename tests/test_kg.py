@@ -1,12 +1,17 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fichad.kg import (KnowledgeGraph, MultimodalAssets, ParseError, Triple,
-                       VocabError, first_sentence, load_descriptions,
-                       load_image_manifest, load_triples, save_triples,
-                       load_dataset)
+import fichad
+from fichad.kg import (SPLITS, DatasetError, KnowledgeGraph, MultimodalAssets,
+                       ParseError, Triple, Vocab, VocabError, first_sentence,
+                       load_descriptions, load_image_manifest, load_triples,
+                       save_triples, load_dataset)
 from conftest import ARLES_CONFIG, make_vocab, random_graph
 
 
@@ -109,6 +114,129 @@ class TestNeighbors:
         g = random_graph(random.Random(seed), max_entities=15, max_triples=60)
         for e in range(g.n_entities):
             assert g.neighbors(e, k) == g.neighbors(e, k + 1)[:k]
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Small graphs with duplicates, self-loops, triples repeated across
+    splits, isolated entities, empty splits and relations without train
+    triples."""
+    n_ent = draw(st.integers(1, 9))
+    n_rel = draw(st.integers(1, 4))
+    linked = draw(st.integers(1, n_ent))      # handles >= linked are isolated
+    train_rels = draw(st.integers(1, n_rel))  # relations >= train_rels: no train
+    ent = st.integers(0, linked - 1)
+    train = draw(st.lists(st.builds(Triple, ent, st.integers(0, train_rels - 1),
+                                    ent), max_size=25))
+    other = st.lists(st.builds(Triple, ent, st.integers(0, n_rel - 1), ent),
+                     max_size=10)
+    valid, test = draw(other), draw(other)
+    if train:
+        again = st.lists(st.sampled_from(train), max_size=4)
+        train, valid, test = (train + draw(again), valid + draw(again),
+                              test + draw(again))
+    return KnowledgeGraph(make_vocab([f"e{i}" for i in range(n_ent)]),
+                          make_vocab([f"r{i}" for i in range(n_rel)]),
+                          {"train": train, "valid": valid, "test": test})
+
+
+def _plain_ints(values):
+    return all(type(v) is int for v in values)
+
+
+class TestIndexOracle:
+    """Every index answer against a brute-force reading of the split lists.
+
+    Handles one past either end of the vocabularies are probed too; they
+    are in no split and have no answers or neighbors.
+    """
+
+    @given(g=oracle_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_answer_matches_the_split_lists(self, g):
+        n_ent, n_rel = g.n_entities, g.n_relations
+        members = {s: set(g.splits[s]) for s in SPLITS}
+        union = set().union(*members.values())
+        ents, rels = range(-1, n_ent + 1), range(-1, n_rel + 1)
+
+        for h in ents:
+            for r in rels:
+                for t in ents:
+                    tr = Triple(h, r, t)
+                    got = g.contains(tr)
+                    assert type(got) is bool and got == (tr in union)
+                    for s in SPLITS:
+                        got = g.contains(tr, split=s)
+                        assert type(got) is bool and got == (tr in members[s])
+                tails = g.known_tails(h, r)
+                assert type(tails) is set and _plain_ints(tails)
+                assert tails == {x.tail for x in union
+                                 if (x.head, x.relation) == (h, r)}
+                heads = g.known_heads(h, r)
+                assert type(heads) is set and _plain_ints(heads)
+                assert heads == {x.head for x in union
+                                 if (x.tail, x.relation) == (h, r)}
+
+        for e in ents:
+            edges = sorted({(x.relation, x.tail, 0) for x in union if x.head == e}
+                           | {(x.relation, x.head, 1) for x in union
+                              if x.tail == e})
+            want = [(r, n, ("out", "in")[d]) for r, n, d in edges]
+            for k in range(len(want) + 2):
+                got = g.neighbors(e, k)
+                assert type(got) is list and got == want[:k]
+                assert all(type(edge) is tuple and _plain_ints(edge[:2])
+                           for edge in got)
+
+        for r in rels:
+            for s in SPLITS:
+                got = g.triples_with_relation(r, split=s)
+                assert type(got) is list
+                assert got == sorted(x for x in g.splits[s] if x.relation == r)
+                assert all(type(x) is Triple
+                           and _plain_ints((x.head, x.relation, x.tail))
+                           for x in got)
+
+
+class TestHandleValidation:
+    @pytest.mark.parametrize("triple", [Triple(2, 0, 0), Triple(0, 1, 0),
+                                        Triple(0, 0, 2), Triple(-1, 0, 0)],
+                             ids=["head", "relation", "tail", "negative"])
+    def test_handle_outside_vocab_is_dataset_error(self, triple):
+        splits = {"train": [Triple(0, 0, 1)], "valid": [],
+                  "test": [Triple(1, 0, 0), triple]}
+        with pytest.raises(DatasetError, match="test triple"):
+            KnowledgeGraph(make_vocab(["a", "b"]), make_vocab(["r"]), splits)
+
+    def test_key_overflow_is_dataset_error(self):
+        class Huge(Vocab):
+            def __len__(self):
+                return 2 ** 32
+
+        # 2^32 entities squared times one relation is 2^64 > int64 max
+        with pytest.raises(DatasetError, match="int64"):
+            KnowledgeGraph(Huge(), make_vocab(["r"]), {})
+
+
+def test_graph_load_does_not_import_numpy_ma():
+    """``np.unique`` imports ``numpy.ma`` on numpy 2; the index sorts instead.
+
+    numpy 1.x imports ``numpy.ma`` with numpy itself, so the load must only
+    leave it as it found it.
+    """
+    src = str(Path(fichad.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    script = ("import sys\n"
+              "from fichad import kg\n"
+              "before = 'numpy.ma' in sys.modules\n"
+              f"kg.load_dataset({str(ARLES_CONFIG)!r})\n"
+              "print(before, 'numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
 
 
 class TestAssets:
