@@ -293,7 +293,9 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=32)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--batch-size", type=int, default=128,
+                   help="positives between NaN/Inf checks; every positive "
+                        "updates the parameters at once")
     p.add_argument("--negatives", type=int, default=1)
     p.add_argument("--margin", type=float, default=1.0)
     p.add_argument("--loss", choices=list(embed.LOSSES), default="margin")

@@ -1,10 +1,10 @@
 """Structural KG embedding baselines: TransE, DistMult, ComplEx, RotatE.
 
 All four families share one convention: higher score = more plausible triple
-(TransE/RotatE return negated distances). Training is plain SGD over shuffled
-mini-batches of one positive plus ``n`` uniformly corrupted negatives, with
-either margin-ranking or logistic loss. Everything is float64 and fully
-deterministic under a fixed seed.
+(TransE/RotatE return negated distances). Training is per-triple SGD: each
+shuffled positive and its ``n`` corrupted negatives update the parameters at
+once (margin-ranking or logistic loss); ``batch_size`` only sets how often
+NaN/Inf is checked. Everything is float64 and deterministic under a seed.
 
 Gradients for the complex-valued families are stored in the "encoded" form
 ``d/dRe + i * d/dIm``, so a plain ``param -= lr * grad`` update moves real and
@@ -52,8 +52,10 @@ class TrainConfig:
             raise ValueError(f"unknown family: {self.family!r}")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss: {self.loss!r}")
-        if self.dim < 1 or self.negatives < 1 or self.epochs < 0:
-            raise ValueError("dim >= 1, negatives >= 1, epochs >= 0 required")
+        if (self.dim < 1 or self.negatives < 1 or self.epochs < 0
+                or self.batch_size < 1 or not self.l2 >= 0):
+            raise ValueError("dim >= 1, negatives >= 1, epochs >= 0, "
+                             "batch_size >= 1, l2 >= 0 required")
         if self.lr <= 0:
             raise ValueError("learning rate must be > 0")
         if self.transe_norm not in (1, 2):
@@ -163,16 +165,24 @@ class EmbeddingModel:
             magic = fh.read(len(_MAGIC))
             if magic != _MAGIC:
                 raise ValueError(f"not a fichad checkpoint: {path}")
-            (hlen,) = struct.unpack("<I", fh.read(4))
-            header = json.loads(fh.read(hlen).decode("utf-8"))
+
+            def read(n):
+                # a save interrupted mid-write leaves a short file
+                raw = fh.read(n)
+                if len(raw) != n:
+                    raise ValueError(f"truncated checkpoint: {path}")
+                return raw
+
+            (hlen,) = struct.unpack("<I", read(4))
+            header = json.loads(read(hlen).decode("utf-8"))
             ne, nr, d = header["n_entities"], header["n_relations"], header["dim"]
 
             def read_matrix(rows, complex_):
                 n = rows * d
-                re = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(rows, d)
+                re = np.frombuffer(read(8 * n), dtype="<f8").reshape(rows, d)
                 if not complex_:
                     return re.astype(np.float64)
-                im = np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(rows, d)
+                im = np.frombuffer(read(8 * n), dtype="<f8").reshape(rows, d)
                 return re + 1j * im
 
             entity = read_matrix(ne, header["entity_complex"])
@@ -257,50 +267,36 @@ def score_gradients(model: EmbeddingModel, triple: Triple):
     return s, gh, gr, gt
 
 
-def triple_loss(model: EmbeddingModel, triple: Triple, positive: bool,
-                config: TrainConfig) -> float:
-    """Per-triple loss term whose gradients :func:`gradients` returns.
+def loss_gradients(model: EmbeddingModel, triple: Triple, positive: bool,
+                   config: TrainConfig):
+    """(loss, d_eh, d_er, d_et) of one triple's loss term.
 
-    Margin-ranking contributes the linear term -s (positive) or +s (negative);
-    the hinge activation is applied pairwise during training. Logistic is
-    softplus(-y*s) plus L2 on the three embedding rows (RotatE phases excluded
-    from L2: they are angles, shrinking them toward 0 is meaningless).
+    Training updates through these gradients, and the finite-difference tests
+    differentiate this loss. Margin-ranking contributes the linear term -s
+    (positive) or +s (negative); the hinge is applied pairwise in
+    :func:`_sgd_step`. Logistic is softplus(-y*s) plus L2 on the three
+    embedding rows (RotatE phases excluded from L2: they are angles, shrinking
+    them toward 0 is meaningless).
     """
-    s = model.score(triple.head, triple.relation, triple.tail)
-    y = 1.0 if positive else -1.0
-    if config.loss == "margin":
-        return -y * s
-    loss = float(np.logaddexp(0.0, -y * s))
-    if config.l2 > 0:
-        loss += config.l2 * _l2_term(model, triple)
-    return loss
-
-
-def _l2_term(model: EmbeddingModel, triple: Triple) -> float:
-    total = (np.sum(np.abs(model.entity[triple.head]) ** 2)
-             + np.sum(np.abs(model.entity[triple.tail]) ** 2))
-    if model.family != "rotate":
-        total += np.sum(np.abs(model.relation[triple.relation]) ** 2)
-    return float(total)
-
-
-def gradients(model: EmbeddingModel, triple: Triple, positive: bool,
-              config: TrainConfig):
-    """Sparse gradients (d_eh, d_er, d_et) of :func:`triple_loss`."""
     s, gh, gr, gt = score_gradients(model, triple)
-    y = 1.0 if positive else -1.0
     if config.loss == "margin":
-        coef = -y
-    else:
-        # d/ds softplus(-y*s) = -y * sigmoid(-y*s)
-        coef = -y / (1.0 + np.exp(y * s))
+        return (-s, -gh, -gr, -gt) if positive else (s, gh, gr, gt)
+    y = 1.0 if positive else -1.0
+    loss = float(np.logaddexp(0.0, -y * s))
+    # d/ds softplus(-y*s) = -y * sigmoid(-y*s)
+    coef = -y / (1.0 + np.exp(y * s))
     dh, dr, dt = coef * gh, coef * gr, coef * gt
-    if config.loss == "logistic" and config.l2 > 0:
-        dh = dh + 2.0 * config.l2 * model.entity[triple.head]
-        dt = dt + 2.0 * config.l2 * model.entity[triple.tail]
+    if config.l2 > 0:
+        eh, et = model.entity[triple.head], model.entity[triple.tail]
+        sq = np.sum(np.abs(eh) ** 2) + np.sum(np.abs(et) ** 2)
+        dh = dh + 2.0 * config.l2 * eh
+        dt = dt + 2.0 * config.l2 * et
         if model.family != "rotate":
-            dr = dr + 2.0 * config.l2 * model.relation[triple.relation]
-    return dh, dr, dt
+            er = model.relation[triple.relation]
+            sq += np.sum(np.abs(er) ** 2)
+            dr = dr + 2.0 * config.l2 * er
+        loss += config.l2 * float(sq)
+    return loss, dh, dr, dt
 
 
 # -- negative sampling and training --------------------------------------
@@ -375,29 +371,29 @@ def _real_view(arr: np.ndarray) -> np.ndarray:
 
 def _sgd_step(model: EmbeddingModel, pos: Triple, negs: list[Triple],
               config: TrainConfig) -> float:
-    """One positive with its negatives; returns the summed pair losses."""
-    lr = config.lr
+    """One positive with its negatives; returns the summed losses (for margin,
+    the summed pair hinges)."""
     total = 0.0
-    if config.loss == "margin":
-        s_pos, gh_p, gr_p, gt_p = score_gradients(model, pos)
-        for neg in negs:
-            s_neg, gh_n, gr_n, gt_n = score_gradients(model, neg)
-            hinge = config.margin - s_pos + s_neg
-            if hinge <= 0:
-                continue
-            total += hinge
-            # d hinge/d params: -grad(pos score) + grad(neg score)
-            model.entity[pos.head] -= lr * -gh_p
-            model.relation[pos.relation] -= lr * -gr_p
-            model.entity[pos.tail] -= lr * -gt_p
-            model.entity[neg.head] -= lr * gh_n
-            model.relation[neg.relation] -= lr * gr_n
-            model.entity[neg.tail] -= lr * gt_n
-    else:
+    if config.loss == "logistic":
         for triple, positive in [(pos, True)] + [(n, False) for n in negs]:
-            total += triple_loss(model, triple, positive, config)
-            dh, dr, dt = gradients(model, triple, positive, config)
-            model.entity[triple.head] -= lr * dh
-            model.relation[triple.relation] -= lr * dr
-            model.entity[triple.tail] -= lr * dt
+            loss, *grads = loss_gradients(model, triple, positive, config)
+            total += loss
+            _descend(model, triple, config.lr, *grads)
+        return total
+    loss_pos, *grads_pos = loss_gradients(model, pos, True, config)
+    for neg in negs:
+        loss_neg, *grads_neg = loss_gradients(model, neg, False, config)
+        hinge = config.margin + loss_pos + loss_neg
+        if hinge <= 0:
+            continue
+        total += hinge
+        _descend(model, pos, config.lr, *grads_pos)
+        _descend(model, neg, config.lr, *grads_neg)
     return total
+
+
+def _descend(model: EmbeddingModel, triple: Triple, lr: float,
+             dh, dr, dt) -> None:
+    model.entity[triple.head] -= lr * dh
+    model.relation[triple.relation] -= lr * dr
+    model.entity[triple.tail] -= lr * dt

@@ -55,14 +55,15 @@ def test_01_filtered_protocol_oracle_equivalence():
 
 
 def test_02_gradient_correctness():
-    """4 families x 2 losses x 100 random triples vs central differences, <10s."""
+    """4 families + TransE-L2 x 2 losses x 100 random triples vs central
+    differences, <10s."""
     start = time.time()
     worst = 0.0
-    for family in embed.FAMILIES:
+    for family, norm in [(f, 1) for f in embed.FAMILIES] + [("transe", 2)]:
         for loss in embed.LOSSES:
             cfg = embed.TrainConfig(family=family, dim=6, loss=loss,
                                     l2=0.01 if loss == "logistic" else 0.0)
-            m = embed.init_model(family, 12, 4, 6, seed=101)
+            m = embed.init_model(family, 12, 4, 6, seed=101, transe_norm=norm)
             rng = np.random.default_rng(hash((family, loss)) % 2**32)
             checked = 0
             while checked < 100:
@@ -71,14 +72,14 @@ def test_02_gradient_correctness():
                 if t.head == t.tail:
                     continue  # shared row would double-count in the FD oracle
                 positive = bool(rng.integers(2))
-                dh, dr, dt = embed.gradients(m, t, positive, cfg)
+                _, dh, dr, dt = embed.loss_gradients(m, t, positive, cfg)
                 for analytic, which in ((dh, ("entity", t.head)),
                                         (dr, ("relation", t.relation)),
                                         (dt, ("entity", t.tail))):
                     fd = finite_difference_gradient(m, t, positive, cfg, which)
                     err = rel_err(analytic, fd)
                     worst = max(worst, err)
-                    assert err < 1e-4, (family, loss, err)
+                    assert err < 1e-4, (family, norm, loss, err)
                 checked += 1
     elapsed = time.time() - start
     report(2, elapsed < 10, f"(worst rel err {worst:.2e}, {elapsed:.1f}s)")
@@ -183,7 +184,8 @@ def test_07_prompt_format_fidelity():
                                    relation_templates=templates)
     golden_path = os.path.join(os.path.dirname(__file__), "data",
                                "kgc_input_golden.txt")
-    golden = open(golden_path, encoding="utf-8").read()
+    with open(golden_path, encoding="utf-8") as fh:
+        golden = fh.read()
     ok = built.text == golden
 
     rng = random.Random(7)

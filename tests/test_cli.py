@@ -77,6 +77,27 @@ def test_train_then_eval(capsys, tmp_path):
     assert report["n_queries"] == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--batch-size", "-1"),
+                                        ("--batch-size", "0"),
+                                        ("--l2", "-5"), ("--l2", "nan")])
+def test_train_embed_rejects_bad_config(capsys, tmp_path, flag, value):
+    code = main(["train-embed", "--dataset", ARLES, "--out",
+                 str(tmp_path / "run"), "--epochs", "1", flag, value])
+    assert code == EXIT_INPUT
+    assert "batch_size >= 1, l2 >= 0 required" in capsys.readouterr().err
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_eval_truncated_checkpoint_is_input_error(capsys, tmp_path):
+    code, summary = run(capsys, "train-embed", "--dataset", ARLES,
+                        "--out", str(tmp_path), "--dim", "4", "--epochs", "1")
+    assert code == EXIT_OK
+    ckpt = Path(summary["checkpoint"])
+    ckpt.write_bytes(ckpt.read_bytes()[:8])
+    assert main(["eval", "--dataset", ARLES, "--model", str(ckpt)]) == EXIT_INPUT
+    assert f"input error: truncated checkpoint: {ckpt}" in capsys.readouterr().err
+
+
 def test_filter_images_writes_jsonl(capsys, tmp_path):
     out = tmp_path / "f"
     code, summary = run(capsys, "filter-images", "--dataset", ARLES,

@@ -3,15 +3,16 @@ import pytest
 
 from fichad import embed
 from fichad.embed import (EmbeddingModel, TrainConfig, TrainingError,
-                          gradients, init_model, negative_sample,
-                          score_gradients, train, triple_loss)
+                          init_model, loss_gradients, negative_sample,
+                          score_gradients, train)
 from fichad.kg import KnowledgeGraph, Triple
 from conftest import make_vocab, two_cluster_graph
 
 
 def finite_difference_gradient(model, triple, positive, cfg, which,
                                eps=1e-5):
-    """Central-difference gradient of triple_loss w.r.t. one embedding row.
+    """Central-difference gradient of the loss ``loss_gradients`` returns,
+    w.r.t. one embedding row.
 
     Independent oracle: perturbs each real coordinate (real and imaginary
     parts separately for complex parameters) and differences the loss.
@@ -27,11 +28,11 @@ def finite_difference_gradient(model, triple, positive, cfg, which,
             v = base.copy()
             v[i] = base[i] + eps * unit
             arr[row] = v
-            lp = triple_loss(model, triple, positive, cfg)
+            lp = loss_gradients(model, triple, positive, cfg)[0]
             v = base.copy()
             v[i] = base[i] - eps * unit
             arr[row] = v
-            lm = triple_loss(model, triple, positive, cfg)
+            lm = loss_gradients(model, triple, positive, cfg)[0]
             arr[row] = base
             grad[i] += unit * (lp - lm) / (2 * eps)
     return grad
@@ -96,6 +97,16 @@ class TestScore:
         m.relation[1, 2] += 2 * np.pi
         assert abs(m.score(0, 1, 3) - before) < 1e-9
 
+    @pytest.mark.parametrize("family,norm", [("transe", 1), ("transe", 2),
+                                             ("distmult", 1), ("complex", 1),
+                                             ("rotate", 1)])
+    def test_training_score_equals_eval_score(self, family, norm):
+        """Training scores through ``score_gradients``, evaluation through
+        ``score``; the two must agree bit for bit."""
+        m = init_model(family, 6, 3, 5, seed=13, transe_norm=norm)
+        for h, r, t in ((0, 0, 1), (2, 1, 5), (4, 2, 4)):
+            assert score_gradients(m, Triple(h, r, t))[0] == m.score(h, r, t)
+
     def test_complex_all_real_equals_distmult(self):
         rng = np.random.default_rng(0)
         ent = rng.normal(size=(5, 6))
@@ -112,19 +123,20 @@ class TestGradients:
     def test_matches_finite_differences(self, family, loss, positive):
         cfg = TrainConfig(family=family, dim=6, loss=loss,
                           l2=0.01 if loss == "logistic" else 0.0)
-        rng = np.random.default_rng(42)
-        m = init_model(family, 8, 3, 6, seed=9)
-        for _ in range(10):
-            t = Triple(int(rng.integers(8)), int(rng.integers(3)),
-                       int(rng.integers(8)))
-            if t.head == t.tail:
-                continue
-            dh, dr, dt = gradients(m, t, positive, cfg)
-            for analytic, which in ((dh, ("entity", t.head)),
-                                    (dr, ("relation", t.relation)),
-                                    (dt, ("entity", t.tail))):
-                fd = finite_difference_gradient(m, t, positive, cfg, which)
-                assert rel_err(analytic, fd) < 1e-4
+        for norm in (1, 2) if family == "transe" else (1,):
+            rng = np.random.default_rng(42)
+            m = init_model(family, 8, 3, 6, seed=9, transe_norm=norm)
+            for _ in range(10):
+                t = Triple(int(rng.integers(8)), int(rng.integers(3)),
+                           int(rng.integers(8)))
+                if t.head == t.tail:
+                    continue
+                _, dh, dr, dt = loss_gradients(m, t, positive, cfg)
+                for analytic, which in ((dh, ("entity", t.head)),
+                                        (dr, ("relation", t.relation)),
+                                        (dt, ("entity", t.tail))):
+                    fd = finite_difference_gradient(m, t, positive, cfg, which)
+                    assert rel_err(analytic, fd) < 1e-4, norm
 
     def test_transe_zero_coordinate_subgradient(self):
         ent = np.array([[0.5, 0.2], [0.6, 0.9]])
@@ -138,7 +150,7 @@ class TestGradients:
         big = 50.0
         m = EmbeddingModel("distmult", np.array([[big, big], [1.0, 1.0]]),
                            np.array([[1.0, 1.0]]))
-        dh, dr, dt = gradients(m, Triple(0, 0, 1), True, cfg)
+        _, dh, dr, dt = loss_gradients(m, Triple(0, 0, 1), True, cfg)
         assert np.max(np.abs(np.concatenate([dh, dr, dt]))) < 1e-6
 
 
@@ -244,3 +256,17 @@ class TestCheckpoint:
         p.write_bytes(b"NOTAMODEL")
         with pytest.raises(ValueError):
             EmbeddingModel.load(p)
+
+    @pytest.mark.parametrize("cut", ["after_magic", "in_header", "in_entity"])
+    def test_truncated_checkpoint_rejected(self, tmp_path, cut):
+        """A save interrupted mid-write leaves a short file behind."""
+        p = tmp_path / "model.ckpt"
+        init_model("complex", 6, 3, 5, seed=1).save(p)
+        raw = p.read_bytes()
+        body = len(embed._MAGIC) + 4 + int.from_bytes(raw[8:12], "little")
+        keep = {"after_magic": len(embed._MAGIC), "in_header": body - 5,
+                "in_entity": body + 8 * 6 * 5 + 3}[cut]
+        p.write_bytes(raw[:keep])
+        with pytest.raises(ValueError, match="truncated checkpoint") as exc:
+            EmbeddingModel.load(p)
+        assert str(p) in str(exc.value)

@@ -38,7 +38,8 @@ class TestBuild:
         ds, index, templates, query = pipeline
         inp = build_kgc_input(query, index, ds.graph, k=2, variant=cg.V1,
                               relation_templates=templates)
-        golden = open(GOLDEN, encoding="utf-8").read()
+        with open(GOLDEN, encoding="utf-8") as fh:
+            golden = fh.read()
         assert inp.text == golden
 
     def test_section_headers_and_order(self, pipeline):
