@@ -58,8 +58,8 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _setup(args):
-    """Dataset, cached backend, prompt templates and out dir for generation."""
+def _setup(args, ds, tau: float = cg.DEFAULT_TAU):
+    """A ContextGenerator over the cached backend, and the out dir."""
     if args.backend == "http":
         for flag, value in (("--endpoint", args.endpoint),
                             ("--model-id", args.model_id)):
@@ -68,17 +68,18 @@ def _setup(args):
         inner = be.HttpBackend(args.endpoint, args.model_id)
     else:
         inner = be.MockBackend(seed=args.seed)
-    ds = kg.load_dataset(args.dataset)
     cache = be.ResponseCache(args.cache or Path(args.out) / "cache.jsonl")
     templates = (cg.PromptTemplateSet.load_dir(args.prompts) if args.prompts
                  else cg.PromptTemplateSet())
-    return ds, be.CachedBackend(inner, cache), templates, _out_dir(args)
+    gen = cg.ContextGenerator(ds.graph, ds.assets,
+                              be.CachedBackend(inner, cache),
+                              templates=templates, tau=tau, seed=args.seed)
+    return gen, _out_dir(args)
 
 
 # -- subcommands ---------------------------------------------------------
 
-def cmd_ingest(args) -> int:
-    ds = kg.load_dataset(args.dataset)
+def cmd_ingest(args, ds) -> int:
     g = ds.graph
     _summary({
         "dataset": ds.dataset_id, "entities": g.n_entities,
@@ -92,8 +93,7 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
-def cmd_train_embed(args) -> int:
-    ds = kg.load_dataset(args.dataset)
+def cmd_train_embed(args, ds) -> int:
     cfg = embed.TrainConfig(family=args.family, dim=args.dim,
                             epochs=args.epochs, lr=args.lr,
                             batch_size=args.batch_size,
@@ -110,8 +110,7 @@ def cmd_train_embed(args) -> int:
     return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    ds = kg.load_dataset(args.dataset)
+def cmd_eval(args, ds) -> int:
     model = embed.EmbeddingModel.load(args.model)
     report = linkpred.evaluate(linkpred.model_scorer(model), ds.graph,
                                split=args.split)
@@ -124,20 +123,15 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def cmd_filter_images(args) -> int:
-    ds, bk, templates, out = _setup(args)
-    g, assets = ds.graph, ds.assets
-    n_retained = n_skipped = 0
+def cmd_filter_images(args, ds) -> int:
+    gen, out = _setup(args, ds, args.tau)
+    g = ds.graph
+    n_retained = 0
     with open(out / "filtered_images.jsonl", "w", encoding="utf-8",
               newline="\n") as fh:
         for t in g.splits[args.split]:
-            head = g.entities.display_name(t.head)
-            tail = g.entities.display_name(t.tail)
-            fhd, ftl, skipped = cg.filter_images(
-                head, tail, assets.images_of(t.head), assets.images_of(t.tail),
-                args.tau, bk, templates)
+            fhd, ftl = gen.filtered_images(t)
             n_retained += len(fhd) + len(ftl)
-            n_skipped += skipped
             rec = {"head": g.entities.label_of(t.head),
                    "relation": g.relations.label_of(t.relation),
                    "tail": g.entities.label_of(t.tail),
@@ -145,14 +139,13 @@ def cmd_filter_images(args) -> int:
                    "tail_images": [[s.ref, s.score] for s in ftl]}
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
     _summary({"triples": len(g.splits[args.split]), "retained": n_retained,
-              "skipped_images": n_skipped, **bk.counts()}, args)
+              "skipped_images": gen.skipped_images, **gen.backend.counts()},
+             args)
     return EXIT_OK
 
 
-def cmd_gen_context(args) -> int:
-    ds, bk, templates, out = _setup(args)
-    gen = cg.ContextGenerator(ds.graph, ds.assets, bk, templates=templates,
-                              tau=args.tau, seed=args.seed)
+def cmd_gen_context(args, ds) -> int:
+    gen, out = _setup(args, ds, args.tau)
     contexts = gen.generate_for_splits(args.variant,
                                        splits=tuple(args.splits.split(",")))
     cg.write_context_store(out / "contexts.jsonl", contexts)
@@ -160,52 +153,46 @@ def cmd_gen_context(args) -> int:
               "fallbacks": sum(c.fallback for c in contexts),
               "skipped_images": gen.skipped_images,
               "degraded_compositions": gen.degraded_compositions,
-              **bk.counts(),
+              **gen.backend.counts(),
               "store": str(out / "contexts.jsonl")}, args)
     return EXIT_OK
 
 
-def cmd_hints(args) -> int:
-    ds, bk, templates, out = _setup(args)
-    g, assets = ds.graph, ds.assets
+def cmd_hints(args, ds) -> int:
+    gen, out = _setup(args, ds)
+    g = ds.graph
     seen = set()
-    n = 0
+    n_flagged = 0
     with open(out / "hints.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for t in g.splits[args.split]:
             key = (t.head, t.relation)
             if key in seen:
                 continue
             seen.add(key)
-            name = g.entities.display_name(t.head)
-            summary, _ = cg.entity_summary(name, assets.images_of(t.head), bk,
-                                           templates)
-            text, flagged = cg.conceptual_hint(g, t.head, t.relation, summary,
-                                               bk, templates, seed=args.seed)
+            text, flagged = gen.hint(t.head, t.relation)
+            n_flagged += flagged
             fh.write(json.dumps({"entity": g.entities.label_of(t.head),
                                  "relation": g.relations.label_of(t.relation),
                                  "text": text, "flagged": flagged},
                                 sort_keys=True, ensure_ascii=False) + "\n")
-            n += 1
-    _summary({"hints": n, **bk.counts()}, args)
+    _summary({"hints": len(seen), "flagged": n_flagged,
+              **gen.backend.counts()}, args)
     return EXIT_OK
 
 
-def cmd_templates(args) -> int:
-    ds, bk, templates, out = _setup(args)
-    g = ds.graph
-    result = {}
-    for r in range(g.n_relations):
-        result[g.relations.label_of(r)] = cg.relation_template(
-            g, r, bk, templates, assets=ds.assets, seed=args.seed)
+def cmd_templates(args, ds) -> int:
+    gen, out = _setup(args, ds)
+    rel = ds.graph.relations
+    result = {rel.label_of(r): gen.relation_template(r)
+              for r in range(len(rel))}
     (out / "templates.json").write_text(
         json.dumps(result, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8")
-    _summary({"relations": len(result), **bk.counts()}, args)
+    _summary({"relations": len(result), **gen.backend.counts()}, args)
     return EXIT_OK
 
 
-def cmd_build_prompts(args) -> int:
-    ds = kg.load_dataset(args.dataset)
+def cmd_build_prompts(args, ds) -> int:
     g = ds.graph
     contexts = cg.read_context_store(args.store)
     index = prompt.ContextIndex(contexts, g)
@@ -234,15 +221,14 @@ def cmd_build_prompts(args) -> int:
     return EXIT_OK
 
 
-def _stats(args) -> cg.CoverageStats:
-    ds = kg.load_dataset(args.dataset)
+def _stats(args, ds) -> cg.CoverageStats:
     contexts = cg.read_context_store(args.store)
     return cg.corpus_stats(contexts, ds.graph, ds.assets,
                            dataset_id=ds.dataset_id)
 
 
-def cmd_stats(args) -> int:
-    stats = _stats(args)
+def cmd_stats(args, ds) -> int:
+    stats = _stats(args, ds)
     print(stats.to_table(), file=sys.stderr)
     if args.out:
         out = _out_dir(args)
@@ -253,8 +239,8 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
-def cmd_coverage(args) -> int:
-    stats = _stats(args)
+def cmd_coverage(args, ds) -> int:
+    stats = _stats(args, ds)
     payload = {"dataset": stats.dataset_id,
                "single_entity_coverage": stats.single_entity_coverage,
                "both_entity_coverage": stats.both_entity_coverage,
@@ -275,19 +261,22 @@ def _add_backend_args(p):
                    help="response cache path (default: <out>/cache.jsonl)")
     p.add_argument("--prompts", default=None,
                    help="directory of prompt template .txt files")
-    p.add_argument("--tau", type=float, default=cg.DEFAULT_TAU)
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="fichad")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _Parser(add_help=False)
+    common.add_argument("--dataset", required=True)
 
-    p = sub.add_parser("ingest", help="load a dataset and report statistics")
-    p.add_argument("--dataset", required=True)
-    p.set_defaults(func=cmd_ingest)
+    def command(name, func, help_text):
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("train-embed", help="train a structural baseline")
-    p.add_argument("--dataset", required=True)
+    command("ingest", cmd_ingest, "load a dataset and report statistics")
+
+    p = command("train-embed", cmd_train_embed, "train a structural baseline")
     p.add_argument("--out", required=True)
     p.add_argument("--family", choices=list(embed.FAMILIES), default="transe")
     p.add_argument("--dim", type=int, default=32)
@@ -301,45 +290,36 @@ def build_parser() -> _Parser:
     p.add_argument("--loss", choices=list(embed.LOSSES), default="margin")
     p.add_argument("--l2", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_train_embed)
 
-    p = sub.add_parser("eval", help="filtered link-prediction evaluation")
-    p.add_argument("--dataset", required=True)
+    p = command("eval", cmd_eval, "filtered link-prediction evaluation")
     p.add_argument("--model", required=True)
     p.add_argument("--split", choices=kg.SPLITS, default="test")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("filter-images", help="link-aware image filtering")
-    p.add_argument("--dataset", required=True)
+    p = command("filter-images", cmd_filter_images, "link-aware image filtering")
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=kg.SPLITS, default="test")
     _add_backend_args(p)
-    p.set_defaults(func=cmd_filter_images)
+    p.add_argument("--tau", type=float, default=cg.DEFAULT_TAU)
 
-    p = sub.add_parser("gen-context", help="generate a context store")
-    p.add_argument("--dataset", required=True)
+    p = command("gen-context", cmd_gen_context, "generate a context store")
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=list(cg.VARIANTS), default=cg.V1)
     p.add_argument("--splits", type=_split_list, default="train,valid,test")
     _add_backend_args(p)
-    p.set_defaults(func=cmd_gen_context)
+    p.add_argument("--tau", type=float, default=cg.DEFAULT_TAU)
 
-    p = sub.add_parser("hints", help="conceptual hints for query relations")
-    p.add_argument("--dataset", required=True)
+    p = command("hints", cmd_hints, "conceptual hints for query relations")
     p.add_argument("--out", required=True)
     p.add_argument("--split", choices=kg.SPLITS, default="test")
     _add_backend_args(p)
-    p.set_defaults(func=cmd_hints)
 
-    p = sub.add_parser("templates", help="relation templates with [A]/[B] slots")
-    p.add_argument("--dataset", required=True)
+    p = command("templates", cmd_templates,
+                "relation templates with [A]/[B] slots")
     p.add_argument("--out", required=True)
     _add_backend_args(p)
-    p.set_defaults(func=cmd_templates)
 
-    p = sub.add_parser("build-prompts", help="assemble KGC model inputs")
-    p.add_argument("--dataset", required=True)
+    p = command("build-prompts", cmd_build_prompts, "assemble KGC model inputs")
     p.add_argument("--store", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--templates", default=None,
@@ -349,18 +329,13 @@ def build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=5)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--preview", action="store_true")
-    p.set_defaults(func=cmd_build_prompts)
 
-    p = sub.add_parser("stats", help="context-corpus statistics")
-    p.add_argument("--dataset", required=True)
+    p = command("stats", cmd_stats, "context-corpus statistics")
     p.add_argument("--store", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("coverage", help="entity coverage of generated context")
-    p.add_argument("--dataset", required=True)
+    p = command("coverage", cmd_coverage, "entity coverage of generated context")
     p.add_argument("--store", required=True)
-    p.set_defaults(func=cmd_coverage)
 
     return parser
 
@@ -373,7 +348,7 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args)
+        return args.func(args, kg.load_dataset(args.dataset))
     except be.BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

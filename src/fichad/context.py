@@ -157,12 +157,11 @@ def write_context_store(path, contexts: list[GeneratedContext]) -> None:
 def filter_images(head_name: str, tail_name: str, images_head: list[str],
                   images_tail: list[str], tau: float,
                   backend: GenerationBackend,
-                  templates: PromptTemplateSet | None = None,
-                  max_group: int = MAX_GROUP):
+                  templates: PromptTemplateSet | None = None):
     """Relevance-filter both endpoints' images for one entity pair.
 
     Each image is scored by the backend's yes-probability; images scoring
-    >= ``tau`` are kept, and each side is truncated to the ``max_group``
+    >= ``tau`` are kept, and each side is truncated to the :data:`MAX_GROUP`
     highest scorers (manifest order breaks ties). A backend failure on an
     individual image scores it 0 and increments the skipped counter; a
     :class:`CapabilityError` (an endpoint that cannot score relevance at all)
@@ -194,7 +193,7 @@ def filter_images(head_name: str, tail_name: str, images_head: list[str],
         kept = [si for si in scored if si.score >= tau]
         # stable sort: descending score, manifest order breaks ties
         kept.sort(key=lambda si: -si.score)
-        return kept[:max_group]
+        return kept[:MAX_GROUP]
 
     return score_side(images_head), score_side(images_tail), skipped
 
@@ -275,18 +274,18 @@ def _format_triples(graph: KnowledgeGraph, triples: list[Triple]) -> str:
 def conceptual_hint(graph: KnowledgeGraph, query_entity: int, relation: int,
                     entity_summary_text: str, backend: GenerationBackend,
                     templates: PromptTemplateSet | None = None,
-                    n: int = SAMPLE_TRIPLES, seed: int = 0):
+                    seed: int = 0):
     """Hint text constraining the likely type of the missing entity.
 
-    Built from deterministically sampled same-relation training triples plus
-    the query entity's visual summary. Returns (text, flagged); flagged is
-    True when the relation has no training triples and the hint had to come
-    from the relation label alone.
+    Built from :data:`SAMPLE_TRIPLES` deterministically sampled same-relation
+    training triples plus the query entity's visual summary. Returns
+    (text, flagged); flagged is True when the relation has no training
+    triples and the hint had to come from the relation label alone.
     """
     templates = templates or PromptTemplateSet()
     ent_name = graph.entities.display_name(query_entity)
     rel_name = graph.relations.display_name(relation)
-    sampled = sample_relation_triples(graph, relation, n=n, seed=seed)
+    sampled = sample_relation_triples(graph, relation, seed=seed)
     flagged = not sampled
     triples_text = _format_triples(graph, sampled) if sampled else "(none)"
     text = backend.generate(GenerationRequest(
@@ -336,7 +335,7 @@ def relation_template(graph: KnowledgeGraph, relation: int,
 def compose_variant(variant: str, lamm: str | None = None,
                     entity_summary_text: str | None = None,
                     db_description: str | None = None,
-                    hint: str | None = None, degrade: bool = True):
+                    hint: str | None = None):
     """Assemble the final context text for a variant.
 
     Returns (text, degraded): ``degraded`` marks a 1+x request that fell back
@@ -354,9 +353,6 @@ def compose_variant(variant: str, lamm: str | None = None,
         if lamm is None:
             raise CompositionError("fichad-1+x requires the link-aware text")
         if db_description is None:
-            if not degrade:
-                raise CompositionError(
-                    "fichad-1+x requires a database description")
             return lamm, True
         return f"{lamm} {first_sentence(db_description)}", False
     if variant == V1Y:
@@ -393,27 +389,45 @@ class ContextGenerator:
                 "relation": self.graph.relations.label_of(t.relation),
                 "tail": self.graph.entities.label_of(t.tail)}
 
+    def filtered_images(self, triple: Triple):
+        """Relevance-filtered (head, tail) images; skipped images are counted."""
+        fh, ft, skipped = filter_images(
+            self._name(triple.head), self._name(triple.tail),
+            self.assets.images_of(triple.head),
+            self.assets.images_of(triple.tail), self.tau, self.backend,
+            self.templates)
+        self.skipped_images += skipped
+        return fh, ft
+
+    def hint(self, entity: int, relation: int):
+        """Conceptual hint for (entity, relation, ?) over the entity's summary.
+
+        Returns (text, flagged), as :func:`conceptual_hint`.
+        """
+        summary, _ = entity_summary(self._name(entity),
+                                    self.assets.images_of(entity),
+                                    self.backend, self.templates)
+        return conceptual_hint(self.graph, entity, relation, summary,
+                               self.backend, self.templates, seed=self.seed)
+
+    def relation_template(self, relation: int) -> str:
+        """[A]/[B] template for a relation, as :func:`relation_template`."""
+        return relation_template(self.graph, relation, self.backend,
+                                 self.templates, assets=self.assets,
+                                 seed=self.seed)
+
     def triple_context(self, triple: Triple, variant: str = V1) -> GeneratedContext:
         """Generate one fichad-1-family context for a triple."""
         if variant not in (V1, V1X, V1Y):
             raise CompositionError(f"{variant!r} is not a triple-level variant")
-        head_name, tail_name = self._name(triple.head), self._name(triple.tail)
-        fh, ft, skipped = filter_images(
-            head_name, tail_name, self.assets.images_of(triple.head),
-            self.assets.images_of(triple.tail), self.tau, self.backend,
-            self.templates)
-        self.skipped_images += skipped
-        text, used, fallback = lamm_context(head_name, tail_name, fh, ft,
-                                            self.backend, self.templates)
+        fh, ft = self.filtered_images(triple)
+        text, used, fallback = lamm_context(
+            self._name(triple.head), self._name(triple.tail), fh, ft,
+            self.backend, self.templates)
         db_desc = self.assets.description(triple.head)
         hint = None
         if variant == V1Y:
-            summary, _ = entity_summary(head_name,
-                                        self.assets.images_of(triple.head),
-                                        self.backend, self.templates)
-            hint, _ = conceptual_hint(self.graph, triple.head, triple.relation,
-                                      summary, self.backend, self.templates,
-                                      seed=self.seed)
+            hint, _ = self.hint(triple.head, triple.relation)
         final, degraded = compose_variant(variant, lamm=text,
                                           db_description=db_desc, hint=hint)
         if degraded:

@@ -14,8 +14,10 @@ imaginary parts independently, as finite differences expect.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +27,8 @@ FAMILIES = ("transe", "distmult", "complex", "rotate")
 LOSSES = ("margin", "logistic")
 
 _MAGIC = b"FKGE0001"
+_HEADER_KEYS = ("dim", "entity_complex", "family", "margin", "n_entities",
+                "n_relations", "relation_complex", "seed", "transe_norm")
 #: entity rows per scoring block; a block's temporaries stay cache-sized
 SCORE_BLOCK = 256
 
@@ -152,12 +156,22 @@ class EmbeddingModel:
             "relation_complex": bool(np.iscomplexobj(self.relation)),
         }
         raw = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            for block in _param_blocks(self.entity) + _param_blocks(self.relation):
-                fh.write(block.astype("<f8").tobytes())
+        # written beside the target and renamed over it, so a save that fails
+        # midway leaves the previous checkpoint in place
+        path = Path(path)
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(_MAGIC)
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+                for block in (_param_blocks(self.entity)
+                              + _param_blocks(self.relation)):
+                    fh.write(block.astype("<f8").tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
 
     @classmethod
     def load(cls, path) -> "EmbeddingModel":
@@ -174,7 +188,7 @@ class EmbeddingModel:
                 return raw
 
             (hlen,) = struct.unpack("<I", read(4))
-            header = json.loads(read(hlen).decode("utf-8"))
+            header = _header(read(hlen), path)
             ne, nr, d = header["n_entities"], header["n_relations"], header["dim"]
 
             def read_matrix(rows, complex_):
@@ -189,6 +203,21 @@ class EmbeddingModel:
             relation = read_matrix(nr, header["relation_complex"])
         return cls(header["family"], entity, relation, margin=header["margin"],
                    seed=header["seed"], transe_norm=header["transe_norm"])
+
+
+def _header(raw: bytes, path) -> dict:
+    """The checkpoint's JSON header, checked to hold every key ``load`` reads."""
+    try:
+        header = json.loads(raw.decode("utf-8"))
+    except ValueError:
+        header = None
+    if not isinstance(header, dict):
+        raise ValueError(f"checkpoint header is not a JSON object: {path}")
+    missing = sorted(set(_HEADER_KEYS) - header.keys())
+    if missing:
+        raise ValueError(
+            f"checkpoint header lacks {', '.join(missing)}: {path}")
+    return header
 
 
 def _param_blocks(arr: np.ndarray) -> list[np.ndarray]:

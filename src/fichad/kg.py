@@ -2,8 +2,10 @@
 
 Entities and relations are interned to dense 0-based handles in first-appearance
 order, so loading the same files always produces the same handle assignment.
-Triple files are UTF-8 TSV (``head<TAB>relation<TAB>tail``), image manifests and
-description files are two-column TSV keyed by entity label.
+Triple files are UTF-8 TSV (``head<TAB>relation<TAB>tail``); image manifests,
+description files and display-name tables are two-column TSV keyed by entity
+label. Every file is read through ``_rows``, so a line with the wrong number of
+fields is a :class:`ParseError` in all of them.
 """
 
 from __future__ import annotations
@@ -87,6 +89,25 @@ class Triple:
     tail: int
 
 
+def _rows(path, n_fields: int):
+    """Fields of each non-blank line of a UTF-8 TSV file.
+
+    A line with any other number of tab-separated fields raises
+    :class:`ParseError` naming the file and line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != n_fields:
+                raise ParseError(path, line_no,
+                                 f"expected {n_fields} tab-separated fields, "
+                                 f"got {len(fields)}")
+            yield fields
+
+
 def load_triples(path, entities: Vocab, relations: Vocab,
                  mode: str = "build-vocab") -> list[Triple]:
     """Parse a triple TSV into handle-based triples.
@@ -97,25 +118,9 @@ def load_triples(path, entities: Vocab, relations: Vocab,
     """
     if mode not in ("build-vocab", "frozen-vocab"):
         raise ValueError(f"unknown mode: {mode!r}")
-    build = mode == "build-vocab"
-    triples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ParseError(path, line_no,
-                                 f"expected 3 tab-separated fields, got {len(fields)}")
-            h, r, t = fields
-            if build:
-                triples.append(Triple(entities.intern(h), relations.intern(r),
-                                      entities.intern(t)))
-            else:
-                triples.append(Triple(entities.id_of(h), relations.id_of(r),
-                                      entities.id_of(t)))
-    return triples
+    ent, rel = ((entities.intern, relations.intern) if mode == "build-vocab"
+                else (entities.id_of, relations.id_of))
+    return [Triple(ent(h), rel(r), ent(t)) for h, r, t in _rows(path, 3)]
 
 
 def save_triples(path, triples: list[Triple], entities: Vocab,
@@ -319,44 +324,26 @@ def load_image_manifest(path, entities: Vocab, cap: int,
         raise ValueError("image cap must be >= 1")
     if assets is None:
         assets = MultimodalAssets(image_cap=cap)
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(path, line_no,
-                                 f"expected 2 tab-separated fields, got {len(fields)}")
-            label, ref = fields
-            if label not in entities:
-                assets.skipped_image_lines += 1
-                continue
-            refs = assets.images.setdefault(entities.id_of(label), [])
-            if len(refs) < cap:
-                refs.append(ref)
+    for label, ref in _rows(path, 2):
+        if label not in entities:
+            assets.skipped_image_lines += 1
+            continue
+        refs = assets.images.setdefault(entities.id_of(label), [])
+        if len(refs) < cap:
+            refs.append(ref)
     return assets
 
 
 def load_descriptions(path, entities: Vocab,
                       assets: MultimodalAssets) -> MultimodalAssets:
     """Load ``entity<TAB>description`` text; duplicate entities are last-wins."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ParseError(path, line_no,
-                                 f"expected 2 tab-separated fields, got {len(fields)}")
-            label, text = fields
-            if label not in entities:
-                continue
-            handle = entities.id_of(label)
-            if handle in assets.descriptions:
-                assets.duplicate_description_lines += 1
-            assets.descriptions[handle] = text
+    for label, text in _rows(path, 2):
+        if label not in entities:
+            continue
+        handle = entities.id_of(label)
+        if handle in assets.descriptions:
+            assets.duplicate_description_lines += 1
+        assets.descriptions[handle] = text
     return assets
 
 
@@ -412,15 +399,10 @@ def load_dataset(config_path) -> Dataset:
     if cfg.get("descriptions"):
         load_descriptions(base / cfg["descriptions"], entities, assets)
     if cfg.get("names"):
-        # optional entity<TAB>display-name table
-        with open(base / cfg["names"], encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                label, _, name = line.partition("\t")
-                if name and label in entities:
-                    entities.set_display_name(entities.id_of(label), name)
+        # optional entity<TAB>display-name table; an empty name keeps the label
+        for label, name in _rows(base / cfg["names"], 2):
+            if name and label in entities:
+                entities.set_display_name(entities.id_of(label), name)
 
     graph = KnowledgeGraph(entities, relations, splits)
     return Dataset(dataset_id=str(cfg.get("id", config_path.stem)),

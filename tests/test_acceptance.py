@@ -10,6 +10,7 @@ import json
 import os
 import random
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -64,7 +65,9 @@ def test_02_gradient_correctness():
             cfg = embed.TrainConfig(family=family, dim=6, loss=loss,
                                     l2=0.01 if loss == "logistic" else 0.0)
             m = embed.init_model(family, 12, 4, 6, seed=101, transe_norm=norm)
-            rng = np.random.default_rng(hash((family, loss)) % 2**32)
+            # a stable digest, so a failing triple can be replayed
+            rng = np.random.default_rng(
+                zlib.crc32(f"{family}:{loss}".encode()))
             checked = 0
             while checked < 100:
                 t = Triple(int(rng.integers(12)), int(rng.integers(4)),

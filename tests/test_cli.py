@@ -25,6 +25,49 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["ingest"],
+    ["train-embed", "--out", "o"],
+    ["eval", "--model", "model.ckpt"],
+    ["filter-images", "--out", "o"],
+    ["gen-context", "--out", "o"],
+    ["hints", "--out", "o"],
+    ["templates", "--out", "o"],
+    ["build-prompts", "--store", "s.jsonl", "--out", "o"],
+    ["stats", "--store", "s.jsonl"],
+    ["coverage", "--store", "s.jsonl"],
+], ids=lambda argv: argv[0])
+def test_subcommand_without_dataset_is_usage_error(capsys, tmp_path, argv):
+    argv = [str(tmp_path / a) if a in ("o", "s.jsonl", "model.ckpt") else a
+            for a in argv]
+    assert main(argv) == EXIT_USAGE
+    assert "--dataset" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["hints", "templates"])
+def test_tau_only_on_filtering_subcommands(capsys, tmp_path, command):
+    """Neither hints nor templates filters images, so neither takes --tau."""
+    assert main([command, "--dataset", ARLES, "--out", str(tmp_path / "o"),
+                 "--tau", "0.5"]) == EXIT_USAGE
+    assert "--tau" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("line,fields", [("lonely_label", 1),
+                                         ("arles\tArles\tcity", 3)])
+def test_malformed_names_line_is_input_error(capsys, tmp_path, line, fields):
+    """names.tsv is checked like every other TSV, not skipped or mangled."""
+    for f in ARLES_CONFIG.parent.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    with open(tmp_path / "names.tsv", "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    assert main(["ingest", "--dataset", str(tmp_path / "dataset.json")]) \
+        == EXIT_INPUT
+    assert (f"names.tsv:9: expected 2 tab-separated fields, got {fields}"
+            in capsys.readouterr().err)
+
+
 def test_missing_dataset_is_input_error(capsys):
     assert main(["ingest", "--dataset", "/nope/ds.json"]) == EXIT_INPUT
 
@@ -96,6 +139,23 @@ def test_eval_truncated_checkpoint_is_input_error(capsys, tmp_path):
     ckpt.write_bytes(ckpt.read_bytes()[:8])
     assert main(["eval", "--dataset", ARLES, "--model", str(ckpt)]) == EXIT_INPUT
     assert f"input error: truncated checkpoint: {ckpt}" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_header_without_key_is_input_error(capsys, tmp_path):
+    code, summary = run(capsys, "train-embed", "--dataset", ARLES,
+                        "--out", str(tmp_path), "--dim", "4", "--epochs", "1")
+    assert code == EXIT_OK
+    ckpt = Path(summary["checkpoint"])
+    raw = ckpt.read_bytes()
+    end = 12 + int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12:end])
+    del header["seed"]
+    new = json.dumps(header).encode()
+    ckpt.write_bytes(raw[:8] + len(new).to_bytes(4, "little") + new
+                     + raw[end:])
+    assert main(["eval", "--dataset", ARLES, "--model", str(ckpt)]) == EXIT_INPUT
+    assert (f"input error: checkpoint header lacks seed: {ckpt}"
+            in capsys.readouterr().err)
 
 
 def test_filter_images_writes_jsonl(capsys, tmp_path):
@@ -204,6 +264,25 @@ def test_templates_and_hints(capsys, tmp_path):
     assert summary["hints"] == 1
     assert {"backend_calls", "cache_hits", "wire_retries",
             "cache_corrupt_lines"} <= summary.keys()
+
+
+def test_hints_report_flagged(capsys, tmp_path):
+    """Hints built from the relation label alone are counted."""
+    config = write_synthetic_dataset(tmp_path / "ds", n_entities=10,
+                                     n_relations=8, n_train=4, n_valid=1,
+                                     n_test=10)
+    code, summary = run(capsys, "hints", "--dataset", str(config),
+                        "--out", str(tmp_path / "h"))
+    assert code == EXIT_OK
+    records = [json.loads(line) for line in
+               (tmp_path / "h" / "hints.jsonl").read_text().splitlines()]
+    ds = load_dataset(config)
+    trained = {ds.graph.relations.label_of(t.relation)
+               for t in ds.graph.splits["train"]}
+    expected = sum(r["relation"] not in trained for r in records)
+    assert summary["flagged"] == sum(r["flagged"] for r in records) \
+        == expected > 0
+    assert summary["hints"] == len(records) > expected
 
 
 def test_full_pipeline_determinism_and_cache(capsys, tmp_path):

@@ -175,10 +175,6 @@ class TestComposeVariant:
         text, degraded = compose_variant(V1X, lamm="base")
         assert text == "base" and degraded
 
-    def test_v1x_strict_mode_errors(self):
-        with pytest.raises(CompositionError):
-            compose_variant(V1X, lamm="base", degrade=False)
-
     def test_v1y_appends_hint(self):
         text, _ = compose_variant(V1Y, lamm="base.", hint="Likely a place.")
         assert text == "base. Likely a place."

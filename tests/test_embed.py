@@ -259,7 +259,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("cut", ["after_magic", "in_header", "in_entity"])
     def test_truncated_checkpoint_rejected(self, tmp_path, cut):
-        """A save interrupted mid-write leaves a short file behind."""
+        """A checkpoint cut short, such as a partial copy, names its file."""
         p = tmp_path / "model.ckpt"
         init_model("complex", 6, 3, 5, seed=1).save(p)
         raw = p.read_bytes()
@@ -270,3 +270,29 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated checkpoint") as exc:
             EmbeddingModel.load(p)
         assert str(p) in str(exc.value)
+
+    @pytest.mark.parametrize("header", [b"[1, 2]", b"\xff", b'"transe"',
+                                        b'{"family": "transe"}'])
+    def test_malformed_header_rejected(self, tmp_path, header):
+        p = tmp_path / "model.ckpt"
+        p.write_bytes(embed._MAGIC + len(header).to_bytes(4, "little")
+                      + header)
+        with pytest.raises(ValueError, match="checkpoint header") as exc:
+            EmbeddingModel.load(p)
+        assert str(p) in str(exc.value)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
+                                                   monkeypatch):
+        p = tmp_path / "model.ckpt"
+        init_model("transe", 6, 3, 5, seed=1).save(p)
+        before = p.read_bytes()
+
+        def fail_after_header(arr):
+            raise OSError("disk full")
+
+        # the header is on disk when the parameter blocks are requested
+        monkeypatch.setattr(embed, "_param_blocks", fail_after_header)
+        with pytest.raises(OSError, match="disk full"):
+            init_model("transe", 6, 3, 5, seed=2).save(p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["model.ckpt"]
