@@ -69,8 +69,8 @@ def _setup(args, ds, tau: float = cg.DEFAULT_TAU):
     else:
         inner = be.MockBackend(seed=args.seed)
     cache = be.ResponseCache(args.cache or Path(args.out) / "cache.jsonl")
-    templates = (cg.PromptTemplateSet.load_dir(args.prompts) if args.prompts
-                 else cg.PromptTemplateSet())
+    templates = (cg.load_templates(args.prompts) if args.prompts
+                 else cg.DEFAULT_TEMPLATES)
     gen = cg.ContextGenerator(ds.graph, ds.assets,
                               be.CachedBackend(inner, cache),
                               templates=templates, tau=tau, seed=args.seed)
@@ -353,9 +353,8 @@ def main(argv=None) -> int:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except (kg.DatasetError, embed.TrainingError, linkpred.EvalError,
-            prompt.BuildError, prompt.TruncationError, cg.CompositionError,
-            cg.TemplateError, be.RequestError, OSError, ValueError,
-            json.JSONDecodeError) as exc:
+            prompt.BuildError, prompt.TruncationError, cg.TemplateError,
+            be.RequestError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

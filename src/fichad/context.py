@@ -38,10 +38,6 @@ class TemplateError(Exception):
     pass
 
 
-class CompositionError(Exception):
-    """A variant was requested without its required parts."""
-
-
 DEFAULT_TEMPLATES = {
     "relevance": (
         "Do these images depict both {head} and {tail} together or in a "
@@ -82,32 +78,31 @@ def instantiate(template: str, **slots: str) -> str:
     return template.format(**{k: slots[k] for k in fields_needed})
 
 
-@dataclass
-class PromptTemplateSet:
-    """The editable prompt wordings driving every backend call."""
+def load_templates(path) -> dict[str, str]:
+    """The default wordings, each replaced by a ``<name>.txt`` file in ``path``.
 
-    templates: dict[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_TEMPLATES))
+    A missing directory, or a file named after no key of
+    :data:`DEFAULT_TEMPLATES`, raises :class:`TemplateError`.
+    """
+    directory = Path(path)
+    if not directory.is_dir():
+        raise TemplateError(f"prompt template directory not found: {path}")
+    templates = dict(DEFAULT_TEMPLATES)
+    for f in sorted(directory.glob("*.txt")):
+        if f.stem not in DEFAULT_TEMPLATES:
+            raise TemplateError(
+                f"{f}: unknown prompt template {f.stem!r} (known: "
+                f"{', '.join(sorted(DEFAULT_TEMPLATES))})")
+        templates[f.stem] = f.read_text(encoding="utf-8").strip()
+    return templates
 
-    def __getitem__(self, name: str) -> str:
-        try:
-            return self.templates[name]
-        except KeyError:
-            raise TemplateError(f"unknown prompt template: {name!r}") from None
 
-    @classmethod
-    def load_dir(cls, path) -> "PromptTemplateSet":
-        """Read ``<name>.txt`` files from a directory, defaults fill the gaps."""
-        templates = dict(DEFAULT_TEMPLATES)
-        for f in sorted(Path(path).glob("*.txt")):
-            templates[f.stem] = f.read_text(encoding="utf-8").strip()
-        return cls(templates)
-
-    def save_dir(self, path) -> None:
-        out = Path(path)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in self.templates.items():
-            (out / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+def _ask(backend: GenerationBackend, templates: dict[str, str], name: str,
+         subjects: tuple[str, ...], images=(), **slots: str) -> str:
+    """Free-text generation from the template ``name`` filled with ``slots``."""
+    return backend.generate(GenerationRequest(
+        prompt=instantiate(templates[name], **slots), images=tuple(images),
+        subjects=subjects))
 
 
 @dataclass
@@ -157,7 +152,7 @@ def write_context_store(path, contexts: list[GeneratedContext]) -> None:
 def filter_images(head_name: str, tail_name: str, images_head: list[str],
                   images_tail: list[str], tau: float,
                   backend: GenerationBackend,
-                  templates: PromptTemplateSet | None = None):
+                  templates: dict[str, str] = DEFAULT_TEMPLATES):
     """Relevance-filter both endpoints' images for one entity pair.
 
     Each image is scored by the backend's yes-probability; images scoring
@@ -169,9 +164,6 @@ def filter_images(head_name: str, tail_name: str, images_head: list[str],
 
     Returns (filtered_head, filtered_tail, skipped_count).
     """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError("tau must be in [0, 1]")
-    templates = templates or PromptTemplateSet()
     prompt = instantiate(templates["relevance"], head=head_name, tail=tail_name)
     skipped = 0
 
@@ -202,54 +194,40 @@ def lamm_context(head_name: str, tail_name: str,
                  filtered_head: list[ScoredImage],
                  filtered_tail: list[ScoredImage],
                  backend: GenerationBackend,
-                 templates: PromptTemplateSet | None = None):
+                 templates: dict[str, str] = DEFAULT_TEMPLATES):
     """Link-aware summary text for one entity pair (the fichad-1 core).
 
     With both filtered sets non-empty: per-endpoint descriptions feed a joint
     one-sentence summary over all retained images. Otherwise a name-only
     fallback summary is generated. Returns (text, images_used, fallback).
     """
-    templates = templates or PromptTemplateSet()
+    pair = (head_name, tail_name)
     if filtered_head and filtered_tail:
-        d_head = backend.generate(GenerationRequest(
-            prompt=instantiate(templates["entity_description"], entity=head_name),
-            images=tuple(si.ref for si in filtered_head),
-            subjects=(head_name,)))
-        d_tail = backend.generate(GenerationRequest(
-            prompt=instantiate(templates["entity_description"], entity=tail_name),
-            images=tuple(si.ref for si in filtered_tail),
-            subjects=(tail_name,)))
-        text = backend.generate(GenerationRequest(
-            prompt=instantiate(templates["link_summary"], head=head_name,
-                               tail=tail_name, d_head=d_head, d_tail=d_tail),
-            images=tuple(si.ref for si in filtered_head + filtered_tail),
-            subjects=(head_name, tail_name)))
-        return text, filtered_head + filtered_tail, False
-    text = backend.generate(GenerationRequest(
-        prompt=instantiate(templates["link_summary_fallback"],
-                           head=head_name, tail=tail_name),
-        subjects=(head_name, tail_name)))
+        d_head = _ask(backend, templates, "entity_description", (head_name,),
+                      [si.ref for si in filtered_head], entity=head_name)
+        d_tail = _ask(backend, templates, "entity_description", (tail_name,),
+                      [si.ref for si in filtered_tail], entity=tail_name)
+        used = filtered_head + filtered_tail
+        text = _ask(backend, templates, "link_summary", pair,
+                    [si.ref for si in used], head=head_name, tail=tail_name,
+                    d_head=d_head, d_tail=d_tail)
+        return text, used, False
+    text = _ask(backend, templates, "link_summary_fallback", pair,
+                head=head_name, tail=tail_name)
     return text, [], True
 
 
 def entity_summary(entity_name: str, images: list[str],
                    backend: GenerationBackend,
-                   templates: PromptTemplateSet | None = None):
+                   templates: dict[str, str] = DEFAULT_TEMPLATES):
     """Relation-agnostic summary over the full capped image list (fichad-2).
 
     Returns (text, fallback); entities without images get a name-only fallback.
     """
-    templates = templates or PromptTemplateSet()
-    if images:
-        text = backend.generate(GenerationRequest(
-            prompt=instantiate(templates["entity_summary"], entity=entity_name),
-            images=tuple(images), subjects=(entity_name,)))
-        return text, False
-    text = backend.generate(GenerationRequest(
-        prompt=instantiate(templates["entity_summary_fallback"],
-                           entity=entity_name),
-        subjects=(entity_name,)))
-    return text, True
+    name = "entity_summary" if images else "entity_summary_fallback"
+    text = _ask(backend, templates, name, (entity_name,), images,
+                entity=entity_name)
+    return text, not images
 
 
 def sample_relation_triples(graph: KnowledgeGraph, relation: int,
@@ -273,7 +251,7 @@ def _format_triples(graph: KnowledgeGraph, triples: list[Triple]) -> str:
 
 def conceptual_hint(graph: KnowledgeGraph, query_entity: int, relation: int,
                     entity_summary_text: str, backend: GenerationBackend,
-                    templates: PromptTemplateSet | None = None,
+                    templates: dict[str, str] = DEFAULT_TEMPLATES,
                     seed: int = 0):
     """Hint text constraining the likely type of the missing entity.
 
@@ -282,27 +260,20 @@ def conceptual_hint(graph: KnowledgeGraph, query_entity: int, relation: int,
     (text, flagged); flagged is True when the relation has no training
     triples and the hint had to come from the relation label alone.
     """
-    templates = templates or PromptTemplateSet()
     ent_name = graph.entities.display_name(query_entity)
     rel_name = graph.relations.display_name(relation)
     sampled = sample_relation_triples(graph, relation, seed=seed)
     flagged = not sampled
     triples_text = _format_triples(graph, sampled) if sampled else "(none)"
-    text = backend.generate(GenerationRequest(
-        prompt=instantiate(templates["hint"], entity=ent_name,
-                           relation=rel_name, triples=triples_text,
-                           summary=entity_summary_text),
-        subjects=(ent_name, rel_name)))
+    text = _ask(backend, templates, "hint", (ent_name, rel_name),
+                entity=ent_name, relation=rel_name, triples=triples_text,
+                summary=entity_summary_text)
     return text, flagged
-
-
-def _valid_template(text: str) -> bool:
-    return text.count("[A]") == 1 and text.count("[B]") == 1
 
 
 def relation_template(graph: KnowledgeGraph, relation: int,
                       backend: GenerationBackend,
-                      templates: PromptTemplateSet | None = None,
+                      templates: dict[str, str] = DEFAULT_TEMPLATES,
                       assets: MultimodalAssets | None = None,
                       seed: int = 0) -> str:
     """Natural-language [A]/[B] template for a relation.
@@ -311,7 +282,6 @@ def relation_template(graph: KnowledgeGraph, relation: int,
     then the literal ``[A] <label> [B]`` fallback. A :class:`BackendError`
     propagates.
     """
-    templates = templates or PromptTemplateSet()
     rel_name = graph.relations.display_name(relation)
     sampled = sample_relation_triples(graph, relation, seed=seed)
     images = []
@@ -327,39 +297,9 @@ def relation_template(graph: KnowledgeGraph, relation: int,
         req = GenerationRequest(prompt=prompt if attempt == 0 else prompt + " ",
                                 images=tuple(images), subjects=(rel_name,))
         text = backend.generate(req)
-        if _valid_template(text):
+        if text.count("[A]") == 1 and text.count("[B]") == 1:
             return text
     return f"[A] {rel_name} [B]"
-
-
-def compose_variant(variant: str, lamm: str | None = None,
-                    entity_summary_text: str | None = None,
-                    db_description: str | None = None,
-                    hint: str | None = None):
-    """Assemble the final context text for a variant.
-
-    Returns (text, degraded): ``degraded`` marks a 1+x request that fell back
-    to plain fichad-1 because the database description is missing.
-    """
-    if variant == V1:
-        if lamm is None:
-            raise CompositionError("fichad-1 requires the link-aware text")
-        return lamm, False
-    if variant == V2:
-        if entity_summary_text is None:
-            raise CompositionError("fichad-2 requires the entity summary")
-        return entity_summary_text, False
-    if variant == V1X:
-        if lamm is None:
-            raise CompositionError("fichad-1+x requires the link-aware text")
-        if db_description is None:
-            return lamm, True
-        return f"{lamm} {first_sentence(db_description)}", False
-    if variant == V1Y:
-        if lamm is None or hint is None:
-            raise CompositionError("fichad-1+y requires link-aware text and hint")
-        return f"{lamm} {hint}", False
-    raise CompositionError(f"unknown variant: {variant!r}")
 
 
 # -- pipeline orchestration ----------------------------------------------
@@ -369,12 +309,14 @@ class ContextGenerator:
 
     def __init__(self, graph: KnowledgeGraph, assets: MultimodalAssets,
                  backend: GenerationBackend,
-                 templates: PromptTemplateSet | None = None,
+                 templates: dict[str, str] = DEFAULT_TEMPLATES,
                  tau: float = DEFAULT_TAU, seed: int = 0):
+        if not 0.0 <= tau <= 1.0:
+            raise ValueError(f"tau must be in [0, 1], got {tau}")
         self.graph = graph
         self.assets = assets
         self.backend = backend
-        self.templates = templates or PromptTemplateSet()
+        self.templates = templates
         self.tau = tau
         self.seed = seed
         self.degraded_compositions = 0
@@ -417,24 +359,29 @@ class ContextGenerator:
                                  seed=self.seed)
 
     def triple_context(self, triple: Triple, variant: str = V1) -> GeneratedContext:
-        """Generate one fichad-1-family context for a triple."""
+        """Generate one fichad-1-family context for a triple.
+
+        A fichad-1+x head without a database description keeps the plain
+        fichad-1 text and is counted in ``degraded_compositions``.
+        """
         if variant not in (V1, V1X, V1Y):
-            raise CompositionError(f"{variant!r} is not a triple-level variant")
+            raise ValueError(f"{variant!r} is not a triple-level variant")
         fh, ft = self.filtered_images(triple)
         text, used, fallback = lamm_context(
             self._name(triple.head), self._name(triple.tail), fh, ft,
             self.backend, self.templates)
-        db_desc = self.assets.description(triple.head)
-        hint = None
-        if variant == V1Y:
+        if variant == V1X:
+            db_desc = self.assets.description(triple.head)
+            if db_desc is None:
+                self.degraded_compositions += 1
+            else:
+                text = f"{text} {first_sentence(db_desc)}"
+        elif variant == V1Y:
             hint, _ = self.hint(triple.head, triple.relation)
-        final, degraded = compose_variant(variant, lamm=text,
-                                          db_description=db_desc, hint=hint)
-        if degraded:
-            self.degraded_compositions += 1
+            text = f"{text} {hint}"
         return GeneratedContext(variant=variant,
                                 subject=self.triple_subject(triple),
-                                text=final, images=used, fallback=fallback)
+                                text=text, images=used, fallback=fallback)
 
     def entity_context(self, entity: int) -> GeneratedContext:
         """Generate the fichad-2 context for one entity."""
@@ -451,11 +398,9 @@ class ContextGenerator:
                             splits: tuple[str, ...] = ("train", "valid", "test")
                             ) -> list[GeneratedContext]:
         """All contexts needed for a variant run, in deterministic order."""
-        out = []
         if variant == V2:
-            for e in range(self.graph.n_entities):
-                out.append(self.entity_context(e))
-            return out
+            return [self.entity_context(e) for e in range(self.graph.n_entities)]
+        out = []
         seen = set()
         for split in splits:
             for t in self.graph.splits[split]:

@@ -39,7 +39,7 @@ class ParseError(DatasetError):
 
 
 class VocabError(DatasetError):
-    """Unknown label encountered while the vocabulary is frozen."""
+    """A label the vocabulary does not hold."""
 
 
 class Vocab:
@@ -108,18 +108,13 @@ def _rows(path, n_fields: int):
             yield fields
 
 
-def load_triples(path, entities: Vocab, relations: Vocab,
-                 mode: str = "build-vocab") -> list[Triple]:
+def load_triples(path, entities: Vocab, relations: Vocab) -> list[Triple]:
     """Parse a triple TSV into handle-based triples.
 
-    ``mode`` is ``build-vocab`` (unseen labels are interned) or ``frozen-vocab``
-    (unseen labels raise :class:`VocabError`). Triples come back in file order
-    with duplicates preserved.
+    Unseen labels are interned. Triples come back in file order with
+    duplicates preserved.
     """
-    if mode not in ("build-vocab", "frozen-vocab"):
-        raise ValueError(f"unknown mode: {mode!r}")
-    ent, rel = ((entities.intern, relations.intern) if mode == "build-vocab"
-                else (entities.id_of, relations.id_of))
+    ent, rel = entities.intern, relations.intern
     return [Triple(ent(h), rel(r), ent(t)) for h, r, t in _rows(path, 3)]
 
 

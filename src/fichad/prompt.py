@@ -74,11 +74,7 @@ class KgcInput:
     """One assembled KGC model input."""
 
     query: Query
-    entity_name: str
-    description: str
     neighbor_lines: list[tuple[str, str]]  # (label line, context text)
-    relation_name: str
-    template: str
     text: str
     truncated: bool = False
     skipped_neighbors: int = 0
@@ -163,9 +159,10 @@ def build_kgc_input(query: Query, index: ContextIndex, graph: KnowledgeGraph,
             continue
         neighbor_lines.append((label, text))
 
-    templates = relation_templates or {}
     rel_label = graph.relations.label_of(query.relation)
-    template = templates.get(rel_label) or f"[A] {relation_name} [B]"
+    template = f"[A] {relation_name} [B]"
+    if relation_templates and relation_templates.get(rel_label):
+        template = relation_templates[rel_label]
 
     entries = [f"{label}\n{text}" for label, text in neighbor_lines]
     if entries:
@@ -177,9 +174,7 @@ def build_kgc_input(query: Query, index: ContextIndex, graph: KnowledgeGraph,
         template=f"{TEMPLATE_HEADER}\n{template}",
         query=query_line(query, graph))
     truncated = budget is not None and _trim(sections, budget.limit)
-    return KgcInput(query=query, entity_name=entity_name,
-                    description=description, neighbor_lines=neighbor_lines,
-                    relation_name=relation_name, template=template,
+    return KgcInput(query=query, neighbor_lines=neighbor_lines,
                     text=_render(sections), truncated=truncated,
                     skipped_neighbors=skipped)
 

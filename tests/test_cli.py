@@ -374,3 +374,78 @@ def test_gen_context_variant_1x_uses_descriptions(capsys, tmp_path):
     line = (out / "contexts.jsonl").read_text().splitlines()[0]
     rec = json.loads(line)
     assert rec["variant"] == "fichad-1+x"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-context", "--variant", "fichad-1"],
+    ["gen-context", "--variant", "fichad-2"],
+    ["filter-images"],
+], ids=["fichad-1", "fichad-2", "filter-images"])
+def test_out_of_range_tau_is_input_error(capsys, tmp_path, argv):
+    """--tau is checked once, before any generation, for every variant."""
+    code = main([argv[0], "--dataset", ARLES, "--out", str(tmp_path / "o"),
+                 *argv[1:], "--tau", "1.5"])
+    assert code == EXIT_INPUT
+    assert "tau must be in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_prompts_dir_is_input_error(capsys, tmp_path):
+    missing = tmp_path / "no-such-prompts"
+    code = main(["templates", "--dataset", ARLES, "--out", str(tmp_path / "o"),
+                 "--prompts", str(missing)])
+    assert code == EXIT_INPUT
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_prompt_template_file_is_input_error(capsys, tmp_path):
+    """A misnamed override is reported, not loaded and then never used."""
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    (prompts / "relevanse.txt").write_text("Is {head} with {tail}?\n")
+    code = main(["gen-context", "--dataset", ARLES,
+                 "--out", str(tmp_path / "o"), "--prompts", str(prompts)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "relevanse.txt" in err and "relevance" in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_prompt_override_changes_fichad2_store(capsys, tmp_path):
+    """entity_summary.txt replaces that wording and no other."""
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    (prompts / "entity_summary.txt").write_text(
+        "Summarize what the attached images show of {entity}.\n")
+
+    def store(out, *extra):
+        code, _ = run(capsys, "gen-context", "--dataset", ARLES,
+                      "--out", str(out), "--variant", "fichad-2", *extra)
+        assert code == EXIT_OK
+        return [json.loads(line) for line in
+                (out / "contexts.jsonl").read_text().splitlines()]
+
+    default = store(tmp_path / "d")
+    custom = store(tmp_path / "c", "--prompts", str(prompts))
+    pairs = list(zip(default, custom, strict=True))
+    assert all(d["text"] == c["text"] for d, c in pairs if d["fallback"])
+    assert any(d["text"] != c["text"] for d, c in pairs if not d["fallback"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["build-prompts", "--out", "o"],
+    ["stats"],
+    ["coverage"],
+], ids=lambda argv: argv[0])
+def test_store_with_unknown_entity_is_input_error(capsys, tmp_path, argv):
+    store = tmp_path / "s.jsonl"
+    store.write_text(json.dumps(
+        {"variant": "fichad-2", "subject": {"kind": "entity",
+                                             "entity": "atlantis"},
+         "text": "Atlantis is shown.", "images": [], "fallback": False}) + "\n")
+    argv = [argv[0], "--dataset", ARLES, "--store", str(store),
+            *(str(tmp_path / a) if a == "o" else a for a in argv[1:])]
+    assert main(argv) == EXIT_INPUT
+    assert "unknown label: 'atlantis'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

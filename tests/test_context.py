@@ -3,14 +3,14 @@ import random
 import pytest
 
 from fichad.backend import MockBackend
-from fichad.context import (ContextGenerator, CompositionError,
-                            GeneratedContext, PromptTemplateSet, ScoredImage,
-                            TemplateError, compose_variant, conceptual_hint,
-                            corpus_stats, entity_summary, filter_images,
-                            instantiate, lamm_context, read_context_store,
+from fichad.context import (DEFAULT_TEMPLATES, ContextGenerator,
+                            GeneratedContext, ScoredImage, TemplateError,
+                            conceptual_hint, corpus_stats, entity_summary,
+                            filter_images, instantiate, lamm_context,
+                            load_templates, read_context_store,
                             relation_template, sample_relation_triples,
                             write_context_store, V1, V2, V1X, V1Y)
-from fichad.kg import KnowledgeGraph, Triple
+from fichad.kg import KnowledgeGraph, Triple, first_sentence
 from conftest import ScriptedBackend, make_vocab
 
 
@@ -23,16 +23,12 @@ class TestTemplates:
             instantiate("hi {name}")
 
     def test_load_dir_overrides_defaults(self, tmp_path):
+        default = DEFAULT_TEMPLATES["relevance"]
         (tmp_path / "relevance.txt").write_text("custom {head} {tail}\n")
-        ts = PromptTemplateSet.load_dir(tmp_path)
+        ts = load_templates(tmp_path)
         assert ts["relevance"] == "custom {head} {tail}"
-        assert "{entity}" in ts["entity_summary"]  # default kept
-
-    def test_save_then_load_round_trip(self, tmp_path):
-        ts = PromptTemplateSet()
-        ts.save_dir(tmp_path / "prompts")
-        again = PromptTemplateSet.load_dir(tmp_path / "prompts")
-        assert again.templates == ts.templates
+        assert ts["entity_summary"] == DEFAULT_TEMPLATES["entity_summary"]
+        assert DEFAULT_TEMPLATES["relevance"] == default
 
 
 class TestFilterImages:
@@ -71,9 +67,11 @@ class TestFilterImages:
             assert all(s.score >= tau_hi for s in hi)
             assert len(hi) <= 5 and {s.ref for s in hi} <= set(refs)
 
-    def test_invalid_tau_rejected(self):
-        with pytest.raises(ValueError):
-            filter_images("H", "T", [], [], 1.5, ScriptedBackend())
+    def test_invalid_tau_rejected(self, arles):
+        for tau in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="tau"):
+                ContextGenerator(arles.graph, arles.assets, ScriptedBackend(),
+                                 tau=tau)
 
 
 class TestLammContext:
@@ -157,31 +155,51 @@ class TestRelationTemplate:
         assert relation_template(g, 0, bk) == "[A] depict [B]"
 
 
-class TestComposeVariant:
-    def test_v1_is_identity(self):
-        assert compose_variant(V1, lamm="text") == ("text", False)
+class TestComposition:
+    """The +x and +y variants extend the fichad-1 text of the same triple."""
 
-    def test_v2_is_identity(self):
-        assert compose_variant(V2, entity_summary_text="s") == ("s", False)
+    def contexts(self, arles, variant):
+        gen = ContextGenerator(arles.graph, arles.assets, MockBackend(5),
+                               tau=0.3)
+        return gen, gen.generate_for_splits(variant)
 
-    def test_v1x_appends_first_sentence(self):
-        text, degraded = compose_variant(
-            V1X, lamm="The painting shows orchards.",
-            db_description="Arles is a city. It lies on the Rhone.")
-        assert text == "The painting shows orchards. Arles is a city."
-        assert not degraded
+    def test_v1x_appends_description_first_sentence(self, arles):
+        _, plain = self.contexts(arles, V1)
+        _, extended = self.contexts(arles, V1X)
+        ent = arles.graph.entities
+        appended = 0
+        for base, ctx in zip(plain, extended, strict=True):
+            desc = arles.assets.description(ent.id_of(ctx.subject["head"]))
+            if desc is not None:
+                assert ctx.text == f"{base.text} {first_sentence(desc)}"
+                appended += 1
+        assert appended > 0
 
-    def test_v1x_degrades_without_description(self):
-        text, degraded = compose_variant(V1X, lamm="base")
-        assert text == "base" and degraded
+    def test_v1x_without_description_is_counted(self, arles):
+        _, plain = self.contexts(arles, V1)
+        gen, extended = self.contexts(arles, V1X)
+        ent = arles.graph.entities
+        bare = [(base, ctx) for base, ctx in zip(plain, extended, strict=True)
+                if arles.assets.description(
+                    ent.id_of(ctx.subject["head"])) is None]
+        assert bare and all(b.text == c.text for b, c in bare)
+        assert gen.degraded_compositions == len(bare)
 
-    def test_v1y_appends_hint(self):
-        text, _ = compose_variant(V1Y, lamm="base.", hint="Likely a place.")
-        assert text == "base. Likely a place."
+    def test_v1y_appends_hint(self, arles):
+        _, plain = self.contexts(arles, V1)
+        gen, extended = self.contexts(arles, V1Y)
+        ent, rel = arles.graph.entities, arles.graph.relations
+        for base, ctx in zip(plain, extended, strict=True):
+            hint, _ = gen.hint(ent.id_of(ctx.subject["head"]),
+                               rel.id_of(ctx.subject["relation"]))
+            assert ctx.text == f"{base.text} {hint}"
+        assert gen.degraded_compositions == 0
 
-    def test_missing_parts_error(self):
-        with pytest.raises(CompositionError):
-            compose_variant(V1, lamm=None)
+    @pytest.mark.parametrize("variant", [V2, "fichad-3"])
+    def test_non_triple_variant_rejected(self, arles, variant):
+        gen = ContextGenerator(arles.graph, arles.assets, MockBackend(5))
+        with pytest.raises(ValueError, match="triple-level"):
+            gen.triple_context(arles.graph.splits["test"][0], variant)
 
 
 class TestPipeline:

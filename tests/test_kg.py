@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import fichad
 from fichad.kg import (SPLITS, DatasetError, KnowledgeGraph, MultimodalAssets,
-                       ParseError, Triple, Vocab, VocabError, first_sentence,
+                       ParseError, Triple, Vocab, first_sentence,
                        load_descriptions, load_image_manifest, load_triples,
                        save_triples, load_dataset)
 from conftest import ARLES_CONFIG, make_vocab, random_graph
@@ -35,12 +35,6 @@ class TestLoadTriples:
         with pytest.raises(ParseError) as exc:
             load_triples(p, make_vocab([]), make_vocab([]))
         assert ":2:" in str(exc.value)
-
-    def test_frozen_vocab_rejects_unknown(self, tmp_path):
-        p = write(tmp_path, "t.tsv", "a\tr\tz\n")
-        with pytest.raises(VocabError, match="z"):
-            load_triples(p, make_vocab(["a"]), make_vocab(["r"]),
-                         mode="frozen-vocab")
 
     def test_duplicates_preserved_in_list(self, tmp_path):
         p = write(tmp_path, "t.tsv", "a\tr\tb\na\tr\tb\n")
