@@ -7,10 +7,10 @@ append-only JSONL cache, which is what makes whole-pipeline runs resumable
 with zero duplicate backend calls.
 
 The wire client retries 429/5xx replies and connection errors with urllib3's
-``Retry``, at most 3 attempts: ``Retry-After`` is honoured (``Retry-After: 0``
-retries at once), otherwise the first retry is immediate and the n-th waits
-``backoff * 2**(n-1)`` s plus jitter. Each request opens one connection of its
-own.
+``Retry``, at most :data:`MAX_ATTEMPTS` (3) attempts: ``Retry-After`` is
+honoured (``Retry-After: 0`` retries at once), otherwise the first retry is
+immediate and the n-th waits ``backoff * 2**(n-1)`` s plus jitter. Each
+request opens one connection of its own.
 """
 
 from __future__ import annotations
@@ -31,6 +31,10 @@ API_KEY_ENV = "FICHAD_API_KEY"
 #: log-probabilities requested for the first token of a relevance reply
 TOP_LOGPROBS = 20
 TIMEOUT_S = 120.0
+#: sampling temperature of every request, in its cache key and its body
+TEMPERATURE = 1.0
+#: tries per wire request, the first one included
+MAX_ATTEMPTS = 3
 RETRY_STATUSES = (429, 500, 502, 503, 504)
 #: upper bound of the uniform jitter added to each backoff wait
 BACKOFF_JITTER_S = 0.5
@@ -56,16 +60,15 @@ class RequestError(ValueError):
 class GenerationRequest:
     """One backend call: prompt, attached images, decoding parameters.
 
-    ``subjects`` carries the display names the reply is expected to mention;
-    the wire backend ignores it, the mock uses it to compose realistic
-    deterministic text. It is part of the canonical form (and thus the cache
-    key).
+    Every request samples at :data:`TEMPERATURE`. ``subjects`` carries the
+    display names the reply is expected to mention; the wire backend ignores
+    it, the mock uses it to compose realistic deterministic text. It is part
+    of the canonical form (and thus the cache key).
     """
 
     prompt: str
     images: tuple[str, ...] = ()
     kind: str = FREE_TEXT
-    temperature: float = 1.0
     max_tokens: int = 256
     subjects: tuple[str, ...] = ()
 
@@ -74,14 +77,12 @@ class GenerationRequest:
             raise RequestError("empty prompt")
         if self.kind not in (FREE_TEXT, RELEVANCE):
             raise RequestError(f"unknown request kind: {self.kind!r}")
-        if self.temperature < 0:
-            raise RequestError("temperature must be >= 0")
 
     def canonical(self) -> str:
         """Stable JSON serialization used for cache keys and mock hashing."""
         return json.dumps(
             {"prompt": self.prompt, "images": list(self.images),
-             "kind": self.kind, "temperature": self.temperature,
+             "kind": self.kind, "temperature": TEMPERATURE,
              "max_tokens": self.max_tokens, "subjects": list(self.subjects)},
             sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
@@ -151,22 +152,18 @@ class HttpBackend(GenerationBackend):
     Images are attached as base64 data URLs; relevance requests ask for
     top-k log-probabilities of the first generated token and normalize the
     probability mass over the leading "yes"/"no" tokens (case-insensitive).
-    429/5xx replies and connection errors are retried, at most
-    ``max_attempts`` tries: a ``Retry-After`` header is honoured (0 retries at
-    once), otherwise the first retry is immediate and the n-th waits
-    ``backoff * 2**(n-1)`` seconds plus jitter. Each request uses one
-    connection of its own.
+    429/5xx replies and connection errors are retried as the module docstring
+    describes, at most :data:`MAX_ATTEMPTS` tries in all.
     """
 
     backend_id = "http"
 
-    def __init__(self, endpoint: str, model: str, max_attempts: int = 3,
-                 backoff: float = 1.0):
+    def __init__(self, endpoint: str, model: str, backoff: float = 1.0):
         super().__init__()
         self.endpoint = endpoint.rstrip("/")
         self.model_id = model
         self.api_key = os.environ.get(API_KEY_ENV, "")
-        self.retry = _retry_policy(max_attempts, backoff)
+        self.retry = _retry_policy(backoff)
 
     def _image_part(self, ref: str) -> dict:
         try:
@@ -184,7 +181,7 @@ class HttpBackend(GenerationBackend):
         payload = {
             "model": self.model_id,
             "messages": [{"role": "user", "content": content}],
-            "temperature": request.temperature,
+            "temperature": TEMPERATURE,
             "max_tokens": request.max_tokens,
         }
         if request.kind == RELEVANCE:
@@ -241,7 +238,7 @@ class HttpBackend(GenerationBackend):
         return yes_probability(logprobs)
 
 
-def _retry_policy(max_attempts: int, backoff: float):
+def _retry_policy(backoff: float):
     """urllib3 ``Retry`` for :class:`HttpBackend`, imported on first use."""
     from urllib3.util import Retry
 
@@ -254,7 +251,7 @@ def _retry_policy(max_attempts: int, backoff: float):
             time.sleep(retry_after)
             return True
 
-    return RetryPolicy(total=max_attempts - 1, status_forcelist=RETRY_STATUSES,
+    return RetryPolicy(total=MAX_ATTEMPTS - 1, status_forcelist=RETRY_STATUSES,
                        allowed_methods=None, respect_retry_after_header=True,
                        raise_on_status=False, backoff_factor=backoff,
                        backoff_jitter=BACKOFF_JITTER_S)
@@ -291,12 +288,12 @@ class ResponseCache:
     ``corrupt_lines``.
     """
 
-    def __init__(self, path=None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path):
+        self.path = Path(path)
         self._index: dict[str, object] = {}
         self._torn_tail = 0  # bytes after the last newline
         self.corrupt_lines = 0
-        if self.path is not None and self.path.exists():
+        if self.path.exists():
             self._load()
 
     def _load(self) -> None:
@@ -319,15 +316,13 @@ class ResponseCache:
 
     def put(self, key: str, kind: str, value) -> None:
         self._index[key] = value
-        if self.path is not None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self._torn_tail:
-                os.truncate(self.path,
-                            self.path.stat().st_size - self._torn_tail)
-                self._torn_tail = 0
-            with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-                fh.write(json.dumps({"k": key, "kind": kind, "v": value},
-                                    sort_keys=True) + "\n")
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        if self._torn_tail:
+            os.truncate(self.path, self.path.stat().st_size - self._torn_tail)
+            self._torn_tail = 0
+        with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps({"k": key, "kind": kind, "v": value},
+                                sort_keys=True) + "\n")
 
 
 class CachedBackend(GenerationBackend):

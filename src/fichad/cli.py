@@ -112,7 +112,13 @@ def cmd_train_embed(args, ds) -> int:
 
 def cmd_eval(args, ds) -> int:
     model = embed.EmbeddingModel.load(args.model)
-    report = linkpred.evaluate(linkpred.model_scorer(model), ds.graph,
+    g = ds.graph
+    if (model.n_entities, model.n_relations) != (g.n_entities, g.n_relations):
+        raise linkpred.EvalError(
+            f"checkpoint {args.model} holds {model.n_entities} entities / "
+            f"{model.n_relations} relations, dataset {ds.dataset_id} "
+            f"{g.n_entities} / {g.n_relations}")
+    report = linkpred.evaluate(linkpred.model_scorer(model), g,
                                split=args.split)
     if args.out:
         out = _out_dir(args)
@@ -221,14 +227,9 @@ def cmd_build_prompts(args, ds) -> int:
     return EXIT_OK
 
 
-def _stats(args, ds) -> cg.CoverageStats:
-    contexts = cg.read_context_store(args.store)
-    return cg.corpus_stats(contexts, ds.graph, ds.assets,
-                           dataset_id=ds.dataset_id)
-
-
 def cmd_stats(args, ds) -> int:
-    stats = _stats(args, ds)
+    stats = cg.corpus_stats(cg.read_context_store(args.store), ds.graph,
+                            ds.assets, dataset_id=ds.dataset_id)
     print(stats.to_table(), file=sys.stderr)
     if args.out:
         out = _out_dir(args)
@@ -236,17 +237,6 @@ def cmd_stats(args, ds) -> int:
             json.dumps(stats.to_dict(), sort_keys=True, indent=2) + "\n",
             encoding="utf-8")
     _summary(stats.to_dict(), args)
-    return EXIT_OK
-
-
-def cmd_coverage(args, ds) -> int:
-    stats = _stats(args, ds)
-    payload = {"dataset": stats.dataset_id,
-               "single_entity_coverage": stats.single_entity_coverage,
-               "both_entity_coverage": stats.both_entity_coverage,
-               "fichad2_entity_coverage": stats.fichad2_entity_coverage}
-    print(stats.to_table(), file=sys.stderr)
-    _summary(payload, args)
     return EXIT_OK
 
 
@@ -330,12 +320,9 @@ def build_parser() -> _Parser:
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--preview", action="store_true")
 
-    p = command("stats", cmd_stats, "context-corpus statistics")
+    p = command("stats", cmd_stats, "context-corpus statistics and coverage")
     p.add_argument("--store", required=True)
     p.add_argument("--out", default=None)
-
-    p = command("coverage", cmd_coverage, "entity coverage of generated context")
-    p.add_argument("--store", required=True)
 
     return parser
 

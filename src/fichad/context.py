@@ -68,10 +68,15 @@ DEFAULT_TEMPLATES = {
 }
 
 
+def _slots(template: str) -> set[str]:
+    """Names of the ``{slot}`` fields in ``template``; malformed is ValueError."""
+    return {name for _, name, _, _ in string.Formatter().parse(template)
+            if name is not None}
+
+
 def instantiate(template: str, **slots: str) -> str:
     """Pure slot substitution; every referenced slot must be provided."""
-    fields_needed = {name for _, name, _, _ in string.Formatter().parse(template)
-                     if name is not None}
+    fields_needed = _slots(template)
     missing = fields_needed - slots.keys()
     if missing:
         raise TemplateError(f"unfilled template slots: {sorted(missing)}")
@@ -81,8 +86,9 @@ def instantiate(template: str, **slots: str) -> str:
 def load_templates(path) -> dict[str, str]:
     """The default wordings, each replaced by a ``<name>.txt`` file in ``path``.
 
-    A missing directory, or a file named after no key of
-    :data:`DEFAULT_TEMPLATES`, raises :class:`TemplateError`.
+    A missing directory, a file named after no key of
+    :data:`DEFAULT_TEMPLATES`, a malformed format string, or a slot its
+    default wording lacks raises :class:`TemplateError`.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -93,7 +99,18 @@ def load_templates(path) -> dict[str, str]:
             raise TemplateError(
                 f"{f}: unknown prompt template {f.stem!r} (known: "
                 f"{', '.join(sorted(DEFAULT_TEMPLATES))})")
-        templates[f.stem] = f.read_text(encoding="utf-8").strip()
+        text = f.read_text(encoding="utf-8").strip()
+        known = _slots(DEFAULT_TEMPLATES[f.stem])
+        try:
+            unknown = _slots(text) - known
+            if not unknown:  # a trial fill finds bad conversions and specs
+                text.format(**dict.fromkeys(known, ""))
+        except (ValueError, LookupError) as exc:
+            raise TemplateError(f"{f}: malformed template: {exc}") from None
+        if unknown:
+            raise TemplateError(f"{f}: unknown template slots "
+                                f"{sorted(unknown)} (known: {sorted(known)})")
+        templates[f.stem] = text
     return templates
 
 
@@ -234,7 +251,7 @@ def sample_relation_triples(graph: KnowledgeGraph, relation: int,
                             n: int = SAMPLE_TRIPLES,
                             seed: int = 0) -> list[Triple]:
     """min(n, available) train triples of the relation, sorted then seed-sampled."""
-    pool = graph.triples_with_relation(relation, split="train")
+    pool = graph.triples_with_relation(relation)
     if len(pool) <= n:
         return pool
     rng = random.Random(f"{seed}:{relation}")
@@ -397,9 +414,12 @@ class ContextGenerator:
     def generate_for_splits(self, variant: str,
                             splits: tuple[str, ...] = ("train", "valid", "test")
                             ) -> list[GeneratedContext]:
-        """All contexts needed for a variant run, in deterministic order."""
+        """Contexts for ``splits``: one per distinct triple, in split order,
+        or for fichad-2 one per entity of those triples, in handle order."""
         if variant == V2:
-            return [self.entity_context(e) for e in range(self.graph.n_entities)]
+            entities = {e for split in splits for t in self.graph.splits[split]
+                        for e in (t.head, t.tail)}
+            return [self.entity_context(e) for e in sorted(entities)]
         out = []
         seen = set()
         for split in splits:

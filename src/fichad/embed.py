@@ -347,7 +347,7 @@ def negative_sample(triple: Triple, graph: KnowledgeGraph,
             e = int(rng.integers(n_ent))
             cand = (Triple(e, triple.relation, triple.tail) if corrupt_head
                     else Triple(triple.head, triple.relation, e))
-            if not graph.contains(cand, split="train"):
+            if not graph.in_train(cand):
                 break
         out.append(cand)
     return out

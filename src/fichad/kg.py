@@ -137,14 +137,15 @@ class KnowledgeGraph:
     ``(h·R + r)·E + t`` (R relations, E entities), so sorting keys sorts
     triples by (head, relation, tail):
 
-    - ``contains``: the sorted unique keys of each split and of their union
-      (the filtered-evaluation universe), searched with ``searchsorted``;
-    - ``known_tails``/``known_heads``: the union keys in (h, r, t) order and
-      again in (t, r, h) order; the answers to (h, r) are the key range
+    - ``in_train``: the sorted unique keys of the train split, searched with
+      ``searchsorted``;
+    - ``known_tails``/``known_heads``: the sorted unique keys of all splits
+      (the filtered-evaluation universe) in (h, r, t) order and again in
+      (t, r, h) order; the answers to (h, r) are the key range
       ``[(h·R + r)·E, (h·R + r + 1)·E)``, found by binary search;
     - ``neighbors``: the incident edges of the union sorted by (entity,
       relation, neighbor, out before in), with per-entity offsets;
-    - ``triples_with_relation``: each split's triples sorted by (relation,
+    - ``triples_with_relation``: the train triples sorted by (relation,
       head, tail), with per-relation offsets.
 
     Answers are plain Python ``int``, ``bool``, ``set`` and ``list`` values.
@@ -165,12 +166,11 @@ class KnowledgeGraph:
                 "triple key")
         rows = {name: _triple_rows(ts, n_ent, n_rel, name)
                 for name, ts in self.splits.items()}
+        train, *others = (self._key(a[:, 0], a[:, 1], a[:, 2])
+                          for a in rows.values())
 
-        self._split_keys = {
-            name: _sorted_unique(self._key(a[:, 0], a[:, 1], a[:, 2]))
-            for name, a in rows.items()}
-        self._hrt = _sorted_unique(
-            np.concatenate(list(self._split_keys.values())))
+        self._train_keys = _sorted_unique(train)
+        self._hrt = _sorted_unique(np.concatenate((self._train_keys, *others)))
         head_rel, tail = np.divmod(self._hrt, n_ent)
         head, rel = np.divmod(head_rel, n_rel)
         self._trh = np.sort(self._key(tail, rel, head))
@@ -186,13 +186,11 @@ class KnowledgeGraph:
         self._edges = edges[order]
         self._edge_offsets = _offsets(entity, n_ent)
 
-        self._by_relation = {}
-        for name, a in rows.items():
-            order = np.argsort((a[:, 1] * n_ent + a[:, 0]) * n_ent + a[:, 2],
-                               kind="stable")
-            triples = self.splits[name]
-            self._by_relation[name] = ([triples[i] for i in order.tolist()],
-                                       _offsets(a[:, 1], n_rel).tolist())
+        a = rows["train"]
+        order = np.argsort((a[:, 1] * n_ent + a[:, 0]) * n_ent + a[:, 2],
+                           kind="stable")
+        self._by_relation = [self.splits["train"][i] for i in order.tolist()]
+        self._relation_offsets = _offsets(a[:, 1], n_rel).tolist()
 
     def _key(self, first, relation, last):
         return (first * self._n_rel + relation) * self._n_ent + last
@@ -208,9 +206,9 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relations)
 
-    def contains(self, triple: Triple, split: str | None = None) -> bool:
-        """Membership in one split, or in the union of all splits."""
-        keys = self._hrt if split is None else self._split_keys[split]
+    def in_train(self, triple: Triple) -> bool:
+        """Whether the train split holds ``triple``."""
+        keys = self._train_keys
         h, r, t = triple.head, triple.relation, triple.tail
         if not (self._pair_ok(h, r) and 0 <= t < self._n_ent):
             return False
@@ -246,13 +244,12 @@ class KnowledgeGraph:
         return [(r, n, _DIRECTIONS[d])
                 for r, n, d in self._edges[lo:min(hi, lo + k)].tolist()]
 
-    def triples_with_relation(self, relation: int,
-                              split: str = "train") -> list[Triple]:
-        """Triples of one split carrying ``relation``, sorted by handles."""
-        triples, offsets = self._by_relation[split]
+    def triples_with_relation(self, relation: int) -> list[Triple]:
+        """Train triples carrying ``relation``, sorted by handles."""
         if not 0 <= relation < self._n_rel:
             return []
-        return triples[offsets[relation]:offsets[relation + 1]]
+        offsets = self._relation_offsets
+        return self._by_relation[offsets[relation]:offsets[relation + 1]]
 
 
 def _triple_rows(triples: list[Triple], n_ent: int, n_rel: int,
@@ -308,8 +305,7 @@ class MultimodalAssets:
         return {e for e, refs in self.images.items() if refs}
 
 
-def load_image_manifest(path, entities: Vocab, cap: int,
-                        assets: MultimodalAssets | None = None) -> MultimodalAssets:
+def load_image_manifest(path, entities: Vocab, cap: int) -> MultimodalAssets:
     """Load an ``entity<TAB>image_ref`` manifest, keeping the first ``cap`` images.
 
     Lines naming entities outside the vocabulary are skipped and counted
@@ -317,8 +313,7 @@ def load_image_manifest(path, entities: Vocab, cap: int,
     """
     if cap < 1:
         raise ValueError("image cap must be >= 1")
-    if assets is None:
-        assets = MultimodalAssets(image_cap=cap)
+    assets = MultimodalAssets(image_cap=cap)
     for label, ref in _rows(path, 2):
         if label not in entities:
             assets.skipped_image_lines += 1
@@ -388,9 +383,8 @@ def load_dataset(config_path) -> Dataset:
         splits[split] = load_triples(base / cfg[split], entities, relations)
 
     cap = int(cfg.get("image_cap", 10))
-    assets = MultimodalAssets(image_cap=cap)
-    if cfg.get("images"):
-        load_image_manifest(base / cfg["images"], entities, cap, assets)
+    assets = (load_image_manifest(base / cfg["images"], entities, cap)
+              if cfg.get("images") else MultimodalAssets(image_cap=cap))
     if cfg.get("descriptions"):
         load_descriptions(base / cfg["descriptions"], entities, assets)
     if cfg.get("names"):

@@ -2,10 +2,10 @@ import time
 
 import pytest
 
-from fichad.backend import (BackendError, CachedBackend,
-                            CapabilityError, GenerationRequest, HttpBackend,
-                            MockBackend, RequestError, ResponseCache,
-                            yes_probability)
+from fichad.backend import (FREE_TEXT, RELEVANCE, BackendError,
+                            CachedBackend, CapabilityError, GenerationRequest,
+                            HttpBackend, MockBackend, RequestError,
+                            ResponseCache, yes_probability)
 from conftest import StubHandler
 
 
@@ -21,8 +21,30 @@ class TestRequest:
         c = GenerationRequest(prompt="p", images=("y", "x"), subjects=("s",))
         assert a.canonical() != c.canonical()
 
-    def test_temperature_default(self):
-        assert GenerationRequest(prompt="p").temperature == 1.0
+    @pytest.mark.parametrize("request_, canonical, key", [
+        (GenerationRequest(
+            prompt="Do these images depict both Arles and Vincent together? "
+                   "Answer yes or no.",
+            images=("img/a.jpg",), kind=RELEVANCE, max_tokens=1,
+            subjects=("Arles", "Vincent")),
+         '{"images":["img/a.jpg"],"kind":"relevance","max_tokens":1,'
+         '"prompt":"Do these images depict both Arles and Vincent together? '
+         'Answer yes or no.","subjects":["Arles","Vincent"],'
+         '"temperature":1.0}',
+         "5b5f3c079e418f60702508f2cbde682e8fe176be907ddbf78871a3bf3856994f"),
+        (GenerationRequest(prompt="Describe Arles in one sentence.",
+                           images=("img/a.jpg", "img/b.jpg"),
+                           subjects=("Arles",)),
+         '{"images":["img/a.jpg","img/b.jpg"],"kind":"free-text",'
+         '"max_tokens":256,"prompt":"Describe Arles in one sentence.",'
+         '"subjects":["Arles"],"temperature":1.0}',
+         "bf99f596313c7da64760ce8f908cc91600103a44f15093b2e496db6583cd8cfb"),
+    ], ids=[RELEVANCE, FREE_TEXT])
+    def test_cache_keys_are_pinned(self, tmp_path, request_, canonical, key):
+        """Caches written by earlier versions keep hitting."""
+        assert request_.canonical() == canonical
+        cached = CachedBackend(MockBackend(0), ResponseCache(tmp_path / "c"))
+        assert cached._key(request_) == key
 
 
 class TestMockBackend:
@@ -158,7 +180,7 @@ class TestHttpBackend:
 
     def test_exhausted_retries_carry_last_status(self, stub_server):
         StubHandler.script = [(503, {}), (503, {}), (503, {})]
-        inner = HttpBackend(stub_server, "m", backoff=0.01, max_attempts=3)
+        inner = HttpBackend(stub_server, "m", backoff=0.01)
         with pytest.raises(BackendError) as exc:
             inner.generate(GenerationRequest(prompt="hi"))
         assert exc.value.status == 503

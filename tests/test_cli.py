@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import fichad
-from fichad.cli import main, EXIT_OK, EXIT_INPUT, EXIT_BACKEND, EXIT_USAGE
+from fichad.cli import (build_parser, main, EXIT_OK, EXIT_INPUT,
+                        EXIT_BACKEND, EXIT_USAGE)
 from fichad.kg import SPLITS, load_dataset
 from conftest import ARLES_CONFIG, StubHandler, write_synthetic_dataset
 
@@ -25,6 +27,17 @@ def test_unknown_subcommand_is_usage_error(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
 
+def test_readme_lists_every_subcommand():
+    """The README's ``## CLI`` block and the parser name the same commands."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    listed = [line.split()[1] for line in block.split("```", 1)[0].splitlines()
+              if line.startswith("fichad ")]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(listed) == sorted(sub.choices)
+
+
 @pytest.mark.parametrize("argv", [
     ["ingest"],
     ["train-embed", "--out", "o"],
@@ -35,7 +48,6 @@ def test_unknown_subcommand_is_usage_error(capsys):
     ["templates", "--out", "o"],
     ["build-prompts", "--store", "s.jsonl", "--out", "o"],
     ["stats", "--store", "s.jsonl"],
-    ["coverage", "--store", "s.jsonl"],
 ], ids=lambda argv: argv[0])
 def test_subcommand_without_dataset_is_usage_error(capsys, tmp_path, argv):
     argv = [str(tmp_path / a) if a in ("o", "s.jsonl", "model.ckpt") else a
@@ -156,6 +168,28 @@ def test_eval_checkpoint_header_without_key_is_input_error(capsys, tmp_path):
     assert main(["eval", "--dataset", ARLES, "--model", str(ckpt)]) == EXIT_INPUT
     assert (f"input error: checkpoint header lacks seed: {ckpt}"
             in capsys.readouterr().err)
+
+
+def test_eval_checkpoint_of_other_dataset_is_input_error(capsys, tmp_path):
+    """A checkpoint sized for another vocabulary is refused before scoring."""
+    code, summary = run(capsys, "train-embed", "--dataset", ARLES,
+                        "--out", str(tmp_path / "run"), "--dim", "4",
+                        "--epochs", "1")
+    assert code == EXIT_OK
+    other = tmp_path / "other"
+    other.mkdir()
+    for f in ARLES_CONFIG.parent.iterdir():
+        (other / f.name).write_bytes(f.read_bytes())
+    extra = "".join(f"view_of_arles\textra{i}\tvan_gogh\n" for i in range(5))
+    train = other / "train.tsv"
+    train.write_text(extra + train.read_text(encoding="utf-8"),
+                     encoding="utf-8")
+    code = main(["eval", "--dataset", str(other / "dataset.json"),
+                 "--model", summary["checkpoint"]])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: checkpoint ")
+    assert "8 entities / 4 relations" in err and "8 / 9" in err
 
 
 def test_filter_images_writes_jsonl(capsys, tmp_path):
@@ -347,6 +381,7 @@ def test_unknown_split_is_usage_error(capsys, tmp_path, argv):
 
 
 def test_stats_and_coverage(capsys, tmp_path):
+    """``stats`` reports the coverage rates; there is no ``coverage``."""
     out = tmp_path / "s"
     code, _ = run(capsys, "gen-context", "--dataset", ARLES, "--out", str(out),
                   "--variant", "fichad-2", "--seed", "7")
@@ -357,12 +392,30 @@ def test_stats_and_coverage(capsys, tmp_path):
     assert code == EXIT_OK
     assert stats["n_entities"] == 8
     assert stats["with_fichad2"] <= 8
-    assert (out / "stats.json").exists()
+    assert 0.0 <= stats["fichad2_entity_coverage"] <= 1.0
+    assert {"single_entity_coverage", "both_entity_coverage"} <= stats.keys()
+    written = json.loads((out / "stats.json").read_text())
+    assert written == {k: v for k, v in stats.items() if k != "config_hash"}
 
-    code, cov = run(capsys, "coverage", "--dataset", ARLES,
-                    "--store", str(out / "contexts.jsonl"))
+    assert main(["coverage", "--dataset", ARLES,
+                 "--store", str(out / "contexts.jsonl")]) == EXIT_USAGE
+
+
+def test_gen_context_fichad2_honours_splits(capsys, tmp_path):
+    """fichad-2 summarizes the entities of the chosen splits, no others."""
+    out = tmp_path / "t"
+    code, summary = run(capsys, "gen-context", "--dataset", ARLES,
+                        "--out", str(out), "--variant", "fichad-2",
+                        "--splits", "test")
     assert code == EXIT_OK
-    assert 0.0 <= cov["fichad2_entity_coverage"] <= 1.0
+    ds = load_dataset(ARLES_CONFIG)
+    ent = ds.graph.entities
+    want = sorted({e for t in ds.graph.splits["test"]
+                   for e in (t.head, t.tail)})
+    got = [json.loads(line)["subject"]["entity"] for line in
+           (out / "contexts.jsonl").read_text().splitlines()]
+    assert got == [ent.label_of(e) for e in want]
+    assert summary["contexts"] == len(want) < ds.graph.n_entities
 
 
 def test_gen_context_variant_1x_uses_descriptions(capsys, tmp_path):
@@ -412,6 +465,24 @@ def test_unknown_prompt_template_file_is_input_error(capsys, tmp_path):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text,reason", [
+    ("Describe {entity} and {mood}.", "unknown template slots ['mood']"),
+    ("Describe {entity.", "malformed template"),
+], ids=["unknown-slot", "malformed"])
+def test_unfillable_prompt_template_is_input_error(capsys, tmp_path, text,
+                                                   reason):
+    """An override is checked at load, even when this variant never uses it."""
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    (prompts / "entity_summary.txt").write_text(text + "\n")
+    code = main(["gen-context", "--dataset", ARLES, "--variant", "fichad-1",
+                 "--out", str(tmp_path / "o"), "--prompts", str(prompts)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(prompts / "entity_summary.txt") in err and reason in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_prompt_override_changes_fichad2_store(capsys, tmp_path):
     """entity_summary.txt replaces that wording and no other."""
     prompts = tmp_path / "prompts"
@@ -436,7 +507,6 @@ def test_prompt_override_changes_fichad2_store(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ["build-prompts", "--out", "o"],
     ["stats"],
-    ["coverage"],
 ], ids=lambda argv: argv[0])
 def test_store_with_unknown_entity_is_input_error(capsys, tmp_path, argv):
     store = tmp_path / "s.jsonl"

@@ -163,7 +163,7 @@ class TestNegativeSampling:
         rng = np.random.default_rng(0)
         negs = negative_sample(Triple(0, 0, 1), g, rng, 8)
         assert len(negs) == 8
-        assert not any(g.contains(n, "train") for n in negs)
+        assert not any(g.in_train(n) for n in negs)
 
     def test_forced_acceptance_on_one_entity_graph(self):
         """Every corruption collides; each is accepted after 100 attempts."""

@@ -149,19 +149,16 @@ class TestIndexOracle:
     @settings(max_examples=150, deadline=None)
     def test_every_answer_matches_the_split_lists(self, g):
         n_ent, n_rel = g.n_entities, g.n_relations
-        members = {s: set(g.splits[s]) for s in SPLITS}
-        union = set().union(*members.values())
+        train = set(g.splits["train"])
+        union = train.union(*(g.splits[s] for s in SPLITS))
         ents, rels = range(-1, n_ent + 1), range(-1, n_rel + 1)
 
         for h in ents:
             for r in rels:
                 for t in ents:
                     tr = Triple(h, r, t)
-                    got = g.contains(tr)
-                    assert type(got) is bool and got == (tr in union)
-                    for s in SPLITS:
-                        got = g.contains(tr, split=s)
-                        assert type(got) is bool and got == (tr in members[s])
+                    got = g.in_train(tr)
+                    assert type(got) is bool and got == (tr in train)
                 tails = g.known_tails(h, r)
                 assert type(tails) is set and _plain_ints(tails)
                 assert tails == {x.tail for x in union
@@ -183,13 +180,13 @@ class TestIndexOracle:
                            for edge in got)
 
         for r in rels:
-            for s in SPLITS:
-                got = g.triples_with_relation(r, split=s)
-                assert type(got) is list
-                assert got == sorted(x for x in g.splits[s] if x.relation == r)
-                assert all(type(x) is Triple
-                           and _plain_ints((x.head, x.relation, x.tail))
-                           for x in got)
+            got = g.triples_with_relation(r)
+            assert type(got) is list
+            assert got == sorted(x for x in g.splits["train"]
+                                 if x.relation == r)
+            assert all(type(x) is Triple
+                       and _plain_ints((x.head, x.relation, x.tail))
+                       for x in got)
 
 
 class TestHandleValidation:
