@@ -93,6 +93,30 @@ def cmd_ingest(args, ds) -> int:
     return EXIT_OK
 
 
+#: glibc ``mallopt`` parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _retain_freed_heap() -> None:
+    """Keep up to 64 MB of freed heap for reuse, where the C library is glibc.
+
+    A training step allocates and frees about 12 MB of temporaries (TransE,
+    d = 200, 128 positives with 4 negatives each). By default glibc returns
+    free memory at the top of the heap to the kernel once it exceeds a trim
+    threshold of twice the largest block freed so far, a few MB here, so
+    every step faulted its temporaries in again: about 3,200 page faults per
+    step, half of the training time of a one-epoch run.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def cmd_train_embed(args, ds) -> int:
     cfg = embed.TrainConfig(family=args.family, dim=args.dim,
                             epochs=args.epochs, lr=args.lr,
@@ -100,6 +124,7 @@ def cmd_train_embed(args, ds) -> int:
                             negatives=args.negatives, margin=args.margin,
                             loss=args.loss, l2=args.l2, seed=args.seed)
     losses = []
+    _retain_freed_heap()
     model = embed.train(cfg, ds.graph, log=lambda e, l: losses.append(l))
     out = _out_dir(args)
     ckpt = out / "model.ckpt"
@@ -273,8 +298,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--batch-size", type=int, default=128,
-                   help="positives between NaN/Inf checks; every positive "
-                        "updates the parameters at once")
+                   help="positives per minibatch step; their gradients are "
+                        "summed, not averaged")
     p.add_argument("--negatives", type=int, default=1)
     p.add_argument("--margin", type=float, default=1.0)
     p.add_argument("--loss", choices=list(embed.LOSSES), default="margin")

@@ -1,10 +1,12 @@
 """Structural KG embedding baselines: TransE, DistMult, ComplEx, RotatE.
 
 All four families share one convention: higher score = more plausible triple
-(TransE/RotatE return negated distances). Training is per-triple SGD: each
-shuffled positive and its ``n`` corrupted negatives update the parameters at
-once (margin-ranking or logistic loss); ``batch_size`` only sets how often
-NaN/Inf is checked. Everything is float64 and deterministic under a seed.
+(TransE/RotatE return negated distances). Training is minibatch SGD: each step
+takes ``batch_size`` shuffled positives and ``negatives`` corruptions of each,
+takes the gradient of the batch loss (margin-ranking or logistic), summed over
+the batch rather than averaged so a learning rate moves each triple's rows as
+far as per-triple SGD would, and applies it with one scatter per parameter
+table. Everything is float64 and deterministic under a seed.
 
 Gradients for the complex-valued families are stored in the "encoded" form
 ``d/dRe + i * d/dIm``, so a plain ``param -= lr * grad`` update moves real and
@@ -14,6 +16,7 @@ imaginary parts independently, as finite differences expect.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, triple_rows
 
 FAMILIES = ("transe", "distmult", "complex", "rotate")
 LOSSES = ("margin", "logistic")
@@ -60,8 +63,10 @@ class TrainConfig:
                 or self.batch_size < 1 or not self.l2 >= 0):
             raise ValueError("dim >= 1, negatives >= 1, epochs >= 0, "
                              "batch_size >= 1, l2 >= 0 required")
-        if self.lr <= 0:
-            raise ValueError("learning rate must be > 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr}")
+        if not math.isfinite(self.margin):
+            raise ValueError(f"margin must be finite, got {self.margin}")
         if self.transe_norm not in (1, 2):
             raise ValueError("transe_norm must be 1 or 2")
 
@@ -253,75 +258,93 @@ def init_model(family: str, n_entities: int, n_relations: int, dim: int,
 
 # -- gradients -----------------------------------------------------------
 
-def score_gradients(model: EmbeddingModel, triple: Triple):
-    """(score, d_score/d_eh, d_score/d_er, d_score/d_et) for one triple.
+def score_gradients(model: EmbeddingModel, rows: np.ndarray):
+    """(score, d_score/d_eh, d_score/d_er, d_score/d_et) of each triple.
 
-    Complex gradients use the encoded d/dRe + i*d/dIm form; the TransE L1
-    subgradient at 0 is 0 per coordinate.
+    ``rows`` is a (k, 3) array of (head, relation, tail) handles. The scores
+    have shape (k,) and each gradient (k, d), one row per triple; the scores
+    are bit-identical to :meth:`EmbeddingModel.score`. Complex gradients use
+    the encoded d/dRe + i*d/dIm form; the TransE L1 subgradient at 0 is 0 per
+    coordinate, and a zero distance has a zero gradient.
     """
-    eh = model.entity[triple.head]
-    er = model.relation[triple.relation]
-    et = model.entity[triple.tail]
+    eh = model.entity[rows[:, 0]]
+    er = model.relation[rows[:, 1]]
+    et = model.entity[rows[:, 2]]
 
     if model.family == "transe":
         d = eh + er - et
         if model.transe_norm == 1:
-            s = -np.sum(np.abs(d))
+            s = -np.sum(np.abs(d), axis=-1)
             g = -np.sign(d)
         else:
-            norm = np.sqrt(np.sum(d * d))
+            norm = np.sqrt(np.sum(d * d, axis=-1))
             s = -norm
-            g = -d / norm if norm > 0 else np.zeros_like(d)
+            g = -_unit(d, norm)
         return s, g, g.copy(), -g
 
     if model.family == "distmult":
-        s = np.sum(eh * er * et)
-        return s, er * et, eh * et, eh * er
+        return np.sum(eh * er * et, axis=-1), er * et, eh * et, eh * er
 
     if model.family == "complex":
-        s = np.real(np.sum(eh * er * np.conj(et)))
+        s = np.real(np.sum(eh * er * np.conj(et), axis=-1))
         return s, np.conj(er) * et, np.conj(eh) * et, eh * er
 
-    # rotate
+    # rotate: relation holds phases
     rot = np.exp(1j * er)
-    d = eh * rot - et
-    norm = np.sqrt(np.sum(np.abs(d) ** 2))
-    s = model.margin - norm
-    if norm == 0:
-        zc = np.zeros_like(d)
-        return s, zc, np.zeros_like(er), zc.copy()
-    gh = -np.conj(rot) * d / norm
-    gt = d / norm
-    gr = np.imag(np.conj(d) * eh * rot) / norm
-    return s, gh, gr, gt
+    eh_rot = eh * rot
+    d = eh_rot - et
+    norm = np.sqrt(np.sum(np.abs(d) ** 2, axis=-1))
+    gt = _unit(d, norm)
+    return (model.margin - norm, -np.conj(rot) * gt,
+            np.imag(np.conj(gt) * eh_rot), gt)
 
 
-def loss_gradients(model: EmbeddingModel, triple: Triple, positive: bool,
+def _unit(d: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """``d / norm`` row by row, and 0 in rows whose norm is 0."""
+    return np.divide(d, norm[:, None], out=np.zeros_like(d),
+                     where=norm[:, None] > 0)
+
+
+def loss_gradients(model: EmbeddingModel, pos: np.ndarray, neg: np.ndarray,
                    config: TrainConfig):
-    """(loss, d_eh, d_er, d_et) of one triple's loss term.
+    """(loss, d_eh, d_er, d_et) of one batch: the batch loss and its gradient.
 
+    ``pos`` holds B (head, relation, tail) rows and ``neg`` their
+    corruptions, laid out as :func:`negative_sample` returns them. Gradient
+    row i belongs to row i of ``np.concatenate((pos, neg))``; summed over the
+    rows that share an embedding row, they give the gradient of ``loss``.
     Training updates through these gradients, and the finite-difference tests
-    differentiate this loss. Margin-ranking contributes the linear term -s
-    (positive) or +s (negative); the hinge is applied pairwise in
-    :func:`_sgd_step`. Logistic is softplus(-y*s) plus L2 on the three
-    embedding rows (RotatE phases excluded from L2: they are angles, shrinking
-    them toward 0 is meaningless).
+    differentiate this loss.
+
+    Margin-ranking sums the pair hinges max(0, margin - s(pos) + s(neg)) of
+    each positive with each of its negatives. Logistic sums softplus(-y*s),
+    y = +1 for positives and -1 for negatives, plus L2 on each triple's three
+    embedding rows (RotatE phases excluded from L2: they are angles,
+    shrinking them toward 0 is meaningless).
     """
-    s, gh, gr, gt = score_gradients(model, triple)
+    b = len(pos)
+    rows = np.concatenate((pos, neg))
+    s, gh, gr, gt = score_gradients(model, rows)
     if config.loss == "margin":
-        return (-s, -gh, -gr, -gt) if positive else (s, gh, gr, gt)
-    y = 1.0 if positive else -1.0
-    loss = float(np.logaddexp(0.0, -y * s))
-    # d/ds softplus(-y*s) = -y * sigmoid(-y*s)
-    coef = -y / (1.0 + np.exp(y * s))
+        hinge = config.margin - np.repeat(s[:b], len(neg) // b) + s[b:]
+        active = hinge > 0
+        loss = float(np.sum(hinge[active]))
+        # d loss/d s: -1 per active pair of a positive, +1 per active negative
+        coef = np.concatenate((-active.reshape(b, -1).sum(axis=1), active))
+    else:
+        y = np.where(np.arange(len(rows)) < b, 1.0, -1.0)
+        loss = float(np.sum(np.logaddexp(0.0, -y * s)))
+        # d/ds softplus(-y*s) = -y * sigmoid(-y*s)
+        coef = -y / (1.0 + np.exp(y * s))
+    coef = coef[:, None]
     dh, dr, dt = coef * gh, coef * gr, coef * gt
-    if config.l2 > 0:
-        eh, et = model.entity[triple.head], model.entity[triple.tail]
+    if config.loss == "logistic" and config.l2 > 0:
+        eh, et = model.entity[rows[:, 0]], model.entity[rows[:, 2]]
         sq = np.sum(np.abs(eh) ** 2) + np.sum(np.abs(et) ** 2)
         dh = dh + 2.0 * config.l2 * eh
         dt = dt + 2.0 * config.l2 * et
         if model.family != "rotate":
-            er = model.relation[triple.relation]
+            er = model.relation[rows[:, 1]]
             sq += np.sum(np.abs(er) ** 2)
             dr = dr + 2.0 * config.l2 * er
         loss += config.l2 * float(sq)
@@ -330,35 +353,37 @@ def loss_gradients(model: EmbeddingModel, triple: Triple, positive: bool,
 
 # -- negative sampling and training --------------------------------------
 
-def negative_sample(triple: Triple, graph: KnowledgeGraph,
-                    rng: np.random.Generator, n: int) -> list[Triple]:
-    """``n`` corruptions of ``triple``: fair-coin head/tail, uniform entity.
+def negative_sample(positives: np.ndarray, graph: KnowledgeGraph,
+                    rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` corruptions of each (head, relation, tail) row of ``positives``.
 
-    Corruptions colliding with the train split are resampled; after 100
-    attempts the corruption is accepted anyway (tiny pathological graphs).
+    Returns (k·n, 3) rows; the corruptions of row i are rows [i·n, (i+1)·n).
+    Each replaces the head or the tail (fair coin) with a uniform entity.
+    Corruptions colliding with the train split redraw their entity, keeping
+    their coin, all in one draw per round; after 100 rounds a corruption is
+    accepted anyway (tiny pathological graphs).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = []
-    n_ent = graph.n_entities
-    for _ in range(n):
-        corrupt_head = rng.random() < 0.5
-        for _attempt in range(100):
-            e = int(rng.integers(n_ent))
-            cand = (Triple(e, triple.relation, triple.tail) if corrupt_head
-                    else Triple(triple.head, triple.relation, e))
-            if not graph.in_train(cand):
-                break
-        out.append(cand)
-    return out
+    negs = np.repeat(positives, n, axis=0)
+    column = np.where(rng.random(len(negs)) < 0.5, 0, 2)
+    todo = np.arange(len(negs))
+    for _round in range(100):
+        negs[todo, column[todo]] = rng.integers(graph.n_entities,
+                                                size=len(todo))
+        todo = todo[graph.in_train_rows(negs[todo])]
+        if not len(todo):
+            break
+    return negs
 
 
 def train(config: TrainConfig, graph: KnowledgeGraph,
           log=None) -> EmbeddingModel:
-    """SGD training loop; returns the final model.
+    """Minibatch SGD training loop; returns the final model.
 
-    Per-epoch mean loss is passed to ``log`` (a callable taking epoch, loss)
-    when given. NaN/Inf in the parameters aborts with the offending step named.
+    Per-epoch mean loss (per negative) is passed to ``log`` (a callable
+    taking epoch, loss) when given. NaN/Inf in the parameters aborts with the
+    offending step named.
     """
     config.validate()
     if not graph.splits["train"]:
@@ -368,61 +393,67 @@ def train(config: TrainConfig, graph: KnowledgeGraph,
                        config.dim, margin=config.margin, seed=config.seed,
                        transe_norm=config.transe_norm)
     rng = np.random.default_rng(config.seed + 1)
-    positives = list(graph.splits["train"])
+    positives = triple_rows(graph.splits["train"])
 
     step = 0
     for epoch in range(config.epochs):
         order = rng.permutation(len(positives))
         epoch_loss = 0.0
-        n_terms = 0
         for start in range(0, len(order), config.batch_size):
-            batch = [positives[i] for i in order[start:start + config.batch_size]]
-            for pos in batch:
-                negs = negative_sample(pos, graph, rng, config.negatives)
-                epoch_loss += _sgd_step(model, pos, negs, config)
-                n_terms += len(negs)
+            pos = positives[order[start:start + config.batch_size]]
+            neg = negative_sample(pos, graph, rng, config.negatives)
+            loss, finite = _sgd_step(model, pos, neg, config)
+            epoch_loss += loss
             step += 1
-            if not (np.all(np.isfinite(_real_view(model.entity)))
-                    and np.all(np.isfinite(_real_view(model.relation)))):
+            if not finite:
                 raise TrainingError(
                     f"non-finite parameters after step {step} (epoch {epoch})")
         if model.family == "rotate":
             # keep phases in [-pi, pi)
             model.relation = np.mod(model.relation + np.pi, 2 * np.pi) - np.pi
         if log is not None:
-            log(epoch, epoch_loss / max(n_terms, 1))
+            log(epoch, epoch_loss / (len(positives) * config.negatives))
     return model
 
 
-def _real_view(arr: np.ndarray) -> np.ndarray:
-    return arr.view(np.float64) if np.iscomplexobj(arr) else arr
+def _sgd_step(model: EmbeddingModel, pos: np.ndarray, neg: np.ndarray,
+              config: TrainConfig) -> tuple[float, bool]:
+    """One update from the positives ``pos`` and their negatives ``neg``.
+
+    The gradient of the batch loss (:func:`loss_gradients`) is summed over
+    the batch, not averaged, and applied with one scatter per parameter
+    table. Returns the batch loss and whether every parameter row the update
+    touched is still finite (no other row changed).
+    """
+    rows = np.concatenate((pos, neg))
+    loss, dh, dr, dt = loss_gradients(model, pos, neg, config)
+    entity_ok = _descend(model.entity,
+                         np.concatenate((rows[:, 0], rows[:, 2])),
+                         np.concatenate((dh, dt)), config.lr)
+    relation_ok = _descend(model.relation, rows[:, 1], dr, config.lr)
+    return loss, entity_ok and relation_ok
 
 
-def _sgd_step(model: EmbeddingModel, pos: Triple, negs: list[Triple],
-              config: TrainConfig) -> float:
-    """One positive with its negatives; returns the summed losses (for margin,
-    the summed pair hinges)."""
-    total = 0.0
-    if config.loss == "logistic":
-        for triple, positive in [(pos, True)] + [(n, False) for n in negs]:
-            loss, *grads = loss_gradients(model, triple, positive, config)
-            total += loss
-            _descend(model, triple, config.lr, *grads)
-        return total
-    loss_pos, *grads_pos = loss_gradients(model, pos, True, config)
-    for neg in negs:
-        loss_neg, *grads_neg = loss_gradients(model, neg, False, config)
-        hinge = config.margin + loss_pos + loss_neg
-        if hinge <= 0:
-            continue
-        total += hinge
-        _descend(model, pos, config.lr, *grads_pos)
-        _descend(model, neg, config.lr, *grads_neg)
-    return total
+def _descend(table: np.ndarray, index: np.ndarray, grad: np.ndarray,
+             lr: float) -> bool:
+    """Subtract ``lr`` times the summed ``grad`` rows of each table row named
+    in ``index``, in one scatter; returns whether those rows are finite.
 
-
-def _descend(model: EmbeddingModel, triple: Triple, lr: float,
-             dh, dr, dt) -> None:
-    model.entity[triple.head] -= lr * dh
-    model.relation[triple.relation] -= lr * dr
-    model.entity[triple.tail] -= lr * dt
+    The rows are sorted by index, stably, so each index's rows form one run
+    in batch order. ``np.add.reduceat`` sums the runs longer than one row;
+    the others, most runs, are taken as they are.
+    """
+    order = np.argsort(index, kind="stable")
+    index = index[order]
+    first = np.concatenate(([True], index[1:] != index[:-1]))
+    touched = index[first]
+    summed = grad[order[first]]
+    repeated = ~(first & np.append(first[1:], True))
+    if repeated.any():
+        run = np.cumsum(first) - 1
+        summed[run[first & repeated]] = np.add.reduceat(
+            grad[order[repeated]], np.flatnonzero(first[repeated]), axis=0)
+    summed *= -lr
+    summed += table[touched]
+    table[touched] = summed
+    return bool(np.isfinite(summed).all())

@@ -137,8 +137,8 @@ class KnowledgeGraph:
     ``(h·R + r)·E + t`` (R relations, E entities), so sorting keys sorts
     triples by (head, relation, tail):
 
-    - ``in_train``: the sorted unique keys of the train split, searched with
-      ``searchsorted``;
+    - ``in_train_rows`` (and ``in_train``, the same test on one triple): the
+      sorted unique keys of the train split, searched with ``searchsorted``;
     - ``known_tails``/``known_heads``: the sorted unique keys of all splits
       (the filtered-evaluation universe) in (h, r, t) order and again in
       (t, r, h) order; the answers to (h, r) are the key range
@@ -164,7 +164,7 @@ class KnowledgeGraph:
             raise DatasetError(
                 f"{n_ent} entities and {n_rel} relations overflow the int64 "
                 "triple key")
-        rows = {name: _triple_rows(ts, n_ent, n_rel, name)
+        rows = {name: _checked_rows(ts, n_ent, n_rel, name)
                 for name, ts in self.splits.items()}
         train, *others = (self._key(a[:, 0], a[:, 1], a[:, 2])
                           for a in rows.values())
@@ -208,13 +208,24 @@ class KnowledgeGraph:
 
     def in_train(self, triple: Triple) -> bool:
         """Whether the train split holds ``triple``."""
+        row = np.array([[triple.head, triple.relation, triple.tail]],
+                       dtype=np.int64)
+        return bool(self.in_train_rows(row)[0])
+
+    def in_train_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Whether the train split holds each (head, relation, tail) row of
+        ``rows``, as a bool array; rows with a handle out of range are not
+        held."""
+        h, r, t = rows[:, 0], rows[:, 1], rows[:, 2]
+        ok = ((0 <= h) & (h < self._n_ent) & (0 <= r) & (r < self._n_rel)
+              & (0 <= t) & (t < self._n_ent))
         keys = self._train_keys
-        h, r, t = triple.head, triple.relation, triple.tail
-        if not (self._pair_ok(h, r) and 0 <= t < self._n_ent):
-            return False
-        key = self._key(h, r, t)
-        i = int(keys.searchsorted(key))
-        return i < len(keys) and int(keys[i]) == key
+        if not len(keys):
+            return np.zeros(len(rows), dtype=bool)
+        # out-of-range rows are keyed as (0, 0, 0) so no key overflows
+        key = self._key(h * ok, r * ok, t * ok)
+        i = np.minimum(keys.searchsorted(key), len(keys) - 1)
+        return ok & (keys[i] == key)
 
     def _answers(self, keys, entity: int, relation: int) -> set[int]:
         if not self._pair_ok(entity, relation):
@@ -252,12 +263,17 @@ class KnowledgeGraph:
         return self._by_relation[offsets[relation]:offsets[relation + 1]]
 
 
-def _triple_rows(triples: list[Triple], n_ent: int, n_rel: int,
-                 split: str) -> np.ndarray:
-    """(n, 3) int64 array of (head, relation, tail) rows, handles checked."""
-    rows = np.fromiter(
+def triple_rows(triples: list[Triple]) -> np.ndarray:
+    """(n, 3) int64 array of the (head, relation, tail) rows of ``triples``."""
+    return np.fromiter(
         chain.from_iterable(map(attrgetter("head", "relation", "tail"), triples)),
         dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
+
+
+def _checked_rows(triples: list[Triple], n_ent: int, n_rel: int,
+                  split: str) -> np.ndarray:
+    """:func:`triple_rows`, with every handle checked against the vocabularies."""
+    rows = triple_rows(triples)
     bad = ((rows < 0) | (rows >= (n_ent, n_rel, n_ent))).any(axis=1)
     if bad.any():
         raise DatasetError(
@@ -382,7 +398,11 @@ def load_dataset(config_path) -> Dataset:
             raise DatasetError(f"dataset config missing {split!r} file")
         splits[split] = load_triples(base / cfg[split], entities, relations)
 
-    cap = int(cfg.get("image_cap", 10))
+    cap = cfg.get("image_cap", 10)
+    # bool is an int subclass; a float or string cap is a config mistake
+    if type(cap) is not int or cap < 1:
+        raise DatasetError(f"{config_path}: image_cap must be an integer "
+                           f">= 1, got {cap!r}")
     assets = (load_image_manifest(base / cfg["images"], entities, cap)
               if cfg.get("images") else MultimodalAssets(image_cap=cap))
     if cfg.get("descriptions"):

@@ -22,7 +22,7 @@ from fichad.kg import Triple, load_dataset
 from conftest import (ARLES_CONFIG, ScriptedBackend, brute_force_candidates,
                       brute_force_report, random_graph, two_cluster_graph,
                       write_synthetic_dataset)
-from test_embed import finite_difference_gradient, rel_err
+from test_embed import finite_difference_gradient, rel_err, summed_gradient
 from test_linkpred import entity_scorer, make_random_scorer
 
 
@@ -62,28 +62,27 @@ def test_02_gradient_correctness():
     worst = 0.0
     for family, norm in [(f, 1) for f in embed.FAMILIES] + [("transe", 2)]:
         for loss in embed.LOSSES:
+            # |score| <= 250 on this init, so a margin of 1000 keeps every
+            # pair's hinge active and each check sees the pair's gradient
             cfg = embed.TrainConfig(family=family, dim=6, loss=loss,
+                                    margin=1000.0,
                                     l2=0.01 if loss == "logistic" else 0.0)
             m = embed.init_model(family, 12, 4, 6, seed=101, transe_norm=norm)
             # a stable digest, so a failing triple can be replayed
             rng = np.random.default_rng(
                 zlib.crc32(f"{family}:{loss}".encode()))
-            checked = 0
-            while checked < 100:
-                t = Triple(int(rng.integers(12)), int(rng.integers(4)),
-                           int(rng.integers(12)))
-                if t.head == t.tail:
-                    continue  # shared row would double-count in the FD oracle
-                positive = bool(rng.integers(2))
-                _, dh, dr, dt = embed.loss_gradients(m, t, positive, cfg)
-                for analytic, which in ((dh, ("entity", t.head)),
-                                        (dr, ("relation", t.relation)),
-                                        (dt, ("entity", t.tail))):
-                    fd = finite_difference_gradient(m, t, positive, cfg, which)
-                    err = rel_err(analytic, fd)
+            for _ in range(100):
+                # a batch of one positive and one negative; the coin picks
+                # which of the two triples' rows are checked
+                pos, neg = (np.array([[rng.integers(12), rng.integers(4),
+                                       rng.integers(12)]]) for _ in range(2))
+                _, *grads = embed.loss_gradients(m, pos, neg, cfg)
+                h, r, t = (pos if rng.integers(2) else neg)[0].tolist()
+                for which in (("entity", h), ("relation", r), ("entity", t)):
+                    fd = finite_difference_gradient(m, pos, neg, cfg, which)
+                    err = rel_err(summed_gradient(pos, neg, grads, which), fd)
                     worst = max(worst, err)
                     assert err < 1e-4, (family, norm, loss, err)
-                checked += 1
     elapsed = time.time() - start
     report(2, elapsed < 10, f"(worst rel err {worst:.2e}, {elapsed:.1f}s)")
 

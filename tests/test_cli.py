@@ -80,6 +80,19 @@ def test_malformed_names_line_is_input_error(capsys, tmp_path, line, fields):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("cap", ["2.7", "0", '"x"', "true", "null"])
+def test_bad_image_cap_is_input_error(capsys, tmp_path, cap):
+    """image_cap must be an integer >= 1; the error names file and key."""
+    for f in ARLES_CONFIG.parent.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    config = tmp_path / "dataset.json"
+    config.write_text(config.read_text(encoding="utf-8").replace(
+        '"image_cap": 3', f'"image_cap": {cap}'), encoding="utf-8")
+    assert main(["ingest", "--dataset", str(config)]) == EXIT_INPUT
+    assert (f"input error: {config}: image_cap must be an integer >= 1"
+            in capsys.readouterr().err)
+
+
 def test_missing_dataset_is_input_error(capsys):
     assert main(["ingest", "--dataset", "/nope/ds.json"]) == EXIT_INPUT
 
@@ -134,12 +147,18 @@ def test_train_then_eval(capsys, tmp_path):
 
 @pytest.mark.parametrize("flag,value", [("--batch-size", "-1"),
                                         ("--batch-size", "0"),
-                                        ("--l2", "-5"), ("--l2", "nan")])
+                                        ("--l2", "-5"), ("--l2", "nan"),
+                                        ("--lr", "nan"), ("--lr", "inf"),
+                                        ("--lr", "0"), ("--margin", "nan"),
+                                        ("--margin", "inf")])
 def test_train_embed_rejects_bad_config(capsys, tmp_path, flag, value):
     code = main(["train-embed", "--dataset", ARLES, "--out",
                  str(tmp_path / "run"), "--epochs", "1", flag, value])
     assert code == EXIT_INPUT
-    assert "batch_size >= 1, l2 >= 0 required" in capsys.readouterr().err
+    assert {"--lr": "lr must be a finite number > 0",
+            "--margin": "margin must be finite"}.get(
+                flag, "batch_size >= 1, l2 >= 0 required") \
+        in capsys.readouterr().err
     assert not (tmp_path / "run" / "model.ckpt").exists()
 
 

@@ -5,14 +5,13 @@ from fichad import embed
 from fichad.embed import (EmbeddingModel, TrainConfig, TrainingError,
                           init_model, loss_gradients, negative_sample,
                           score_gradients, train)
-from fichad.kg import KnowledgeGraph, Triple
+from fichad.kg import KnowledgeGraph, Triple, triple_rows
 from conftest import make_vocab, two_cluster_graph
 
 
-def finite_difference_gradient(model, triple, positive, cfg, which,
-                               eps=1e-5):
-    """Central-difference gradient of the loss ``loss_gradients`` returns,
-    w.r.t. one embedding row.
+def finite_difference_gradient(model, pos, neg, cfg, which, eps=1e-5):
+    """Central-difference gradient of the batch loss ``loss_gradients``
+    returns, w.r.t. one embedding row.
 
     Independent oracle: perturbs each real coordinate (real and imaginary
     parts separately for complex parameters) and differences the loss.
@@ -28,14 +27,32 @@ def finite_difference_gradient(model, triple, positive, cfg, which,
             v = base.copy()
             v[i] = base[i] + eps * unit
             arr[row] = v
-            lp = loss_gradients(model, triple, positive, cfg)[0]
+            lp = loss_gradients(model, pos, neg, cfg)[0]
             v = base.copy()
             v[i] = base[i] - eps * unit
             arr[row] = v
-            lm = loss_gradients(model, triple, positive, cfg)[0]
+            lm = loss_gradients(model, pos, neg, cfg)[0]
             arr[row] = base
             grad[i] += unit * (lp - lm) / (2 * eps)
     return grad
+
+
+def summed_gradient(pos, neg, grads, which):
+    """The analytic gradient w.r.t. one embedding row: the per-row gradients
+    of every triple that uses it, summed, as training applies them."""
+    rows = np.concatenate((pos, neg))
+    dh, dr, dt = grads
+    name, row = which
+    if name == "relation":
+        return dr[rows[:, 1] == row].sum(axis=0)
+    return (dh[rows[:, 0] == row].sum(axis=0)
+            + dt[rows[:, 2] == row].sum(axis=0))
+
+
+def random_rows(rng, k, n_entities, n_relations):
+    return np.stack([rng.integers(n_entities, size=k),
+                     rng.integers(n_relations, size=k),
+                     rng.integers(n_entities, size=k)], axis=1)
 
 
 def rel_err(a, b):
@@ -104,8 +121,9 @@ class TestScore:
         """Training scores through ``score_gradients``, evaluation through
         ``score``; the two must agree bit for bit."""
         m = init_model(family, 6, 3, 5, seed=13, transe_norm=norm)
-        for h, r, t in ((0, 0, 1), (2, 1, 5), (4, 2, 4)):
-            assert score_gradients(m, Triple(h, r, t))[0] == m.score(h, r, t)
+        rows = np.array([(0, 0, 1), (2, 1, 5), (4, 2, 4)])
+        np.testing.assert_array_equal(score_gradients(m, rows)[0],
+                                      [m.score(*row) for row in rows.tolist()])
 
     def test_complex_all_real_equals_distmult(self):
         rng = np.random.default_rng(0)
@@ -121,37 +139,72 @@ class TestGradients:
     @pytest.mark.parametrize("loss", embed.LOSSES)
     @pytest.mark.parametrize("positive", [True, False])
     def test_matches_finite_differences(self, family, loss, positive):
-        cfg = TrainConfig(family=family, dim=6, loss=loss,
-                          l2=0.01 if loss == "logistic" else 0.0)
+        """Batches of 2 positives with 2 negatives each; the rows of the
+        positives (or of the negatives) are checked. A margin of 1 leaves
+        some pairs inactive, 1000 makes every pair active."""
+        margins = (1.0, 1000.0) if loss == "margin" else (1.0,)
         for norm in (1, 2) if family == "transe" else (1,):
-            rng = np.random.default_rng(42)
-            m = init_model(family, 8, 3, 6, seed=9, transe_norm=norm)
-            for _ in range(10):
-                t = Triple(int(rng.integers(8)), int(rng.integers(3)),
-                           int(rng.integers(8)))
-                if t.head == t.tail:
-                    continue
-                _, dh, dr, dt = loss_gradients(m, t, positive, cfg)
-                for analytic, which in ((dh, ("entity", t.head)),
-                                        (dr, ("relation", t.relation)),
-                                        (dt, ("entity", t.tail))):
-                    fd = finite_difference_gradient(m, t, positive, cfg, which)
-                    assert rel_err(analytic, fd) < 1e-4, norm
+            for margin in margins:
+                cfg = TrainConfig(family=family, dim=6, loss=loss,
+                                  margin=margin,
+                                  l2=0.01 if loss == "logistic" else 0.0)
+                rng = np.random.default_rng(42)
+                m = init_model(family, 8, 3, 6, seed=9, transe_norm=norm)
+                for _ in range(10):
+                    pos = random_rows(rng, 2, 8, 3)
+                    neg = random_rows(rng, 4, 8, 3)
+                    _, *grads = loss_gradients(m, pos, neg, cfg)
+                    for h, r, t in (pos if positive else neg).tolist():
+                        for which in (("entity", h), ("relation", r),
+                                      ("entity", t)):
+                            fd = finite_difference_gradient(m, pos, neg, cfg,
+                                                            which)
+                            analytic = summed_gradient(pos, neg, grads, which)
+                            if analytic.any():
+                                assert rel_err(analytic, fd) < 1e-4, (norm,
+                                                                      margin)
+                            else:  # every pair using the row is inactive
+                                assert np.abs(fd).max() < 1e-6
+
+    @pytest.mark.parametrize("family,norm", [("transe", 1), ("transe", 2),
+                                             ("distmult", 1), ("complex", 1),
+                                             ("rotate", 1)])
+    @pytest.mark.parametrize("loss", embed.LOSSES)
+    def test_batch_equals_stacked_batches_of_one(self, family, norm, loss):
+        """A batch's gradient rows are each positive's batch of one (the
+        positive with its own negatives), stacked."""
+        n, b = 3, 6
+        cfg = TrainConfig(family=family, dim=5, loss=loss, negatives=n,
+                          l2=0.01 if loss == "logistic" else 0.0)
+        m = init_model(family, 9, 3, 5, seed=4, transe_norm=norm)
+        rng = np.random.default_rng(5)
+        pos, neg = random_rows(rng, b, 9, 3), random_rows(rng, b * n, 9, 3)
+        loss_all, *grads = loss_gradients(m, pos, neg, cfg)
+        ones = [loss_gradients(m, pos[i:i + 1], neg[i * n:(i + 1) * n], cfg)
+                for i in range(b)]
+        assert loss_all == pytest.approx(sum(o[0] for o in ones), rel=1e-12)
+        for k, batch in enumerate(grads, start=1):
+            stacked = np.concatenate([o[k][:1] for o in ones]
+                                     + [o[k][1:] for o in ones])
+            np.testing.assert_allclose(batch, stacked, rtol=0, atol=1e-12)
 
     def test_transe_zero_coordinate_subgradient(self):
         ent = np.array([[0.5, 0.2], [0.6, 0.9]])
         rel = np.array([[0.1, 0.3]])  # (h + r - t) = (0.0, -0.4)
         m = EmbeddingModel("transe", ent, rel)
-        _, gh, _, _ = score_gradients(m, Triple(0, 0, 1))
-        assert gh[0] == 0.0 and gh[1] != 0.0
+        _, gh, _, _ = score_gradients(m, np.array([[0, 0, 1]]))
+        assert gh[0, 0] == 0.0 and gh[0, 1] != 0.0
 
     def test_distmult_logistic_saturation(self):
         cfg = TrainConfig(family="distmult", dim=2, loss="logistic", l2=0.0)
         big = 50.0
         m = EmbeddingModel("distmult", np.array([[big, big], [1.0, 1.0]]),
                            np.array([[1.0, 1.0]]))
-        _, dh, dr, dt = loss_gradients(m, Triple(0, 0, 1), True, cfg)
-        assert np.max(np.abs(np.concatenate([dh, dr, dt]))) < 1e-6
+        # the negative (1, 0, 1) scores 2, far from saturation; only the
+        # positive's rows are checked
+        _, dh, dr, dt = loss_gradients(m, np.array([[0, 0, 1]]),
+                                       np.array([[1, 0, 1]]), cfg)
+        assert np.max(np.abs(np.concatenate([dh[0], dr[0], dt[0]]))) < 1e-6
 
 
 class TestNegativeSampling:
@@ -161,23 +214,37 @@ class TestNegativeSampling:
         g = KnowledgeGraph(ents, rels,
                            {"train": [Triple(0, 0, 1)], "valid": [], "test": []})
         rng = np.random.default_rng(0)
-        negs = negative_sample(Triple(0, 0, 1), g, rng, 8)
-        assert len(negs) == 8
-        assert not any(g.in_train(n) for n in negs)
+        negs = negative_sample(np.array([[0, 0, 1]]), g, rng, 8)
+        assert negs.shape == (8, 3)
+        assert not g.in_train_rows(negs).any()
+        assert not any(g.in_train(Triple(*n)) for n in negs.tolist())
 
     def test_forced_acceptance_on_one_entity_graph(self):
         """Every corruption collides; each is accepted after 100 attempts."""
         g = KnowledgeGraph(make_vocab(["a"]), make_vocab(["r"]),
                            {"train": [Triple(0, 0, 0)], "valid": [], "test": []})
-        negs = negative_sample(Triple(0, 0, 0), g, np.random.default_rng(0), 5)
-        assert negs == [Triple(0, 0, 0)] * 5
+        negs = negative_sample(np.array([[0, 0, 0]]), g,
+                               np.random.default_rng(0), 5)
+        np.testing.assert_array_equal(negs, [[0, 0, 0]] * 5)
 
     def test_determinism(self):
         g = two_cluster_graph()
-        t = g.splits["train"][0]
-        a = negative_sample(t, g, np.random.default_rng(42), 4)
-        b = negative_sample(t, g, np.random.default_rng(42), 4)
-        assert a == b
+        pos = triple_rows(g.splits["train"][:5])
+        a = negative_sample(pos, g, np.random.default_rng(42), 4)
+        b = negative_sample(pos, g, np.random.default_rng(42), 4)
+        np.testing.assert_array_equal(a, b)
+
+    def test_batch_layout(self):
+        """Row i's corruptions are rows [i*n, (i+1)*n); each keeps the
+        relation and one of the two entities, and none is a train triple."""
+        g = two_cluster_graph()
+        pos = triple_rows(g.splits["train"][:10])
+        negs = negative_sample(pos, g, np.random.default_rng(3), 3)
+        want = np.repeat(pos, 3, axis=0)
+        assert negs.shape == want.shape
+        assert (negs[:, 1] == want[:, 1]).all()
+        assert ((negs[:, 0] == want[:, 0]) | (negs[:, 2] == want[:, 2])).all()
+        assert not g.in_train_rows(negs).any()
 
     def test_replacement_histogram_uniform(self):
         """Chi-square over 10k corruptions on a 100-entity graph."""
@@ -188,8 +255,9 @@ class TestNegativeSampling:
         rng = np.random.default_rng(7)
         counts = np.zeros(100)
         n = 10_000
-        for neg in negative_sample(Triple(0, 0, 1), g, rng, n):
-            replaced = neg.head if neg.tail == 1 and neg.head != 0 else neg.tail
+        for head, _, tail in negative_sample(np.array([[0, 0, 1]]), g, rng,
+                                             n).tolist():
+            replaced = head if tail == 1 and head != 0 else tail
             counts[replaced] += 1
         # the known triple's entities are slightly depressed by resampling;
         # exclude them and test uniformity of the rest
@@ -214,12 +282,44 @@ class TestTrain:
 
     def test_fixed_seed_bit_identical(self):
         g = two_cluster_graph()
-        cfg = TrainConfig(family="distmult", dim=8, epochs=3, loss="logistic",
-                          l2=0.001, seed=21)
-        m1 = train(cfg, g)
-        m2 = train(cfg, g)
-        assert m1.entity.tobytes() == m2.entity.tobytes()
-        assert m1.relation.tobytes() == m2.relation.tobytes()
+        for family in embed.FAMILIES:
+            for loss in embed.LOSSES:
+                cfg = TrainConfig(family=family, dim=8, epochs=3, loss=loss,
+                                  l2=0.001, seed=21, batch_size=50)
+                m1 = train(cfg, g)
+                m2 = train(cfg, g)
+                assert m1.entity.tobytes() == m2.entity.tobytes()
+                assert m1.relation.tobytes() == m2.relation.tobytes()
+
+    @pytest.mark.parametrize("family", embed.FAMILIES)
+    @pytest.mark.parametrize("loss", embed.LOSSES)
+    def test_step_applies_summed_gradient(self, family, loss):
+        """One step moves every row by -lr times its summed gradient rows
+        (summed here with ``np.add.at``) and leaves the other rows alone."""
+        cfg = TrainConfig(family=family, dim=4, loss=loss, lr=0.1, l2=0.01)
+        m = init_model(family, 10, 3, 4, seed=8)
+        rng = np.random.default_rng(6)
+        # few entities, so rows repeat within the batch
+        pos, neg = random_rows(rng, 8, 6, 3), random_rows(rng, 16, 6, 3)
+        rows = np.concatenate((pos, neg))
+        loss_value, dh, dr, dt = loss_gradients(m, pos, neg, cfg)
+        entity, relation = m.entity.copy(), m.relation.copy()
+        np.add.at(entity, rows[:, 0], -cfg.lr * dh)
+        np.add.at(entity, rows[:, 2], -cfg.lr * dt)
+        np.add.at(relation, rows[:, 1], -cfg.lr * dr)
+        untouched = m.entity[6:].copy()
+        assert embed._sgd_step(m, pos, neg, cfg) == (loss_value, True)
+        np.testing.assert_allclose(m.entity, entity, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.relation, relation, rtol=0, atol=1e-12)
+        assert m.entity[6:].tobytes() == untouched.tobytes()
+
+    def test_divergence_names_the_step(self):
+        g = two_cluster_graph()
+        cfg = TrainConfig(family="distmult", dim=8, epochs=1, lr=1e300)
+        with pytest.raises(TrainingError,
+                           match=r"non-finite parameters after step \d+ "
+                                 r"\(epoch 0\)"), np.errstate(all="ignore"):
+            train(cfg, g)
 
     def test_empty_train_split_errors(self):
         ents = make_vocab(["a", "b"])
