@@ -160,7 +160,7 @@ def cmd_filter_images(args, ds) -> int:
     n_retained = 0
     with open(out / "filtered_images.jsonl", "w", encoding="utf-8",
               newline="\n") as fh:
-        for t in g.splits[args.split]:
+        for t in g.triples(args.split):
             fhd, ftl = gen.filtered_images(t)
             n_retained += len(fhd) + len(ftl)
             rec = {"head": g.entities.label_of(t.head),
@@ -195,15 +195,14 @@ def cmd_hints(args, ds) -> int:
     seen = set()
     n_flagged = 0
     with open(out / "hints.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for t in g.splits[args.split]:
-            key = (t.head, t.relation)
-            if key in seen:
+        for head, relation, _ in g.splits[args.split].tolist():
+            if (head, relation) in seen:
                 continue
-            seen.add(key)
-            text, flagged = gen.hint(t.head, t.relation)
+            seen.add((head, relation))
+            text, flagged = gen.hint(head, relation)
             n_flagged += flagged
-            fh.write(json.dumps({"entity": g.entities.label_of(t.head),
-                                 "relation": g.relations.label_of(t.relation),
+            fh.write(json.dumps({"entity": g.entities.label_of(head),
+                                 "relation": g.relations.label_of(relation),
                                  "text": text, "flagged": flagged},
                                 sort_keys=True, ensure_ascii=False) + "\n")
     _summary({"hints": len(seen), "flagged": n_flagged,

@@ -417,13 +417,13 @@ class ContextGenerator:
         """Contexts for ``splits``: one per distinct triple, in split order,
         or for fichad-2 one per entity of those triples, in handle order."""
         if variant == V2:
-            entities = {e for split in splits for t in self.graph.splits[split]
+            entities = {e for split in splits for t in self.graph.triples(split)
                         for e in (t.head, t.tail)}
             return [self.entity_context(e) for e in sorted(entities)]
         out = []
         seen = set()
         for split in splits:
-            for t in self.graph.splits[split]:
+            for t in self.graph.triples(split):
                 if t in seen:
                     continue
                 seen.add(t)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kg import KnowledgeGraph, triple_rows
+from .kg import KnowledgeGraph
 
 FAMILIES = ("transe", "distmult", "complex", "rotate")
 LOSSES = ("margin", "logistic")
@@ -386,14 +386,14 @@ def train(config: TrainConfig, graph: KnowledgeGraph,
     offending step named.
     """
     config.validate()
-    if not graph.splits["train"]:
+    positives = graph.splits["train"]
+    if not len(positives):
         raise TrainingError("train split is empty")
 
     model = init_model(config.family, graph.n_entities, graph.n_relations,
                        config.dim, margin=config.margin, seed=config.seed,
                        transe_norm=config.transe_norm)
     rng = np.random.default_rng(config.seed + 1)
-    positives = triple_rows(graph.splits["train"])
 
     step = 0
     for epoch in range(config.epochs):

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,8 +83,9 @@ class Vocab:
         return self._display.get(handle, self.labels[handle])
 
 
-@dataclass(frozen=True, order=True)
-class Triple:
+class Triple(NamedTuple):
+    """One (head, relation, tail) row of a split, as handles."""
+
     head: int
     relation: int
     tail: int
@@ -108,66 +110,60 @@ def _rows(path, n_fields: int):
             yield fields
 
 
-def load_triples(path, entities: Vocab, relations: Vocab) -> list[Triple]:
-    """Parse a triple TSV into handle-based triples.
+def load_triples(path, entities: Vocab, relations: Vocab) -> np.ndarray:
+    """Parse a triple TSV into an (n, 3) int64 array of handle rows.
 
-    Unseen labels are interned. Triples come back in file order with
-    duplicates preserved.
+    Unseen labels are interned, head before relation before tail. Rows come
+    back in file order with duplicates preserved.
     """
     ent, rel = entities.intern, relations.intern
-    return [Triple(ent(h), rel(r), ent(t)) for h, r, t in _rows(path, 3)]
-
-
-def save_triples(path, triples: list[Triple], entities: Vocab,
-                 relations: Vocab) -> None:
-    """Write triples back to canonical TSV (labels, LF endings)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for tr in triples:
-            fh.write(f"{entities.label_of(tr.head)}\t"
-                     f"{relations.label_of(tr.relation)}\t"
-                     f"{entities.label_of(tr.tail)}\n")
+    return np.fromiter(
+        chain.from_iterable((ent(h), rel(r), ent(t)) for h, r, t in _rows(path, 3)),
+        dtype=np.int64).reshape(-1, 3)
 
 
 class KnowledgeGraph:
     """Triples per split plus the query-time indices derived from them.
 
-    Immutable after construction. ``splits`` keeps each split's triples in
-    file order; every index is built from one (n, 3) int64 array of
-    (head, relation, tail) rows per split. A triple is keyed by the integer
+    ``splits[name]`` is the (n, 3) int64 array of (head, relation, tail)
+    rows in file order that the constructor was given (rows of ints, such as
+    :class:`Triple` lists, are converted). Every index is built from these
+    arrays once; do not modify them. A triple is keyed by the integer
     ``(h·R + r)·E + t`` (R relations, E entities), so sorting keys sorts
     triples by (head, relation, tail):
 
-    - ``in_train_rows`` (and ``in_train``, the same test on one triple): the
-      sorted unique keys of the train split, searched with ``searchsorted``;
+    - ``in_train_rows``: the sorted unique keys of the train split, searched
+      with ``searchsorted``;
     - ``known_tails``/``known_heads``: the sorted unique keys of all splits
       (the filtered-evaluation universe) in (h, r, t) order and again in
       (t, r, h) order; the answers to (h, r) are the key range
       ``[(h·R + r)·E, (h·R + r + 1)·E)``, found by binary search;
     - ``neighbors``: the incident edges of the union sorted by (entity,
       relation, neighbor, out before in), with per-entity offsets;
-    - ``triples_with_relation``: the train triples sorted by (relation,
-      head, tail), with per-relation offsets.
+    - ``triples_with_relation``: the train rows sorted by (relation, head,
+      tail), with per-relation offsets.
 
-    Answers are plain Python ``int``, ``bool``, ``set`` and ``list`` values.
+    Answers other than ``in_train_rows`` are plain Python ``int``, ``set``
+    and ``list`` values.
     A triple whose handles lie outside the vocabularies, or a vocabulary so
     large that ``E²·R`` does not fit in int64, raises :class:`DatasetError`.
     """
 
     def __init__(self, entities: Vocab, relations: Vocab,
-                 splits: dict[str, list[Triple]]):
+                 splits: dict[str, np.ndarray]):
         self.entities = entities
         self.relations = relations
-        self.splits = {name: list(splits.get(name, [])) for name in SPLITS}
 
         n_ent, n_rel = self._n_ent, self._n_rel = len(entities), len(relations)
         if n_ent * n_ent * n_rel > np.iinfo(np.int64).max:
             raise DatasetError(
                 f"{n_ent} entities and {n_rel} relations overflow the int64 "
                 "triple key")
-        rows = {name: _checked_rows(ts, n_ent, n_rel, name)
-                for name, ts in self.splits.items()}
+        self.splits = {name: _checked_rows(splits.get(name, ()), n_ent, n_rel,
+                                           name)
+                       for name in SPLITS}
         train, *others = (self._key(a[:, 0], a[:, 1], a[:, 2])
-                          for a in rows.values())
+                          for a in self.splits.values())
 
         self._train_keys = _sorted_unique(train)
         self._hrt = _sorted_unique(np.concatenate((self._train_keys, *others)))
@@ -186,10 +182,10 @@ class KnowledgeGraph:
         self._edges = edges[order]
         self._edge_offsets = _offsets(entity, n_ent)
 
-        a = rows["train"]
+        a = self.splits["train"]
         order = np.argsort((a[:, 1] * n_ent + a[:, 0]) * n_ent + a[:, 2],
                            kind="stable")
-        self._by_relation = [self.splits["train"][i] for i in order.tolist()]
+        self._by_relation = a[order]
         self._relation_offsets = _offsets(a[:, 1], n_rel).tolist()
 
     def _key(self, first, relation, last):
@@ -206,11 +202,9 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relations)
 
-    def in_train(self, triple: Triple) -> bool:
-        """Whether the train split holds ``triple``."""
-        row = np.array([[triple.head, triple.relation, triple.tail]],
-                       dtype=np.int64)
-        return bool(self.in_train_rows(row)[0])
+    def triples(self, split: str) -> Iterator[Triple]:
+        """The rows of ``split`` in file order, as :class:`Triple`."""
+        return map(Triple._make, self.splits[split].tolist())
 
     def in_train_rows(self, rows: np.ndarray) -> np.ndarray:
         """Whether the train split holds each (head, relation, tail) row of
@@ -260,25 +254,18 @@ class KnowledgeGraph:
         if not 0 <= relation < self._n_rel:
             return []
         offsets = self._relation_offsets
-        return self._by_relation[offsets[relation]:offsets[relation + 1]]
+        rows = self._by_relation[offsets[relation]:offsets[relation + 1]]
+        return list(map(Triple._make, rows.tolist()))
 
 
-def triple_rows(triples: list[Triple]) -> np.ndarray:
-    """(n, 3) int64 array of the (head, relation, tail) rows of ``triples``."""
-    return np.fromiter(
-        chain.from_iterable(map(attrgetter("head", "relation", "tail"), triples)),
-        dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
-
-
-def _checked_rows(triples: list[Triple], n_ent: int, n_rel: int,
-                  split: str) -> np.ndarray:
-    """:func:`triple_rows`, with every handle checked against the vocabularies."""
-    rows = triple_rows(triples)
+def _checked_rows(rows, n_ent: int, n_rel: int, split: str) -> np.ndarray:
+    """``rows`` as an (n, 3) int64 array, each handle checked in range."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
     bad = ((rows < 0) | (rows >= (n_ent, n_rel, n_ent))).any(axis=1)
     if bad.any():
         raise DatasetError(
-            f"{split} triple {triples[int(bad.argmax())]} has a handle "
-            f"outside {n_ent} entities / {n_rel} relations")
+            f"{split} triple {Triple._make(rows[bad.argmax()].tolist())} has a "
+            f"handle outside {n_ent} entities / {n_rel} relations")
     return rows
 
 
@@ -367,24 +354,38 @@ def first_sentence(text: str) -> str:
 
 @dataclass
 class Dataset:
-    """A loaded benchmark: graph, assets, and the id from its config."""
+    """A loaded benchmark: graph, config id, and assets parsed on first use."""
 
     dataset_id: str
     graph: KnowledgeGraph
-    assets: MultimodalAssets
+    image_cap: int
+    images: Path | None = None
+    descriptions: Path | None = None
+
+    @cached_property
+    def assets(self) -> MultimodalAssets:
+        """The image manifest and the descriptions, parsed on first access."""
+        entities = self.graph.entities
+        assets = (load_image_manifest(self.images, entities, self.image_cap)
+                  if self.images else MultimodalAssets(image_cap=self.image_cap))
+        if self.descriptions:
+            load_descriptions(self.descriptions, entities, assets)
+        return assets
 
 
 def load_dataset(config_path) -> Dataset:
     """Load a benchmark from a ``dataset.json`` config.
 
-    The config names the five data files (paths relative to the config), the
+    The config names the data files (paths relative to the config), the
     per-entity image cap, and a dataset id::
 
         {"id": "fb15k-237-img", "train": "train.tsv", "valid": "valid.tsv",
          "test": "test.tsv", "images": "images.tsv",
          "descriptions": "descriptions.tsv", "image_cap": 10}
 
-    ``images`` and ``descriptions`` may be null/absent.
+    ``images``, ``descriptions`` and ``names`` may be null/absent. The image
+    manifest and the descriptions are parsed on the first read of
+    ``Dataset.assets``; here they only have to exist.
     """
     config_path = Path(config_path)
     with open(config_path, encoding="utf-8") as fh:
@@ -403,10 +404,10 @@ def load_dataset(config_path) -> Dataset:
     if type(cap) is not int or cap < 1:
         raise DatasetError(f"{config_path}: image_cap must be an integer "
                            f">= 1, got {cap!r}")
-    assets = (load_image_manifest(base / cfg["images"], entities, cap)
-              if cfg.get("images") else MultimodalAssets(image_cap=cap))
-    if cfg.get("descriptions"):
-        load_descriptions(base / cfg["descriptions"], entities, assets)
+    files = {key: base / cfg[key] for key in ("images", "descriptions")
+             if cfg.get(key)}
+    for path in files.values():
+        path.stat()  # a missing file fails every subcommand, not only some
     if cfg.get("names"):
         # optional entity<TAB>display-name table; an empty name keeps the label
         for label, name in _rows(base / cfg["names"], 2):
@@ -415,4 +416,4 @@ def load_dataset(config_path) -> Dataset:
 
     graph = KnowledgeGraph(entities, relations, splits)
     return Dataset(dataset_id=str(cfg.get("id", config_path.stem)),
-                   graph=graph, assets=assets)
+                   graph=graph, image_cap=cap, **files)

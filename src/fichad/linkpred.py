@@ -99,9 +99,9 @@ def rank(scores: np.ndarray, answer: int, excluded: set[int]) -> float:
 
 def queries_for_split(graph: KnowledgeGraph, split: str) -> list[Query]:
     out = []
-    for tr in graph.splits[split]:
-        out.append(Query(TAIL, tr.head, tr.relation, tr.tail))
-        out.append(Query(HEAD, tr.tail, tr.relation, tr.head))
+    for head, relation, tail in graph.splits[split].tolist():
+        out.append(Query(TAIL, head, relation, tail))
+        out.append(Query(HEAD, tail, relation, head))
     return out
 
 

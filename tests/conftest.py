@@ -51,7 +51,7 @@ def brute_force_candidates(graph: KnowledgeGraph, direction: str, known: int,
     """Filtered candidate set by direct enumeration over all entities."""
     all_known = set()
     for split in ("train", "valid", "test"):
-        all_known.update(graph.splits[split])
+        all_known.update(graph.triples(split))
     out = set()
     for e in range(graph.n_entities):
         if direction == "tail":
@@ -82,7 +82,7 @@ def brute_force_rank(score_fn, graph, direction, known, relation,
 def brute_force_report(score_fn, graph, split="test"):
     """(mrr, hits1, hits3, hits10) by direct enumeration."""
     ranks = []
-    for t in graph.splits[split]:
+    for t in graph.triples(split):
         ranks.append(brute_force_rank(score_fn, graph, "tail", t.head,
                                       t.relation, t.tail))
         ranks.append(brute_force_rank(score_fn, graph, "head", t.tail,

@@ -180,7 +180,7 @@ def test_07_prompt_format_fidelity():
     index = prompt.ContextIndex(ctxs, g)
     templates = {g.relations.label_of(r): cg.relation_template(g, r, bk, seed=7)
                  for r in range(g.n_relations)}
-    t = g.splits["test"][0]
+    t = next(g.triples("test"))
     q = linkpred.Query("tail", t.head, t.relation, t.tail)
     built = prompt.build_kgc_input(q, index, g, k=2, variant=cg.V1,
                                    relation_templates=templates)

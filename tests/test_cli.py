@@ -66,18 +66,60 @@ def test_tau_only_on_filtering_subcommands(capsys, tmp_path, command):
     assert not (tmp_path / "o").exists()
 
 
+def arles_copy(tmp_path, name: str, line: str) -> str:
+    """A copy of the arles fixture with ``line`` appended to file ``name``."""
+    for f in ARLES_CONFIG.parent.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    with open(tmp_path / name, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+    return str(tmp_path / "dataset.json")
+
+
 @pytest.mark.parametrize("line,fields", [("lonely_label", 1),
                                          ("arles\tArles\tcity", 3)])
 def test_malformed_names_line_is_input_error(capsys, tmp_path, line, fields):
     """names.tsv is checked like every other TSV, not skipped or mangled."""
-    for f in ARLES_CONFIG.parent.iterdir():
-        (tmp_path / f.name).write_bytes(f.read_bytes())
-    with open(tmp_path / "names.tsv", "a", encoding="utf-8") as fh:
-        fh.write(line + "\n")
+    arles_copy(tmp_path, "names.tsv", line)
     assert main(["ingest", "--dataset", str(tmp_path / "dataset.json")]) \
         == EXIT_INPUT
     assert (f"names.tsv:9: expected 2 tab-separated fields, got {fields}"
             in capsys.readouterr().err)
+
+
+def test_structural_commands_never_parse_the_image_manifest(capsys, tmp_path):
+    """train-embed, eval and build-prompts use no images or descriptions, so
+    a malformed images.tsv does not stop them."""
+    config = arles_copy(tmp_path, "images.tsv", "lonely_label")
+    out = str(tmp_path / "o")
+    assert main(["train-embed", "--dataset", config, "--out", out,
+                 "--epochs", "1"]) == EXIT_OK
+    assert main(["eval", "--dataset", config, "--model",
+                 f"{out}/model.ckpt"]) == EXIT_OK
+    assert main(["gen-context", "--dataset", ARLES, "--out", out,
+                 "--splits", "test"]) == EXIT_OK
+    assert main(["build-prompts", "--dataset", config, "--store",
+                 f"{out}/contexts.jsonl", "--out", out]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["ingest", "gen-context"])
+def test_image_manifest_readers_report_its_malformed_line(capsys, tmp_path,
+                                                          command):
+    config = arles_copy(tmp_path, "images.tsv", "lonely_label")
+    argv = [command, "--dataset", config]
+    if command != "ingest":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_INPUT
+    assert ("images.tsv:9: expected 2 tab-separated fields, got 1"
+            in capsys.readouterr().err)
+
+
+def test_missing_image_manifest_fails_structural_commands(capsys, tmp_path):
+    config = arles_copy(tmp_path, "names.tsv", "")
+    (tmp_path / "images.tsv").unlink()
+    assert main(["train-embed", "--dataset", config, "--out",
+                 str(tmp_path / "o"), "--epochs", "1"]) == EXIT_INPUT
+    assert "images.tsv" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("cap", ["2.7", "0", '"x"', "true", "null"])
@@ -222,7 +264,7 @@ def test_filter_images_writes_jsonl(capsys, tmp_path):
     ds = load_dataset(ARLES_CONFIG)
     scored = sum(len(ds.assets.images_of(t.head))
                  + len(ds.assets.images_of(t.tail))
-                 for t in ds.graph.splits["train"])
+                 for t in ds.graph.triples("train"))
     assert summary["backend_calls"] + summary["cache_hits"] == scored > 0
     assert summary["wire_retries"] == 0
 
@@ -263,7 +305,7 @@ def test_filter_images_reports_skipped_images(capsys, tmp_path, monkeypatch,
     ds = load_dataset(config)
     scored = sum(len(ds.assets.images_of(t.head))
                  + len(ds.assets.images_of(t.tail))
-                 for t in ds.graph.splits["test"])
+                 for t in ds.graph.triples("test"))
     assert summary["skipped_images"] == scored > 0
     assert summary["retained"] == 0
     assert len(StubHandler.requests_seen) == 3 * scored
@@ -331,7 +373,7 @@ def test_hints_report_flagged(capsys, tmp_path):
                (tmp_path / "h" / "hints.jsonl").read_text().splitlines()]
     ds = load_dataset(config)
     trained = {ds.graph.relations.label_of(t.relation)
-               for t in ds.graph.splits["train"]}
+               for t in ds.graph.triples("train")}
     expected = sum(r["relation"] not in trained for r in records)
     assert summary["flagged"] == sum(r["flagged"] for r in records) \
         == expected > 0
@@ -429,7 +471,7 @@ def test_gen_context_fichad2_honours_splits(capsys, tmp_path):
     assert code == EXIT_OK
     ds = load_dataset(ARLES_CONFIG)
     ent = ds.graph.entities
-    want = sorted({e for t in ds.graph.splits["test"]
+    want = sorted({e for t in ds.graph.triples("test")
                    for e in (t.head, t.tail)})
     got = [json.loads(line)["subject"]["entity"] for line in
            (out / "contexts.jsonl").read_text().splitlines()]

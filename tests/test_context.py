@@ -199,7 +199,7 @@ class TestComposition:
     def test_non_triple_variant_rejected(self, arles, variant):
         gen = ContextGenerator(arles.graph, arles.assets, MockBackend(5))
         with pytest.raises(ValueError, match="triple-level"):
-            gen.triple_context(arles.graph.splits["test"][0], variant)
+            gen.triple_context(next(arles.graph.triples("test")), variant)
 
 
 class TestPipeline:

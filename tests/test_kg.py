@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -11,7 +12,7 @@ import fichad
 from fichad.kg import (SPLITS, DatasetError, KnowledgeGraph, MultimodalAssets,
                        ParseError, Triple, Vocab, first_sentence,
                        load_descriptions, load_image_manifest, load_triples,
-                       save_triples, load_dataset)
+                       load_dataset)
 from conftest import ARLES_CONFIG, make_vocab, random_graph
 
 
@@ -25,10 +26,10 @@ class TestLoadTriples:
     def test_three_line_file(self, tmp_path):
         p = write(tmp_path, "t.tsv", "a\tr\tb\nb\tr\tc\nc\tr\ta\n")
         ents, rels = make_vocab([]), make_vocab([])
-        triples = load_triples(p, ents, rels)
-        assert len(triples) == 3
+        rows = load_triples(p, ents, rels)
+        assert rows.dtype == np.int64
+        assert rows.tolist() == [[0, 0, 1], [1, 0, 2], [2, 0, 0]]
         assert len(ents) == 3 and len(rels) == 1
-        assert triples[0] == Triple(0, 0, 1)
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = write(tmp_path, "t.tsv", "a\tr\tb\na\tr\n")
@@ -50,21 +51,29 @@ class TestLoadTriples:
         assert e1.labels == e2.labels == ["x", "y", "a"]
 
 
+def save_rows(path, rows, entities, relations):
+    """Write handle rows back as label TSV."""
+    path.write_text("".join(
+        f"{entities.label_of(h)}\t{relations.label_of(r)}\t"
+        f"{entities.label_of(t)}\n" for h, r, t in rows.tolist()),
+        encoding="utf-8")
+
+
 def test_round_trip_preserves_triples_and_handles(tmp_path):
     rng = random.Random(7)
     g = random_graph(rng)
     out = tmp_path / "train.tsv"
-    save_triples(out, g.splits["train"], g.entities, g.relations)
+    save_rows(out, g.splits["train"], g.entities, g.relations)
     ents, rels = make_vocab([]), make_vocab([])
     reloaded = load_triples(out, ents, rels)
     relabel = [(g.entities.label_of(t.head), g.relations.label_of(t.relation),
-                g.entities.label_of(t.tail)) for t in g.splits["train"]]
-    reloaded_labels = [(ents.label_of(t.head), rels.label_of(t.relation),
-                        ents.label_of(t.tail)) for t in reloaded]
+                g.entities.label_of(t.tail)) for t in g.triples("train")]
+    reloaded_labels = [(ents.label_of(h), rels.label_of(r), ents.label_of(t))
+                       for h, r, t in reloaded.tolist()]
     assert sorted(relabel) == sorted(reloaded_labels)
     # second save/load reproduces the same handle assignment
     out2 = tmp_path / "again.tsv"
-    save_triples(out2, reloaded, ents, rels)
+    save_rows(out2, reloaded, ents, rels)
     ents2, rels2 = make_vocab([]), make_vocab([])
     load_triples(out2, ents2, rels2)
     assert ents2.labels == ents.labels and rels2.labels == rels.labels
@@ -73,7 +82,7 @@ def test_round_trip_preserves_triples_and_handles(tmp_path):
 def test_indices_consistent_with_triples():
     g = random_graph(random.Random(3))
     for split in ("train", "valid", "test"):
-        for t in g.splits[split]:
+        for t in g.triples(split):
             assert t.tail in g.known_tails(t.head, t.relation)
             assert t.head in g.known_heads(t.tail, t.relation)
 
@@ -139,7 +148,7 @@ def _plain_ints(values):
 
 
 class TestIndexOracle:
-    """Every index answer against a brute-force reading of the split lists.
+    """Every index answer against a brute-force reading of the split rows.
 
     Handles one past either end of the vocabularies are probed too; they
     are in no split and have no answers or neighbors.
@@ -149,16 +158,17 @@ class TestIndexOracle:
     @settings(max_examples=150, deadline=None)
     def test_every_answer_matches_the_split_lists(self, g):
         n_ent, n_rel = g.n_entities, g.n_relations
-        train = set(g.splits["train"])
-        union = train.union(*(g.splits[s] for s in SPLITS))
+        train = set(g.triples("train"))
+        union = train.union(*(g.triples(s) for s in SPLITS))
         ents, rels = range(-1, n_ent + 1), range(-1, n_rel + 1)
+
+        probes = [Triple(h, r, t) for h in ents for r in rels for t in ents]
+        got = g.in_train_rows(np.array(probes, dtype=np.int64))
+        assert got.dtype == bool
+        assert got.tolist() == [tr in train for tr in probes]
 
         for h in ents:
             for r in rels:
-                for t in ents:
-                    tr = Triple(h, r, t)
-                    got = g.in_train(tr)
-                    assert type(got) is bool and got == (tr in train)
                 tails = g.known_tails(h, r)
                 assert type(tails) is set and _plain_ints(tails)
                 assert tails == {x.tail for x in union
@@ -182,7 +192,7 @@ class TestIndexOracle:
         for r in rels:
             got = g.triples_with_relation(r)
             assert type(got) is list
-            assert got == sorted(x for x in g.splits["train"]
+            assert got == sorted(x for x in g.triples("train")
                                  if x.relation == r)
             assert all(type(x) is Triple
                        and _plain_ints((x.head, x.relation, x.tail))

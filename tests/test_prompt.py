@@ -25,7 +25,7 @@ def pipeline():
     index = ContextIndex(ctxs, g)
     templates = {g.relations.label_of(r): cg.relation_template(g, r, bk, seed=7)
                  for r in range(g.n_relations)}
-    t = g.splits["test"][0]
+    t = next(g.triples("test"))
     query = Query("tail", t.head, t.relation, t.tail)
     return ds, index, templates, query
 
@@ -189,7 +189,7 @@ class TestTruncate:
         ctxs = gen.generate_for_splits(cg.V1, splits=("train",))
         ctxs += gen.generate_for_splits(cg.V2)
         index = ContextIndex(ctxs, g)
-        t = g.splits["test"][0]
+        t = next(g.triples("test"))
         q = Query("tail", t.head, t.relation, t.tail)
         text = build_kgc_input(q, index, g, k=3).text
         cut = truncate(text, TokenBudget(limit))

@@ -56,8 +56,8 @@ def run_matrix(capsys, config: Path, work: Path) -> dict[str, str]:
         step(f"gen-context {variant}",
              ["gen-context", *common, "--out", str(out), "--variant", variant],
              out / "contexts.jsonl")
-    step("filter-images", ["filter-images", *common, "--out",
-                           str(work / "fi")], work / "fi" / "filtered_images.jsonl")
+    step("filter-images", ["filter-images", *common, "--out", str(work / "fi")],
+         work / "fi" / "filtered_images.jsonl")
     step("hints", ["hints", *common, "--out", str(work / "h")],
          work / "h" / "hints.jsonl")
     step("templates", ["templates", *common, "--out", str(work / "t")],
