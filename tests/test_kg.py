@@ -79,6 +79,16 @@ def test_round_trip_preserves_triples_and_handles(tmp_path):
     assert ents2.labels == ents.labels and rels2.labels == rels.labels
 
 
+def test_splits_are_the_given_arrays():
+    """The graph indexes the caller's rows and keeps no copy of them."""
+    rows = np.array([[0, 0, 1], [1, 0, 0]], dtype=np.int64)
+    g = KnowledgeGraph(make_vocab(["a", "b"]), make_vocab(["r"]),
+                       {"train": rows})
+    assert np.shares_memory(g.splits["train"], rows)
+    assert g.splits["test"].shape == (0, 3)
+    assert list(g.triples("train")) == [Triple(0, 0, 1), Triple(1, 0, 0)]
+
+
 def test_indices_consistent_with_triples():
     g = random_graph(random.Random(3))
     for split in ("train", "valid", "test"):
