@@ -251,12 +251,11 @@ def sample_relation_triples(graph: KnowledgeGraph, relation: int,
                             n: int = SAMPLE_TRIPLES,
                             seed: int = 0) -> list[Triple]:
     """min(n, available) train triples of the relation, sorted then seed-sampled."""
-    pool = graph.triples_with_relation(relation)
-    if len(pool) <= n:
-        return pool
-    rng = random.Random(f"{seed}:{relation}")
-    picked = rng.sample(range(len(pool)), n)
-    return [pool[i] for i in sorted(picked)]
+    rows = graph.triples_with_relation(relation)
+    if len(rows) > n:
+        rng = random.Random(f"{seed}:{relation}")
+        rows = rows[sorted(rng.sample(range(len(rows)), n))]
+    return list(map(Triple._make, rows.tolist()))
 
 
 def _format_triples(graph: KnowledgeGraph, triples: list[Triple]) -> str:

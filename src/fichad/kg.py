@@ -143,8 +143,9 @@ class KnowledgeGraph:
     - ``triples_with_relation``: the train rows sorted by (relation, head,
       tail), with per-relation offsets.
 
-    Answers other than ``in_train_rows`` are plain Python ``int``, ``set``
-    and ``list`` values.
+    ``in_train_rows`` and ``triples_with_relation`` answer with arrays, the
+    latter a read-only view of the sorted rows; the other answers are plain
+    Python ``int``, ``set`` and ``list`` values.
     A triple whose handles lie outside the vocabularies, or a vocabulary so
     large that ``E²·R`` does not fit in int64, raises :class:`DatasetError`.
     """
@@ -186,6 +187,7 @@ class KnowledgeGraph:
         order = np.argsort((a[:, 1] * n_ent + a[:, 0]) * n_ent + a[:, 2],
                            kind="stable")
         self._by_relation = a[order]
+        self._by_relation.flags.writeable = False
         self._relation_offsets = _offsets(a[:, 1], n_rel).tolist()
 
     def _key(self, first, relation, last):
@@ -249,13 +251,13 @@ class KnowledgeGraph:
         return [(r, n, _DIRECTIONS[d])
                 for r, n, d in self._edges[lo:min(hi, lo + k)].tolist()]
 
-    def triples_with_relation(self, relation: int) -> list[Triple]:
-        """Train triples carrying ``relation``, sorted by handles."""
+    def triples_with_relation(self, relation: int) -> np.ndarray:
+        """The (k, 3) train rows carrying ``relation``, sorted by handles;
+        a read-only view, empty for a relation out of range."""
         if not 0 <= relation < self._n_rel:
-            return []
+            return self._by_relation[:0]
         offsets = self._relation_offsets
-        rows = self._by_relation[offsets[relation]:offsets[relation + 1]]
-        return list(map(Triple._make, rows.tolist()))
+        return self._by_relation[offsets[relation]:offsets[relation + 1]]
 
 
 def _checked_rows(rows, n_ent: int, n_rel: int, split: str) -> np.ndarray:

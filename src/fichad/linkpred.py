@@ -9,7 +9,7 @@ so a constant scorer cannot game Hits@K.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -40,10 +40,6 @@ class DirectionReport:
     hits10: float
     n_queries: int
 
-    def to_dict(self) -> dict:
-        return {"mrr": self.mrr, "hits1": self.hits1, "hits3": self.hits3,
-                "hits10": self.hits10, "n_queries": self.n_queries}
-
 
 @dataclass
 class EvalReport:
@@ -56,9 +52,7 @@ class EvalReport:
     n_queries: int
 
     def to_dict(self) -> dict:
-        return {"mrr": self.mrr, "hits1": self.hits1, "hits3": self.hits3,
-                "hits10": self.hits10, "head": self.head.to_dict(),
-                "tail": self.tail.to_dict(), "n_queries": self.n_queries}
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)

@@ -19,11 +19,13 @@ downstream description-based KGC models can consume it unchanged::
 
     Query: (<head-or-?>, <relation>, <tail-or-?>)
 
-One truncation policy cuts these sections before they are rendered: neighbor
-entries from the last, then the description's word tail, then the headers,
-then the entity, template and relation lines; the Query line is never
-dropped. Tokens are whitespace-separated words, a stated approximation of the
-downstream model's subword count.
+:func:`truncate` is the one budget cut. :func:`build_kgc_input` applies it to
+the :class:`Sections` before they are rendered, so rendered text is never
+parsed back. It drops neighbor entries from the last, then the
+description's word tail, then the headers, then the entity, template and
+relation lines; the Query line is never dropped. Tokens are
+whitespace-separated words, a stated approximation of the downstream
+model's subword count.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class ContextIndex:
         self.graph = graph
         self.by_entity: dict[int, GeneratedContext] = {}
         self.by_triple: dict[tuple[int, int, int, str], GeneratedContext] = {}
-        self.touching: dict[int, list[GeneratedContext]] = {}
+        self.touching: dict[int, GeneratedContext] = {}  # first per entity
         ent, rel = graph.entities, graph.relations
         for ctx in contexts:
             if ctx.subject.get("kind") == "entity":
@@ -98,18 +100,13 @@ class ContextIndex:
                 r = rel.id_of(ctx.subject["relation"])
                 t = ent.id_of(ctx.subject["tail"])
                 self.by_triple.setdefault((h, r, t, ctx.variant), ctx)
-                self.touching.setdefault(h, []).append(ctx)
-                self.touching.setdefault(t, []).append(ctx)
+                self.touching.setdefault(h, ctx)
+                self.touching.setdefault(t, ctx)
 
     def entity_description(self, entity: int) -> str | None:
         """fichad-2 summary when present, else any link-aware text touching it."""
-        ctx = self.by_entity.get(entity)
-        if ctx is not None:
-            return ctx.text
-        touching = self.touching.get(entity)
-        if touching:
-            return touching[0].text
-        return None
+        ctx = self.by_entity.get(entity, self.touching.get(entity))
+        return ctx.text if ctx is not None else None
 
     def triple_text(self, h: int, r: int, t: int, variant: str) -> str | None:
         ctx = self.by_triple.get((h, r, t, variant))
@@ -168,12 +165,12 @@ def build_kgc_input(query: Query, index: ContextIndex, graph: KnowledgeGraph,
     if entries:
         marker = _VARIANT_MARKERS.get(variant, "# FICHAD-1")
         entries[0] = f"{marker}\n{entries[0]}"
-    sections = _Sections(
+    sections = Sections(
         entity=f"{ENTITY_HEADER} {entity_name}", description=description,
         neighbors=entries, relation=f"{RELATION_HEADER} {relation_name}",
         template=f"{TEMPLATE_HEADER}\n{template}",
         query=query_line(query, graph))
-    truncated = budget is not None and _trim(sections, budget.limit)
+    truncated = budget is not None and truncate(sections, budget.limit)
     return KgcInput(query=query, neighbor_lines=neighbor_lines,
                     text=_render(sections), truncated=truncated,
                     skipped_neighbors=skipped)
@@ -182,7 +179,7 @@ def build_kgc_input(query: Query, index: ContextIndex, graph: KnowledgeGraph,
 # -- sections, rendering and truncation ------------------------------------
 
 @dataclass
-class _Sections:
+class Sections:
     """The parts of one KGC input in render order; ``None`` drops a part.
 
     ``entity``, ``relation`` and ``template`` include their headers. The
@@ -198,7 +195,7 @@ class _Sections:
     query: str
 
 
-def _render(s: _Sections) -> str:
+def _render(s: Sections) -> str:
     parts: list[str] = []
     if s.entity is not None:
         parts += [s.entity, ""]
@@ -217,11 +214,13 @@ def _render(s: _Sections) -> str:
 _WHOLE = ("entity", "template", "relation")
 
 
-def _trim(s: _Sections, limit: int) -> bool:
+def truncate(s: Sections, limit: int) -> bool:
     """Cut ``s`` in place to ``limit`` words; True when anything was cut.
 
-    Lines are joined by newlines, so the word count is the sum of the parts'
-    counts: each part is counted once and the cuts are arithmetic.
+    Sections that fit are left unchanged. A limit smaller than the Query
+    line raises :class:`TruncationError`. Lines are joined by newlines, so
+    the word count is the sum of the parts' counts: each part is counted
+    once and the cuts are arithmetic.
     """
     words = whitespace_words
     entries = [words(e) for e in s.neighbors or ()]
@@ -250,69 +249,6 @@ def _trim(s: _Sections, limit: int) -> bool:
             over -= cost
             setattr(s, name, None)
     return True
-
-
-#: section headers in render order; only the "#" ones are whole lines
-_HEADERS = (ENTITY_HEADER, DESC_HEADER, NEIGHBOR_HEADER, RELATION_HEADER,
-            TEMPLATE_HEADER)
-
-
-def _parse(lines: list[str]) -> _Sections:
-    """Sections of rendered text whose last line is the Query line.
-
-    A header opens its section only after the sections before it, so content
-    that looks like an earlier header stays content. Blank lines are dropped.
-    """
-    found: list[list[str] | None] = [None] * len(_HEADERS)
-    current = -1
-    for line in lines[:-1]:
-        level = next((i for i in range(current + 1, len(_HEADERS))
-                      if (line == _HEADERS[i] if _HEADERS[i].startswith("#")
-                          else line.startswith(_HEADERS[i]))), None)
-        if level is not None:
-            current = level
-            found[level] = [line]
-        elif line.strip() and current >= 0:
-            found[current].append(line)
-    entity, desc, nbr, relation, template = found
-
-    body = nbr[1:] if nbr else []
-    marker = body[:1] if body and body[0].startswith("# ") else []
-    entries: list[list[str]] = []
-    for line in body[len(marker):]:
-        if not entries or (line.endswith(":") and "|" in line):
-            entries.append([line])
-        else:
-            entries[-1].append(line)
-    if entries:
-        entries[0][:0] = marker
-    return _Sections(
-        entity=entity[0] if entity else None,
-        description="\n".join(desc[1:]) if desc else None,
-        neighbors=["\n".join(e) for e in entries] if nbr else None,
-        relation=relation[0] if relation else None,
-        template="\n".join(template) if template and len(template) > 1 else None,
-        query=lines[-1])
-
-
-def truncate(text: str, budget: TokenBudget) -> str:
-    """Trim ``text`` to the budget, lowest-priority sections first.
-
-    Structured text (with a ``Query:`` line; the last one is the query) is
-    parsed into its sections and cut by the same policy as
-    :func:`build_kgc_input`; a budget smaller than the Query line is an error.
-    Unstructured text is trimmed word-by-word from the end. Idempotent:
-    output always fits the budget, and fitting text is returned unchanged.
-    """
-    if whitespace_words(text) <= budget.limit:
-        return text
-    lines = text.split("\n")
-    queries = [i for i, ln in enumerate(lines) if ln.startswith(QUERY_HEADER)]
-    if not queries:
-        return " ".join(text.split()[:budget.limit])
-    sections = _parse(lines[:queries[-1] + 1])
-    _trim(sections, budget.limit)
-    return _render(sections)
 
 
 def export_prompts(inputs: list[KgcInput], path) -> None:

@@ -3,6 +3,7 @@ and a stub chat-completions server."""
 
 from __future__ import annotations
 
+import copy
 import json
 import random
 import threading
@@ -14,6 +15,9 @@ import pytest
 
 from fichad.backend import GenerationBackend
 from fichad.kg import KnowledgeGraph, Triple, Vocab
+from fichad.prompt import (ENTITY_HEADER, QUERY_HEADER, RELATION_HEADER,
+                           TEMPLATE_HEADER, Sections, TruncationError, _render,
+                           truncate, whitespace_words)
 
 DATA_DIR = Path(__file__).parent / "data"
 ARLES_CONFIG = DATA_DIR / "arles" / "dataset.json"
@@ -90,6 +94,54 @@ def brute_force_report(score_fn, graph, split="test"):
     mrr = sum(1.0 / r for r in ranks) / len(ranks)
     hits = [sum(1 for r in ranks if r <= k) / len(ranks) for k in (1, 3, 10)]
     return mrr, hits[0], hits[1], hits[2]
+
+
+# -- the budget cut over random sections --
+
+def random_sections(rng: random.Random) -> Sections:
+    """Random KGC input sections; any part but the query may be absent, and
+    texts may be empty, span lines or look like headers."""
+    words = ["alpha", "beta", "Query:", "Entity:", "x|y:", "#", "text"]
+
+    def text(most: int) -> str:
+        return "".join(rng.choice(words) + rng.choice(" \n")
+                       for _ in range(rng.randint(0, most))).rstrip()
+
+    def maybe(part):
+        return part if rng.random() < 0.8 else None
+
+    return Sections(
+        entity=maybe(f"{ENTITY_HEADER} {text(4)}"),
+        description=maybe(text(30)),
+        neighbors=maybe([f"{text(3)}:\n{text(15)}"
+                         for _ in range(rng.randint(0, 5))]),
+        relation=maybe(f"{RELATION_HEADER} {text(3)}"),
+        template=maybe(f"{TEMPLATE_HEADER}\n{text(8)}"),
+        query=f"{QUERY_HEADER} ({text(3)})")
+
+
+def check_cut(sections: Sections, limit: int) -> None:
+    """Assert the budget-cut property of ``truncate`` on one input.
+
+    The cut fits the limit and reports whether it cut; a second cut at the
+    same limit, and a cut at the result's own word count, change nothing. A
+    limit below the Query line raises and leaves the sections alone.
+    """
+    s = copy.deepcopy(sections)
+    over = whitespace_words(_render(sections)) > limit
+    try:
+        cut = truncate(s, limit)
+    except TruncationError:
+        assert over and whitespace_words(sections.query) > limit
+        assert s == sections
+        return
+    n = whitespace_words(_render(s))
+    assert n <= limit
+    assert cut == over
+    for again_at in (limit, n):
+        again = copy.deepcopy(s)
+        assert truncate(again, again_at) is False
+        assert again == s
 
 
 class ScriptedBackend(GenerationBackend):

@@ -20,7 +20,8 @@ from fichad.backend import MockBackend
 from fichad.cli import main
 from fichad.kg import Triple, load_dataset
 from conftest import (ARLES_CONFIG, ScriptedBackend, brute_force_candidates,
-                      brute_force_report, random_graph, two_cluster_graph,
+                      brute_force_report, check_cut, random_graph,
+                      random_sections, two_cluster_graph,
                       write_synthetic_dataset)
 from test_embed import finite_difference_gradient, rel_err, summed_gradient
 from test_linkpred import entity_scorer, make_random_scorer
@@ -170,7 +171,7 @@ def test_06_determinism_and_cache(tmp_path, capsys):
 
 
 def test_07_prompt_format_fidelity():
-    """Golden-file byte equality plus truncation idempotence on 1000 inputs."""
+    """Golden-file byte equality plus the budget-cut property on 1000 inputs."""
     ds = load_dataset(ARLES_CONFIG)
     g = ds.graph
     bk = MockBackend(7)
@@ -191,20 +192,9 @@ def test_07_prompt_format_fidelity():
     ok = built.text == golden
 
     rng = random.Random(7)
-    words = ["w1", "w2", "Query:", "(x,", "r,", "?)", "Entity:", "a|b:",
-             "# Neighbor Contexts:", "text", "# Generated Entity Description:"]
     for _ in range(1000):
-        lines = [" ".join(rng.choice(words)
-                          for _ in range(rng.randint(1, 6)))
-                 for _ in range(rng.randint(1, 25))]
-        text = "\n".join(lines)
-        budget = prompt.TokenBudget(rng.randint(1, 40))
-        try:
-            once = prompt.truncate(text, budget)
-        except prompt.TruncationError:
-            continue
-        ok = ok and prompt.truncate(once, budget) == once
-    report(7, ok, "(golden byte-exact; idempotence x1000)")
+        check_cut(random_sections(rng), rng.randint(1, 40))
+    report(7, ok, "(golden byte-exact; cut property x1000)")
 
 
 FB15K_DIR = os.environ.get("FICHAD_FB15K_DIR")

@@ -122,6 +122,16 @@ class TestConceptualHint:
         sampled = sample_relation_triples(g, 1, n=20, seed=0)
         assert len(sampled) == 7
 
+    def test_sample_draws_from_the_sorted_relation_pool(self):
+        g = hint_graph()
+        pool = sorted(t for t in g.triples("train") if t.relation == 0)
+        for seed in range(20):
+            picked = random.Random(f"{seed}:0").sample(range(len(pool)), 4)
+            got = sample_relation_triples(g, 0, n=4, seed=seed)
+            assert got == [pool[i] for i in sorted(picked)]
+            assert all(type(t) is Triple
+                       and all(type(v) is int for v in t) for t in got)
+
     def test_sampling_deterministic(self):
         g = hint_graph()
         a = sample_relation_triples(g, 0, n=5, seed=3)

@@ -201,12 +201,10 @@ class TestIndexOracle:
 
         for r in rels:
             got = g.triples_with_relation(r)
-            assert type(got) is list
-            assert got == sorted(x for x in g.triples("train")
-                                 if x.relation == r)
-            assert all(type(x) is Triple
-                       and _plain_ints((x.head, x.relation, x.tail))
-                       for x in got)
+            assert got.dtype == np.int64 and got.shape[1:] == (3,)
+            assert not got.flags.writeable
+            assert got.tolist() == sorted(list(x) for x in g.triples("train")
+                                          if x.relation == r)
 
 
 class TestHandleValidation:

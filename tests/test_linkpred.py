@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -143,10 +144,14 @@ class TestMetrics:
             evaluate(lambda q: np.zeros(g.n_entities - 1), g)
 
     def test_report_serialization(self):
-        rep = report_from_ranks([1.0], [2.0])
+        rep = report_from_ranks([1.0, 4.0], [2.0])
         d = rep.to_dict()
         assert set(d) == {"mrr", "hits1", "hits3", "hits10", "head", "tail",
                           "n_queries"}
+        assert d["head"] == {"mrr": 0.625, "hits1": 0.5, "hits3": 0.5,
+                             "hits10": 1.0, "n_queries": 2}
+        assert d["tail"]["n_queries"] == 1 and d["n_queries"] == 3
+        assert json.loads(rep.to_json()) == d
         assert "MRR" in rep.to_table()
 
 

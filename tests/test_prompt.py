@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 from fichad import context as cg
 from fichad.backend import MockBackend
 from fichad.linkpred import Query
-from fichad.prompt import (BuildError, ContextIndex, KgcInput, TokenBudget,
-                           TruncationError, build_kgc_input, export_prompts,
-                           query_line, truncate, whitespace_words)
-from conftest import ARLES_CONFIG
+from fichad.prompt import (DESC_HEADER, BuildError, ContextIndex, KgcInput,
+                           TokenBudget, TruncationError, build_kgc_input,
+                           export_prompts, query_line, whitespace_words)
+from conftest import ARLES_CONFIG, check_cut, random_sections
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +94,20 @@ class TestBuild:
         inp = build_kgc_input(query, index, ds.graph, k=1)
         assert "[A] depict [B]" in inp.text
 
+    def test_description_falls_back_to_first_touching_context(self, pipeline):
+        ds, _, _, query = pipeline
+        g = ds.graph
+        head, tail = (g.entities.label_of(e) for e in (query.known,
+                                                       query.answer))
+        rel = g.relations.label_of(query.relation)
+        ctxs = [cg.GeneratedContext(
+            variant=v, subject={"kind": "triple", "head": head,
+                                "relation": rel, "tail": tail},
+            text=f"{v} text") for v in (cg.V1X, cg.V1)]
+        idx = ContextIndex(ctxs, g)
+        assert idx.touching == {query.known: ctxs[0], query.answer: ctxs[0]}
+        assert idx.entity_description(query.known) == f"{cg.V1X} text"
+
     def test_query_like_description_survives_budget(self, pipeline):
         """Neighbor entries go before a description that starts with Query:."""
         ds, index, templates, query = pipeline
@@ -120,9 +134,13 @@ class TestBuild:
 class TestTruncate:
     def test_under_budget_unchanged(self, pipeline):
         ds, index, templates, query = pipeline
-        text = build_kgc_input(query, index, ds.graph, k=2,
-                               relation_templates=templates).text
-        assert truncate(text, TokenBudget(500)) == text
+        full = build_kgc_input(query, index, ds.graph, k=2,
+                               relation_templates=templates)
+        cut = build_kgc_input(query, index, ds.graph, k=2,
+                              relation_templates=templates,
+                              budget=TokenBudget(500))
+        assert cut.text == full.text
+        assert not cut.truncated
 
     def test_neighbors_dropped_last_first(self, pipeline):
         ds, index, templates, query = pipeline
@@ -130,53 +148,46 @@ class TestTruncate:
                                relation_templates=templates)
         n = whitespace_words(full.text)
         # budget just below full: last neighbor entry must go first
-        cut = truncate(full.text, TokenBudget(n - 2))
+        cut = build_kgc_input(query, index, ds.graph, k=2,
+                              relation_templates=templates,
+                              budget=TokenBudget(n - 2)).text
         assert full.neighbor_lines[-1][1] not in cut
         assert full.neighbor_lines[0][1] in cut
         assert "Query: (View of Arles, depict, ?)" in cut
 
+    def test_description_loses_only_its_word_tail(self, pipeline):
+        ds, index, templates, query = pipeline
+        full = build_kgc_input(query, index, ds.graph, k=0,
+                               relation_templates=templates)
+        n = whitespace_words(full.text)
+        cut = build_kgc_input(query, index, ds.graph, k=0,
+                              relation_templates=templates,
+                              budget=TokenBudget(n - 2)).text
+        words = index.entity_description(query.known).split()
+        assert whitespace_words(cut) == n - 2
+        assert f"{DESC_HEADER}\n{' '.join(words[:-2])}\n" in cut
+
     def test_query_always_survives(self, pipeline):
         ds, index, templates, query = pipeline
-        text = build_kgc_input(query, index, ds.graph, k=2,
-                               relation_templates=templates).text
         qline = "Query: (View of Arles, depict, ?)"
-        cut = truncate(text, TokenBudget(whitespace_words(qline)))
-        assert cut == qline
+        cut = build_kgc_input(query, index, ds.graph, k=2,
+                              relation_templates=templates,
+                              budget=TokenBudget(whitespace_words(qline)))
+        assert cut.text == qline
+        assert cut.truncated
 
     def test_budget_below_query_line_errors(self, pipeline):
         ds, index, templates, query = pipeline
-        text = build_kgc_input(query, index, ds.graph, k=1,
-                               relation_templates=templates).text
         with pytest.raises(TruncationError):
-            truncate(text, TokenBudget(2))
+            build_kgc_input(query, index, ds.graph, k=1,
+                            relation_templates=templates,
+                            budget=TokenBudget(2))
 
-    def test_unstructured_text_word_trim(self):
-        text = "one two three four five"
-        assert truncate(text, TokenBudget(3)) == "one two three"
-        assert truncate(text, TokenBudget(10)) == text
-
-    def test_idempotence_over_random_texts(self):
-        """truncate(truncate(x,b),b) == truncate(x,b) on 1000 random inputs."""
+    def test_cut_property_over_random_sections(self):
+        """Fits, reports the cut, and a re-cut changes nothing, x1000."""
         rng = random.Random(0)
-        words = ["alpha", "beta", "gamma", "Query:", "(a,", "r,", "?)",
-                 "Entity:", "# Neighbor Contexts:", "x|y:", "text"]
         for _ in range(1000):
-            n = rng.randint(1, 60)
-            lines = []
-            while n > 0:
-                ln = " ".join(rng.choice(words) for _ in range(rng.randint(1, 6)))
-                lines.append(ln)
-                n -= 1
-            text = "\n".join(lines)
-            budget = TokenBudget(rng.randint(1, 40))
-            try:
-                once = truncate(text, budget)
-            except TruncationError:
-                with pytest.raises(TruncationError):
-                    truncate(text, budget)
-                continue
-            assert whitespace_words(once) <= budget.limit
-            assert truncate(once, budget) == once
+            check_cut(random_sections(rng), rng.randint(1, 60))
 
     @given(limit=st.integers(8, 200))
     @settings(max_examples=40, deadline=None)
@@ -192,10 +203,8 @@ class TestTruncate:
         t = next(g.triples("test"))
         q = Query("tail", t.head, t.relation, t.tail)
         text = build_kgc_input(q, index, g, k=3).text
-        cut = truncate(text, TokenBudget(limit))
+        cut = build_kgc_input(q, index, g, k=3, budget=TokenBudget(limit)).text
         assert whitespace_words(cut) <= limit
-        built = build_kgc_input(q, index, g, k=3, budget=TokenBudget(limit))
-        assert built.text == cut
         # surviving lines keep their original relative order
         orig_lines = [ln for ln in text.split("\n") if ln.strip()]
         cut_lines = [ln for ln in cut.split("\n")
