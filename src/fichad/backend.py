@@ -10,7 +10,17 @@ The wire client retries 429/5xx replies and connection errors with urllib3's
 ``Retry``, at most :data:`MAX_ATTEMPTS` (3) attempts: ``Retry-After`` is
 honoured (``Retry-After: 0`` retries at once), otherwise the first retry is
 immediate and the n-th waits ``backoff * 2**(n-1)`` s plus jitter. Each
-request opens one connection of its own.
+request opens one connection of its own; a keep-alive session per worker
+thread measured slower against a local stub.
+
+Relevance requests come in batches, one per triple (see
+:meth:`GenerationBackend.relevance_many`). The wire client sends a batch
+:data:`WIRE_WORKERS` (8) requests at a time, so a VLM server that batches
+concurrent requests can use that throughput; every other backend, and every
+generation request, stays serial. The cache front records results on the
+calling thread in request order, so identical reruns still write
+byte-identical caches, and a killed run repeats at most the unfinished part
+of one triple's relevance batch (at most 2 x ``image_cap`` requests).
 """
 
 from __future__ import annotations
@@ -21,6 +31,7 @@ import json
 import math
 import os
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +49,8 @@ MAX_ATTEMPTS = 3
 RETRY_STATUSES = (429, 500, 502, 503, 504)
 #: upper bound of the uniform jitter added to each backoff wait
 BACKOFF_JITTER_S = 0.5
+#: relevance requests of one batch in flight at once on the wire
+WIRE_WORKERS = 8
 
 
 class BackendError(Exception):
@@ -104,6 +117,20 @@ class GenerationBackend:
     def relevance(self, request: GenerationRequest) -> float:
         raise NotImplementedError
 
+    def relevance_many(self, requests: list[GenerationRequest]):
+        """Yield one outcome per request, in request order: the probability,
+        or the :class:`BackendError` that request raised.
+
+        Any other exception, such as a :class:`RequestError`, raises at its
+        request's position. This default scores request i only when outcome
+        i is asked for, one request at a time.
+        """
+        for request in requests:
+            try:
+                yield self.relevance(request)
+            except BackendError as exc:
+                yield exc
+
 
 _MOCK_ADJECTIVES = ("vivid", "quiet", "historic", "colorful", "detailed",
                     "ordinary", "striking", "weathered")
@@ -164,6 +191,7 @@ class HttpBackend(GenerationBackend):
         self.model_id = model
         self.api_key = os.environ.get(API_KEY_ENV, "")
         self.retry = _retry_policy(backoff)
+        self._pool = None  # relevance batches' worker threads, made on first use
 
     def _image_part(self, ref: str) -> dict:
         try:
@@ -190,7 +218,8 @@ class HttpBackend(GenerationBackend):
             payload["top_logprobs"] = TOP_LOGPROBS
         return payload
 
-    def _post(self, payload: dict) -> dict:
+    def _post(self, payload: dict) -> tuple[dict | BackendError, int]:
+        """(reply JSON, or the BackendError met, and the retries it took)."""
         import requests
 
         headers = {"Content-Type": "application/json"}
@@ -204,38 +233,92 @@ class HttpBackend(GenerationBackend):
                 resp = session.post(url, json=payload, headers=headers,
                                     timeout=TIMEOUT_S)
             except requests.RequestException as exc:
-                raise BackendError(f"backend unavailable: {exc}") from exc
-            self.wire_retries += len(resp.raw.retries.history)
+                error = BackendError(f"backend unavailable: {exc}")
+                error.__cause__ = exc
+                return error, 0
+            retries = len(resp.raw.retries.history)
             if resp.status_code == 200:
-                return resp.json()
-        raise BackendError(
+                return resp.json(), retries
+        return BackendError(
             f"backend returned {resp.status_code}: {resp.text[:200]}",
-            status=resp.status_code)
+            status=resp.status_code), retries
+
+    def _exchange(self, request: GenerationRequest, parse):
+        """Send one request and parse its reply, on any thread.
+
+        Returns (``parse(reply)`` or the :class:`BackendError` met, retries);
+        a :class:`RequestError` raises. It changes no counter, so worker
+        threads share no state: the caller counts through :meth:`_settle`.
+        """
+        request.validate()
+        reply, retries = self._post(self._payload(request))
+        if not isinstance(reply, BackendError):
+            try:
+                reply = parse(reply)
+            except BackendError as exc:
+                reply = exc
+        return reply, retries
+
+    def _settle(self, outcome, retries: int):
+        """Count one finished exchange; runs on the calling thread only."""
+        self.call_count += 1
+        self.wire_retries += retries
+        return outcome
 
     def generate(self, request: GenerationRequest) -> str:
-        request.validate()
-        self.call_count += 1
-        data = self._post(self._payload(request))
-        try:
-            text = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed completion response: {exc}") from exc
-        text = (text or "").strip()
-        if not text:
-            raise BackendError("backend returned empty text")
-        return text
+        return _value(self._settle(*self._exchange(request, _completion_text)))
 
     def relevance(self, request: GenerationRequest) -> float:
-        request.validate()
-        self.call_count += 1
-        data = self._post(self._payload(request))
+        return _value(self._settle(*self._exchange(request, _relevance_of)))
+
+    def relevance_many(self, requests: list[GenerationRequest]):
+        """As the base method, with :data:`WIRE_WORKERS` requests in flight.
+
+        Outcomes are yielded in request order; requests not yet started
+        when the caller stops reading are cancelled.
+        """
+        if self._pool is None:
+            # imported here, so mock runs never pay for it and its logging
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(max_workers=WIRE_WORKERS,
+                                            thread_name_prefix="fichad-wire")
+        futures = [self._pool.submit(self._exchange, r, _relevance_of)
+                   for r in requests]
         try:
-            logprobs = data["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
-        except (KeyError, IndexError, TypeError):
-            raise CapabilityError(
-                "endpoint did not return top logprobs; relevance scoring "
-                "requires logprob support") from None
-        return yes_probability(logprobs)
+            for future in futures:
+                yield self._settle(*future.result())
+        finally:
+            for future in futures:
+                future.cancel()
+
+
+def _value(outcome):
+    """The outcome itself, or raise it when it is a :class:`BackendError`."""
+    if isinstance(outcome, BackendError):
+        raise outcome
+    return outcome
+
+
+def _completion_text(data: dict) -> str:
+    try:
+        text = data["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise BackendError(f"malformed completion response: {exc}") from exc
+    text = (text or "").strip()
+    if not text:
+        raise BackendError("backend returned empty text")
+    return text
+
+
+def _relevance_of(data: dict) -> float:
+    try:
+        logprobs = data["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
+    except (KeyError, IndexError, TypeError):
+        raise CapabilityError(
+            "endpoint did not return top logprobs; relevance scoring "
+            "requires logprob support") from None
+    return yes_probability(logprobs)
 
 
 def _retry_policy(backoff: float):
@@ -351,14 +434,38 @@ class CachedBackend(GenerationBackend):
         return text
 
     def relevance(self, request: GenerationRequest) -> float:
-        key = self._key(request)
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return float(cached)
-        prob = self.inner.relevance(request)
-        self.cache.put(key, RELEVANCE, prob)
-        return prob
+        [outcome] = self.relevance_many([request])
+        return _value(outcome)
+
+    def relevance_many(self, requests: list[GenerationRequest]):
+        """Hits come from the cache; the misses go to the wrapped backend as
+        one batch, and each result is put before it is yielded, so records
+        land in request order whatever order the batch finishes in.
+
+        A request repeated within the batch is sent once; its later copies
+        read the first one's outcome, and count as hits when it succeeded.
+        """
+        keys = [self._key(r) for r in requests]
+        hits = [self.cache.get(k) for k in keys]
+        sent: dict[str, object] = {}  # key -> outcome of the request sent
+        misses = []
+        for request, key, hit in zip(requests, keys, hits):
+            if hit is None and key not in sent:
+                sent[key] = None
+                misses.append(request)
+        with closing(self.inner.relevance_many(misses)) as fresh:
+            for key, hit in zip(keys, hits):
+                if hit is not None:
+                    self.cache_hits += 1
+                    yield float(hit)
+                elif sent[key] is None:
+                    outcome = sent[key] = next(fresh)
+                    if not isinstance(outcome, BackendError):
+                        self.cache.put(key, RELEVANCE, outcome)
+                    yield outcome
+                else:
+                    self.cache_hits += not isinstance(sent[key], BackendError)
+                    yield sent[key]
 
     def counts(self) -> dict[str, int]:
         """Calls that reached the backend, cache hits, wire retries and

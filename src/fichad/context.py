@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 import string
+from contextlib import closing
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -174,37 +175,39 @@ def filter_images(head_name: str, tail_name: str, images_head: list[str],
 
     Each image is scored by the backend's yes-probability; images scoring
     >= ``tau`` are kept, and each side is truncated to the :data:`MAX_GROUP`
-    highest scorers (manifest order breaks ties). A backend failure on an
-    individual image scores it 0 and increments the skipped counter; a
+    highest scorers (manifest order breaks ties). Both sides' requests go to
+    the backend as one batch. A backend failure on an individual image
+    scores it 0 and increments the skipped counter; a
     :class:`CapabilityError` (an endpoint that cannot score relevance at all)
-    propagates instead.
+    raises at its image's position, and the rest of the batch is dropped.
 
     Returns (filtered_head, filtered_tail, skipped_count).
     """
     prompt = instantiate(templates["relevance"], head=head_name, tail=tail_name)
+    requests = [GenerationRequest(prompt=prompt, images=(ref,), kind=RELEVANCE,
+                                  max_tokens=1, subjects=(head_name, tail_name))
+                for ref in (*images_head, *images_tail)]
+    scores = []
     skipped = 0
-
-    def score_side(refs: list[str]) -> list[ScoredImage]:
-        nonlocal skipped
-        scored = []
-        for ref in refs:
-            req = GenerationRequest(prompt=prompt, images=(ref,), kind=RELEVANCE,
-                                    max_tokens=1,
-                                    subjects=(head_name, tail_name))
-            try:
-                p = backend.relevance(req)
-            except CapabilityError:
-                raise
-            except BackendError:
+    with closing(backend.relevance_many(requests)) as outcomes:
+        for p in outcomes:
+            if isinstance(p, CapabilityError):
+                raise p
+            if isinstance(p, BackendError):
                 p = 0.0
                 skipped += 1
-            scored.append(ScoredImage(ref, p))
-        kept = [si for si in scored if si.score >= tau]
+            scores.append(p)
+
+    def keep(refs: list[str], side_scores: list[float]) -> list[ScoredImage]:
+        kept = [ScoredImage(ref, p) for ref, p in zip(refs, side_scores)
+                if p >= tau]
         # stable sort: descending score, manifest order breaks ties
         kept.sort(key=lambda si: -si.score)
         return kept[:MAX_GROUP]
 
-    return score_side(images_head), score_side(images_tail), skipped
+    n_head = len(images_head)
+    return (keep(images_head, scores[:n_head]),
+            keep(images_tail, scores[n_head:]), skipped)
 
 
 def lamm_context(head_name: str, tail_name: str,

@@ -3,11 +3,14 @@ and a stub chat-completions server."""
 
 from __future__ import annotations
 
+import base64
 import copy
+import hashlib
 import json
+import math
 import random
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -265,3 +268,101 @@ def stub_server():
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
+
+
+class WireStub(ThreadingHTTPServer):
+    """Threaded chat-completions stub, one thread per connection.
+
+    Replies are a pure function of the request body: a relevance request
+    gets a yes/no top-logprobs pair whose yes-probability follows the body's
+    hash, a generation request one sentence picked by it. The first
+    ``fail_first`` requests are answered 503 with ``Retry-After: 0``. With a
+    ``barrier`` set, every other request waits on it and is answered 500
+    when it breaks. A relevance request with an image whose bytes are in
+    ``no_logprobs`` gets a reply without logprobs.
+    """
+
+    daemon_threads = True
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _WireStubHandler)
+        self.lock = threading.Lock()
+        self.requests = 0
+        self.fail_first = 0
+        self.barrier: threading.Barrier | None = None
+        self.no_logprobs: frozenset[bytes] = frozenset()
+
+    @property
+    def endpoint(self) -> str:
+        return f"http://127.0.0.1:{self.server_port}"
+
+    def reply(self, raw: bytes) -> dict:
+        body = json.loads(raw)
+        digest = hashlib.sha256(raw).digest()
+        if not body.get("logprobs"):
+            return {"choices": [{"message": {
+                "content": f"A scene numbered {digest.hex()[:8]}."}}]}
+        images = {base64.b64decode(part["image_url"]["url"].split(",", 1)[1])
+                  for part in body["messages"][0]["content"]
+                  if part["type"] == "image_url"}
+        if images & self.no_logprobs:
+            return {"choices": [{"message": {"content": "Yes"}}]}
+        p_yes = (digest[0] + 1) / 257
+        return {"choices": [{"message": {"content": "Yes"}, "logprobs": {
+            "content": [{"top_logprobs": [
+                {"token": "Yes", "logprob": math.log(p_yes)},
+                {"token": "No", "logprob": math.log(1 - p_yes)}]}]}}]}
+
+
+class _WireStubHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        stub: WireStub = self.server
+        with stub.lock:
+            stub.requests += 1
+            fail = stub.fail_first > 0
+            stub.fail_first -= fail
+        if fail:
+            return self._send(503, {}, {"Retry-After": "0"})
+        if stub.barrier is not None:
+            try:
+                stub.barrier.wait()
+            except threading.BrokenBarrierError:
+                return self._send(500, {"error": "requests did not overlap"})
+        self._send(200, stub.reply(raw))
+
+    def _send(self, status: int, payload: dict, headers=None) -> None:
+        data = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def wire_stub():
+    server = WireStub()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    if server.barrier is not None:
+        server.barrier.abort()  # release handlers still waiting
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def write_image_files(config: Path) -> None:
+    """Create every image the dataset's manifest names, each file holding
+    its own reference as bytes, so no two images are alike."""
+    for line in (config.parent / "images.tsv").read_text().splitlines():
+        ref = line.split("\t")[1]
+        (config.parent / ref).parent.mkdir(parents=True, exist_ok=True)
+        (config.parent / ref).write_bytes(ref.encode())

@@ -1,3 +1,5 @@
+import json
+import sys
 import time
 
 import pytest
@@ -248,3 +250,39 @@ class TestHttpBackend:
             inner.generate(GenerationRequest(prompt="p",
                                              images=("/nope/missing.jpg",)))
 
+
+
+class TestWireBatch:
+    def test_concurrent_batch_counts_exactly_and_caches_in_order(
+            self, wire_stub, tmp_path):
+        """Worker threads change no counter: every call and retry of a
+        concurrent batch is counted once, and records keep request order."""
+        wire_stub.fail_first = 2
+        inner = HttpBackend(wire_stub.endpoint, "m", backoff=0.01)
+        bk = CachedBackend(inner, ResponseCache(tmp_path / "c.jsonl"))
+        requests = [GenerationRequest(prompt=f"is {i} relevant?",
+                                      kind=RELEVANCE) for i in range(24)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = list(bk.relevance_many(requests))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(isinstance(p, float) for p in outcomes)
+        counts = bk.counts()
+        assert (counts["backend_calls"], counts["wire_retries"],
+                counts["cache_hits"]) == (24, 2, 0)
+        assert wire_stub.requests == 26
+        lines = (tmp_path / "c.jsonl").read_text().splitlines()
+        assert [json.loads(line)["k"] for line in lines] == [
+            bk._key(r) for r in requests]
+
+    def test_repeated_request_in_a_batch_is_sent_once(self, wire_stub,
+                                                      tmp_path):
+        inner = HttpBackend(wire_stub.endpoint, "m", backoff=0.01)
+        bk = CachedBackend(inner, ResponseCache(tmp_path / "c.jsonl"))
+        a, b = (GenerationRequest(prompt=p, kind=RELEVANCE) for p in "ab")
+        outcomes = list(bk.relevance_many([a, b, a]))
+        assert outcomes[0] == outcomes[2]
+        assert (bk.counts()["backend_calls"], bk.cache_hits) == (2, 1)
+        assert len(bk.cache) == wire_stub.requests == 2

@@ -11,7 +11,8 @@ import fichad
 from fichad.cli import (build_parser, main, EXIT_OK, EXIT_INPUT,
                         EXIT_BACKEND, EXIT_USAGE)
 from fichad.kg import SPLITS, load_dataset
-from conftest import ARLES_CONFIG, StubHandler, write_synthetic_dataset
+from conftest import (ARLES_CONFIG, StubHandler, write_image_files,
+                      write_synthetic_dataset)
 
 ARLES = str(ARLES_CONFIG)
 
@@ -150,7 +151,8 @@ def test_ingest_summary(capsys):
 
 
 def test_mock_runs_never_import_requests(tmp_path):
-    """The wire client's dependency is loaded only for ``--backend http``."""
+    """The wire client's dependency and its worker pool's module are
+    loaded only for ``--backend http``."""
     src = str(Path(fichad.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
@@ -159,11 +161,12 @@ def test_mock_runs_never_import_requests(tmp_path):
               f"assert main(['ingest', '--dataset', {ARLES!r}]) == 0\n"
               f"assert main(['gen-context', '--dataset', {ARLES!r}, "
               f"'--out', {str(tmp_path)!r}, '--splits', 'test']) == 0\n"
-              "print('requests' in sys.modules)\n")
+              "print('requests' in sys.modules,\n"
+              "      'concurrent.futures' in sys.modules)\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    assert proc.stdout.splitlines()[-1] == "False False"
 
 
 def test_gen_context_http_without_endpoint_is_input_error(capsys, tmp_path):
@@ -309,6 +312,102 @@ def test_filter_images_reports_skipped_images(capsys, tmp_path, monkeypatch,
     assert summary["skipped_images"] == scored > 0
     assert summary["retained"] == 0
     assert len(StubHandler.requests_seen) == 3 * scored
+
+
+def _http_dataset(tmp_path, monkeypatch) -> Path:
+    """Eight entities with two distinct image files each; two test triples
+    over four distinct entities, and a train self-loop."""
+    config = write_synthetic_dataset(tmp_path / "ds", n_entities=8,
+                                     n_relations=2, n_train=6, n_valid=1,
+                                     n_test=2)
+    write_image_files(config)
+    monkeypatch.chdir(config.parent)  # image refs are relative paths
+    return config
+
+
+def _http(stub, out):
+    return ["--out", str(out), "--backend", "http", "--endpoint",
+            stub.endpoint, "--model-id", "m"]
+
+
+def test_filter_images_sends_a_triples_requests_concurrently(
+        capsys, tmp_path, monkeypatch, wire_stub):
+    """The stub answers a request only once four are in flight together; a
+    serial client breaks its barrier and every image is skipped."""
+    import threading
+    config = _http_dataset(tmp_path, monkeypatch)
+    wire_stub.barrier = threading.Barrier(4, timeout=5)
+    code, summary = run(capsys, "filter-images", "--dataset", str(config),
+                        *_http(wire_stub, tmp_path / "f"))
+    assert code == EXIT_OK
+    assert summary["skipped_images"] == 0
+    assert summary["backend_calls"] == wire_stub.requests == 2 * 4
+
+
+def test_gen_context_over_http_is_byte_identical_for_any_worker_count(
+        capsys, tmp_path, monkeypatch, wire_stub):
+    """Contexts and cache match a serial run for one worker and for the
+    default pool; a warm rerun makes no backend call and changes nothing."""
+    import fichad.backend as be
+    config = _http_dataset(tmp_path, monkeypatch)
+
+    def outputs(out, *patches):
+        with monkeypatch.context() as m:
+            for owner, name, value in patches:
+                m.setattr(owner, name, value)
+            code, summary = run(capsys, "gen-context", "--dataset",
+                                str(config), "--variant", "fichad-1",
+                                *_http(wire_stub, out))
+        assert code == EXIT_OK
+        return ([(out / name).read_bytes()
+                 for name in ("contexts.jsonl", "cache.jsonl")], summary)
+
+    serial, cold = outputs(tmp_path / "serial", (
+        be.HttpBackend, "relevance_many", be.GenerationBackend.relevance_many))
+    assert cold["backend_calls"] > 0 and cold["skipped_images"] == 0
+    assert cold["cache_hits"] > 0  # the train self-loop repeats its images
+    for out, patches in ((tmp_path / "one", [(be, "WIRE_WORKERS", 1)]),
+                         (tmp_path / "pool", [])):
+        got, summary = outputs(out, *patches)
+        assert got == serial
+        assert summary["backend_calls"] == cold["backend_calls"]
+        assert summary["cache_hits"] == cold["cache_hits"]
+        rerun, warm = outputs(out)
+        assert rerun == serial
+        assert warm["backend_calls"] == 0
+
+
+def test_capability_error_mid_batch_keeps_earlier_results(
+        capsys, tmp_path, monkeypatch, wire_stub):
+    """A reply without logprobs at the third image of a four-image batch
+    exits 2; the two results before it are cached, nothing after it."""
+    config = _http_dataset(tmp_path, monkeypatch)
+    ds = load_dataset(config)
+    first = next(ds.graph.triples("test"))
+    images = ds.assets.images_of(first.head) + ds.assets.images_of(first.tail)
+    assert len(images) == 4
+    wire_stub.no_logprobs = frozenset({images[2].encode()})
+    code = main(["filter-images", "--dataset", str(config),
+                 *_http(wire_stub, tmp_path / "f")])
+    assert code == EXIT_BACKEND
+    assert "logprobs" in capsys.readouterr().err
+    records = (tmp_path / "f" / "cache.jsonl").read_text().splitlines()
+    assert [json.loads(r)["kind"] for r in records] == ["relevance"] * 2
+
+
+def test_unreadable_image_in_a_batch_is_input_error(
+        capsys, tmp_path, monkeypatch, wire_stub):
+    config = _http_dataset(tmp_path, monkeypatch)
+    ds = load_dataset(config)
+    first = next(ds.graph.triples("test"))
+    missing = ds.assets.images_of(first.tail)[0]
+    (config.parent / missing).unlink()
+    code = main(["filter-images", "--dataset", str(config),
+                 *_http(wire_stub, tmp_path / "f")])
+    assert code == EXIT_INPUT
+    assert missing in capsys.readouterr().err
+    records = (tmp_path / "f" / "cache.jsonl").read_text().splitlines()
+    assert len(records) == 2
 
 
 def test_templates_wire_failure_is_backend_error(capsys, tmp_path,
