@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import fichad
+import fichad.backend as be
 from fichad.cli import (build_parser, main, EXIT_OK, EXIT_INPUT,
                         EXIT_BACKEND, EXIT_USAGE)
 from fichad.kg import SPLITS, load_dataset
@@ -334,7 +336,6 @@ def test_filter_images_sends_a_triples_requests_concurrently(
         capsys, tmp_path, monkeypatch, wire_stub):
     """The stub answers a request only once four are in flight together; a
     serial client breaks its barrier and every image is skipped."""
-    import threading
     config = _http_dataset(tmp_path, monkeypatch)
     wire_stub.barrier = threading.Barrier(4, timeout=5)
     code, summary = run(capsys, "filter-images", "--dataset", str(config),
@@ -348,7 +349,6 @@ def test_gen_context_over_http_is_byte_identical_for_any_worker_count(
         capsys, tmp_path, monkeypatch, wire_stub):
     """Contexts and cache match a serial run for one worker and for the
     default pool; a warm rerun makes no backend call and changes nothing."""
-    import fichad.backend as be
     config = _http_dataset(tmp_path, monkeypatch)
 
     def outputs(out, *patches):
