@@ -13,14 +13,16 @@ immediate and the n-th waits ``backoff * 2**(n-1)`` s plus jitter. Each
 request opens one connection of its own; a keep-alive session per worker
 thread measured slower against a local stub.
 
-Relevance requests come in batches, one per triple (see
-:meth:`GenerationBackend.relevance_many`). The wire client sends a batch
+Requests of both kinds go through one batch method,
+:meth:`GenerationBackend.answer_many`. A triple's relevance requests form one
+batch, and so do a fichad-1 triple's two entity descriptions; every other
+generation request is a batch of one. The wire client sends a batch
 :data:`WIRE_WORKERS` (8) requests at a time, so a VLM server that batches
-concurrent requests can use that throughput; every other backend, and every
-generation request, stays serial. The cache front records results on the
-calling thread in request order, so identical reruns still write
-byte-identical caches, and a killed run repeats at most the unfinished part
-of one triple's relevance batch (at most 2 x ``image_cap`` requests).
+concurrent requests can use that throughput; the mock and every other backend
+stay serial. The cache front records results on the calling thread in request
+order, so identical reruns still write byte-identical caches, and a killed
+run repeats at most the unfinished part of one batch: at most 2 x
+``image_cap`` relevance requests, or two descriptions.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ MAX_ATTEMPTS = 3
 RETRY_STATUSES = (429, 500, 502, 503, 504)
 #: upper bound of the uniform jitter added to each backoff wait
 BACKOFF_JITTER_S = 0.5
-#: relevance requests of one batch in flight at once on the wire
+#: requests of one batch in flight at once on the wire
 WIRE_WORKERS = 8
 
 
@@ -101,7 +103,8 @@ class GenerationRequest:
 
 
 class GenerationBackend:
-    """Contract: ``generate`` returns text, ``relevance`` a probability in [0,1]."""
+    """Contract: ``generate`` returns text, ``relevance`` a probability in
+    [0,1], and ``answer_many`` either of them for each request of a batch."""
 
     backend_id = "abstract"
     model_id = "none"
@@ -117,17 +120,19 @@ class GenerationBackend:
     def relevance(self, request: GenerationRequest) -> float:
         raise NotImplementedError
 
-    def relevance_many(self, requests: list[GenerationRequest]):
-        """Yield one outcome per request, in request order: the probability,
-        or the :class:`BackendError` that request raised.
+    def answer_many(self, requests: list[GenerationRequest]):
+        """Yield one outcome per request, in request order: the text of a
+        free-text request, the probability of a relevance request, or the
+        :class:`BackendError` that request raised.
 
         Any other exception, such as a :class:`RequestError`, raises at its
-        request's position. This default scores request i only when outcome
+        request's position. This default answers request i only when outcome
         i is asked for, one request at a time.
         """
         for request in requests:
+            answer = self.relevance if request.kind == RELEVANCE else self.generate
             try:
-                yield self.relevance(request)
+                yield answer(request)
             except BackendError as exc:
                 yield exc
 
@@ -191,7 +196,7 @@ class HttpBackend(GenerationBackend):
         self.model_id = model
         self.api_key = os.environ.get(API_KEY_ENV, "")
         self.retry = _retry_policy(backoff)
-        self._pool = None  # relevance batches' worker threads, made on first use
+        self._pool = None  # batches' worker threads, made on first use
 
     def _image_part(self, ref: str) -> dict:
         try:
@@ -243,16 +248,18 @@ class HttpBackend(GenerationBackend):
             f"backend returned {resp.status_code}: {resp.text[:200]}",
             status=resp.status_code), retries
 
-    def _exchange(self, request: GenerationRequest, parse):
-        """Send one request and parse its reply, on any thread.
+    def _exchange(self, request: GenerationRequest):
+        """Send one request and parse its reply by its kind, on any thread.
 
-        Returns (``parse(reply)`` or the :class:`BackendError` met, retries);
-        a :class:`RequestError` raises. It changes no counter, so worker
-        threads share no state: the caller counts through :meth:`_settle`.
+        Returns (the text or probability, or the :class:`BackendError` met,
+        retries); a :class:`RequestError` raises. It changes no counter, so
+        worker threads share no state: the caller counts through
+        :meth:`_settle`.
         """
         request.validate()
         reply, retries = self._post(self._payload(request))
         if not isinstance(reply, BackendError):
+            parse = _relevance_of if request.kind == RELEVANCE else _completion_text
             try:
                 reply = parse(reply)
             except BackendError as exc:
@@ -266,12 +273,11 @@ class HttpBackend(GenerationBackend):
         return outcome
 
     def generate(self, request: GenerationRequest) -> str:
-        return _value(self._settle(*self._exchange(request, _completion_text)))
+        return _value(self._settle(*self._exchange(request)))
 
-    def relevance(self, request: GenerationRequest) -> float:
-        return _value(self._settle(*self._exchange(request, _relevance_of)))
+    relevance = generate  # the reply is parsed as ``request.kind`` says
 
-    def relevance_many(self, requests: list[GenerationRequest]):
+    def answer_many(self, requests: list[GenerationRequest]):
         """As the base method, with :data:`WIRE_WORKERS` requests in flight.
 
         Outcomes are yielded in request order; requests not yet started
@@ -283,8 +289,7 @@ class HttpBackend(GenerationBackend):
 
             self._pool = ThreadPoolExecutor(max_workers=WIRE_WORKERS,
                                             thread_name_prefix="fichad-wire")
-        futures = [self._pool.submit(self._exchange, r, _relevance_of)
-                   for r in requests]
+        futures = [self._pool.submit(self._exchange, r) for r in requests]
         try:
             for future in futures:
                 yield self._settle(*future.result())
@@ -424,23 +429,16 @@ class CachedBackend(GenerationBackend):
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def generate(self, request: GenerationRequest) -> str:
-        key = self._key(request)
-        cached = self.cache.get(key)
-        if cached is not None:
-            self.cache_hits += 1
-            return cached
-        text = self.inner.generate(request)
-        self.cache.put(key, FREE_TEXT, text)
-        return text
-
-    def relevance(self, request: GenerationRequest) -> float:
-        [outcome] = self.relevance_many([request])
+        [outcome] = self.answer_many([request])
         return _value(outcome)
 
-    def relevance_many(self, requests: list[GenerationRequest]):
+    relevance = generate
+
+    def answer_many(self, requests: list[GenerationRequest]):
         """Hits come from the cache; the misses go to the wrapped backend as
-        one batch, and each result is put before it is yielded, so records
-        land in request order whatever order the batch finishes in.
+        one batch, and each result is put with its request's kind before it
+        is yielded, so records land in request order whatever order the
+        batch finishes in.
 
         A request repeated within the batch is sent once; its later copies
         read the first one's outcome, and count as hits when it succeeded.
@@ -453,15 +451,16 @@ class CachedBackend(GenerationBackend):
             if hit is None and key not in sent:
                 sent[key] = None
                 misses.append(request)
-        with closing(self.inner.relevance_many(misses)) as fresh:
-            for key, hit in zip(keys, hits):
+        with closing(self.inner.answer_many(misses)) as fresh:
+            for request, key, hit in zip(requests, keys, hits):
                 if hit is not None:
                     self.cache_hits += 1
-                    yield float(hit)
+                    # the cache file is outside input: a relevance hit is a float
+                    yield float(hit) if request.kind == RELEVANCE else hit
                 elif sent[key] is None:
                     outcome = sent[key] = next(fresh)
                     if not isinstance(outcome, BackendError):
-                        self.cache.put(key, RELEVANCE, outcome)
+                        self.cache.put(key, request.kind, outcome)
                     yield outcome
                 else:
                     self.cache_hits += not isinstance(sent[key], BackendError)

@@ -1,7 +1,8 @@
 """Operator CLI: ingest, train, evaluate, generate context, build prompts.
 
 Each subcommand writes its artifacts under ``--out`` and prints a single JSON
-summary line. Exit codes: 0 success, 1 input error, 2 backend error, 64 usage.
+summary line. Exit codes: 0 success, 1 input error, 2 backend error, 64 usage,
+130 interrupted (Ctrl-C; requests still in flight are abandoned, not awaited).
 Runs are offline-first (mock backend) unless an endpoint is configured, and
 resumable through the response cache: re-running against an existing cache
 performs no duplicate backend calls.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BACKEND = 2
 EXIT_USAGE = 64
+EXIT_INTERRUPTED = 130
 
 
 class _UsageError(Exception):
@@ -368,6 +371,13 @@ def main(argv=None) -> int:
             be.RequestError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except KeyboardInterrupt:
+        # a normal exit joins the wire pool's threads, each waiting out its
+        # request (up to TIMEOUT_S); leave without joining them
+        print("interrupted", file=sys.stderr)
+        sys.stdout.flush()
+        sys.stderr.flush()
+        os._exit(EXIT_INTERRUPTED)
 
 
 if __name__ == "__main__":

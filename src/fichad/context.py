@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .backend import RELEVANCE, BackendError, CapabilityError, \
-    GenerationBackend, GenerationRequest
+    GenerationBackend, GenerationRequest, _value
 from .kg import KnowledgeGraph, MultimodalAssets, Triple, first_sentence
 
 V1 = "fichad-1"
@@ -115,12 +115,11 @@ def load_templates(path) -> dict[str, str]:
     return templates
 
 
-def _ask(backend: GenerationBackend, templates: dict[str, str], name: str,
-         subjects: tuple[str, ...], images=(), **slots: str) -> str:
-    """Free-text generation from the template ``name`` filled with ``slots``."""
-    return backend.generate(GenerationRequest(
-        prompt=instantiate(templates[name], **slots), images=tuple(images),
-        subjects=subjects))
+def _request(templates: dict[str, str], name: str, subjects: tuple[str, ...],
+             images=(), **slots: str) -> GenerationRequest:
+    """Free-text request from the template ``name`` filled with ``slots``."""
+    return GenerationRequest(prompt=instantiate(templates[name], **slots),
+                             images=tuple(images), subjects=subjects)
 
 
 @dataclass
@@ -189,7 +188,7 @@ def filter_images(head_name: str, tail_name: str, images_head: list[str],
                 for ref in (*images_head, *images_tail)]
     scores = []
     skipped = 0
-    with closing(backend.relevance_many(requests)) as outcomes:
+    with closing(backend.answer_many(requests)) as outcomes:
         for p in outcomes:
             if isinstance(p, CapabilityError):
                 raise p
@@ -217,23 +216,26 @@ def lamm_context(head_name: str, tail_name: str,
                  templates: dict[str, str] = DEFAULT_TEMPLATES):
     """Link-aware summary text for one entity pair (the fichad-1 core).
 
-    With both filtered sets non-empty: per-endpoint descriptions feed a joint
-    one-sentence summary over all retained images. Otherwise a name-only
-    fallback summary is generated. Returns (text, images_used, fallback).
+    With both filtered sets non-empty: per-endpoint descriptions, asked for
+    as one batch (head, then tail), feed a joint one-sentence summary over
+    all retained images. Otherwise a name-only fallback summary is generated.
+    Returns (text, images_used, fallback).
     """
     pair = (head_name, tail_name)
     if filtered_head and filtered_tail:
-        d_head = _ask(backend, templates, "entity_description", (head_name,),
-                      [si.ref for si in filtered_head], entity=head_name)
-        d_tail = _ask(backend, templates, "entity_description", (tail_name,),
-                      [si.ref for si in filtered_tail], entity=tail_name)
+        describe = [_request(templates, "entity_description", (name,),
+                             [si.ref for si in side], entity=name)
+                    for name, side in ((head_name, filtered_head),
+                                       (tail_name, filtered_tail))]
+        with closing(backend.answer_many(describe)) as outcomes:
+            d_head, d_tail = map(_value, outcomes)
         used = filtered_head + filtered_tail
-        text = _ask(backend, templates, "link_summary", pair,
-                    [si.ref for si in used], head=head_name, tail=tail_name,
-                    d_head=d_head, d_tail=d_tail)
+        text = backend.generate(_request(
+            templates, "link_summary", pair, [si.ref for si in used],
+            head=head_name, tail=tail_name, d_head=d_head, d_tail=d_tail))
         return text, used, False
-    text = _ask(backend, templates, "link_summary_fallback", pair,
-                head=head_name, tail=tail_name)
+    text = backend.generate(_request(templates, "link_summary_fallback", pair,
+                                     head=head_name, tail=tail_name))
     return text, [], True
 
 
@@ -245,8 +247,8 @@ def entity_summary(entity_name: str, images: list[str],
     Returns (text, fallback); entities without images get a name-only fallback.
     """
     name = "entity_summary" if images else "entity_summary_fallback"
-    text = _ask(backend, templates, name, (entity_name,), images,
-                entity=entity_name)
+    text = backend.generate(_request(templates, name, (entity_name,), images,
+                                     entity=entity_name))
     return text, not images
 
 
@@ -284,9 +286,9 @@ def conceptual_hint(graph: KnowledgeGraph, query_entity: int, relation: int,
     sampled = sample_relation_triples(graph, relation, seed=seed)
     flagged = not sampled
     triples_text = _format_triples(graph, sampled) if sampled else "(none)"
-    text = _ask(backend, templates, "hint", (ent_name, rel_name),
-                entity=ent_name, relation=rel_name, triples=triples_text,
-                summary=entity_summary_text)
+    text = backend.generate(_request(
+        templates, "hint", (ent_name, rel_name), entity=ent_name,
+        relation=rel_name, triples=triples_text, summary=entity_summary_text))
     return text, flagged
 
 
@@ -478,7 +480,6 @@ def corpus_stats(contexts: list[GeneratedContext], graph: KnowledgeGraph,
     ent = graph.entities
     with_f1: set[int] = set()
     with_f2: set[int] = set()
-    f1_triples = 0
     single_hits = both_hits = f1_total = 0
     f2_hits = f2_total = 0
 
@@ -489,7 +490,6 @@ def corpus_stats(contexts: list[GeneratedContext], graph: KnowledgeGraph,
             h = ent.id_of(ctx.subject["head"])
             t = ent.id_of(ctx.subject["tail"])
             with_f1.update((h, t))
-            f1_triples += 1
             f1_total += 1
             text = ctx.text.lower()
             named_h = ent.display_name(h).lower() in text
@@ -513,7 +513,7 @@ def corpus_stats(contexts: list[GeneratedContext], graph: KnowledgeGraph,
         with_images=len(assets.entities_with_images()),
         with_fichad1=len(with_f1),
         with_fichad2=len(with_f2),
-        triples_with_fichad1=f1_triples,
+        triples_with_fichad1=f1_total,
         single_entity_coverage=single_hits / f1_total if f1_total else 0.0,
         both_entity_coverage=both_hits / f1_total if f1_total else 0.0,
         fichad2_entity_coverage=f2_hits / f2_total if f2_total else 0.0,

@@ -277,9 +277,11 @@ class WireStub(ThreadingHTTPServer):
     gets a yes/no top-logprobs pair whose yes-probability follows the body's
     hash, a generation request one sentence picked by it. The first
     ``fail_first`` requests are answered 503 with ``Retry-After: 0``. With a
-    ``barrier`` set, every other request waits on it and is answered 500
-    when it breaks. A relevance request with an image whose bytes are in
-    ``no_logprobs`` gets a reply without logprobs.
+    ``barrier`` set, every other request whose prompt contains
+    ``barrier_on`` waits on it and is answered 500 when it breaks. After
+    that, a request whose prompt is ``reject`` is answered 400, and a
+    relevance request with an image whose bytes are in ``no_logprobs`` gets
+    a reply without logprobs.
     """
 
     daemon_threads = True
@@ -290,14 +292,15 @@ class WireStub(ThreadingHTTPServer):
         self.requests = 0
         self.fail_first = 0
         self.barrier: threading.Barrier | None = None
+        self.barrier_on = ""
+        self.reject: str | None = None
         self.no_logprobs: frozenset[bytes] = frozenset()
 
     @property
     def endpoint(self) -> str:
         return f"http://127.0.0.1:{self.server_port}"
 
-    def reply(self, raw: bytes) -> dict:
-        body = json.loads(raw)
+    def reply(self, raw: bytes, body: dict) -> dict:
         digest = hashlib.sha256(raw).digest()
         if not body.get("logprobs"):
             return {"choices": [{"message": {
@@ -317,6 +320,8 @@ class WireStub(ThreadingHTTPServer):
 class _WireStubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         raw = self.rfile.read(int(self.headers["Content-Length"]))
+        body = json.loads(raw)
+        prompt = body["messages"][0]["content"][0]["text"]
         stub: WireStub = self.server
         with stub.lock:
             stub.requests += 1
@@ -324,12 +329,14 @@ class _WireStubHandler(BaseHTTPRequestHandler):
             stub.fail_first -= fail
         if fail:
             return self._send(503, {}, {"Retry-After": "0"})
-        if stub.barrier is not None:
+        if stub.barrier is not None and stub.barrier_on in prompt:
             try:
                 stub.barrier.wait()
             except threading.BrokenBarrierError:
                 return self._send(500, {"error": "requests did not overlap"})
-        self._send(200, stub.reply(raw))
+        if prompt == stub.reject:
+            return self._send(400, {"error": "rejected"})
+        self._send(200, stub.reply(raw, body))
 
     def _send(self, status: int, payload: dict, headers=None) -> None:
         data = json.dumps(payload).encode()

@@ -265,7 +265,7 @@ class TestWireBatch:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            outcomes = list(bk.relevance_many(requests))
+            outcomes = list(bk.answer_many(requests))
         finally:
             sys.setswitchinterval(interval)
         assert all(isinstance(p, float) for p in outcomes)
@@ -282,7 +282,7 @@ class TestWireBatch:
         inner = HttpBackend(wire_stub.endpoint, "m", backoff=0.01)
         bk = CachedBackend(inner, ResponseCache(tmp_path / "c.jsonl"))
         a, b = (GenerationRequest(prompt=p, kind=RELEVANCE) for p in "ab")
-        outcomes = list(bk.relevance_many([a, b, a]))
+        outcomes = list(bk.answer_many([a, b, a]))
         assert outcomes[0] == outcomes[2]
         assert (bk.counts()["backend_calls"], bk.cache_hits) == (2, 1)
         assert len(bk.cache) == wire_stub.requests == 2

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -11,7 +13,8 @@ import pytest
 import fichad
 import fichad.backend as be
 from fichad.cli import (build_parser, main, EXIT_OK, EXIT_INPUT,
-                        EXIT_BACKEND, EXIT_USAGE)
+                        EXIT_BACKEND, EXIT_USAGE, EXIT_INTERRUPTED)
+from fichad.context import DEFAULT_TEMPLATES, instantiate
 from fichad.kg import SPLITS, load_dataset
 from conftest import (ARLES_CONFIG, StubHandler, write_image_files,
                       write_synthetic_dataset)
@@ -152,12 +155,16 @@ def test_ingest_summary(capsys):
     assert "config_hash" in summary
 
 
+def _subprocess_env() -> dict:
+    src = str(Path(fichad.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_mock_runs_never_import_requests(tmp_path):
     """The wire client's dependency and its worker pool's module are
     loaded only for ``--backend http``."""
-    src = str(Path(fichad.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
+    env = _subprocess_env()
     script = ("import sys\n"
               "from fichad.cli import main\n"
               f"assert main(['ingest', '--dataset', {ARLES!r}]) == 0\n"
@@ -363,7 +370,7 @@ def test_gen_context_over_http_is_byte_identical_for_any_worker_count(
                  for name in ("contexts.jsonl", "cache.jsonl")], summary)
 
     serial, cold = outputs(tmp_path / "serial", (
-        be.HttpBackend, "relevance_many", be.GenerationBackend.relevance_many))
+        be.HttpBackend, "answer_many", be.GenerationBackend.answer_many))
     assert cold["backend_calls"] > 0 and cold["skipped_images"] == 0
     assert cold["cache_hits"] > 0  # the train self-loop repeats its images
     for out, patches in ((tmp_path / "one", [(be, "WIRE_WORKERS", 1)]),
@@ -408,6 +415,81 @@ def test_unreadable_image_in_a_batch_is_input_error(
     assert missing in capsys.readouterr().err
     records = (tmp_path / "f" / "cache.jsonl").read_text().splitlines()
     assert len(records) == 2
+
+
+def _describe_argv(config, stub, out) -> list[str]:
+    """fichad-1 over the test split with every image kept, so each triple
+    asks for both entity descriptions."""
+    return ["gen-context", "--dataset", str(config), "--variant", "fichad-1",
+            "--splits", "test", "--tau", "0", *_http(stub, out)]
+
+
+def test_gen_context_sends_both_descriptions_at_once(
+        capsys, tmp_path, monkeypatch, wire_stub):
+    """The stub answers a description only once two are in flight together;
+    a serial client breaks its barrier and the run fails."""
+    config = _http_dataset(tmp_path, monkeypatch)
+    wire_stub.barrier = threading.Barrier(2, timeout=5)
+    wire_stub.barrier_on = "Describe "
+    code, summary = run(capsys, *_describe_argv(config, wire_stub,
+                                                tmp_path / "g"))
+    assert code == EXIT_OK
+    assert summary["fallbacks"] == 0
+    # per triple: four relevance requests, two descriptions, one summary
+    assert summary["backend_calls"] == wire_stub.requests == 2 * 7
+
+
+def test_failed_head_description_caches_no_tail_description(
+        capsys, tmp_path, monkeypatch, wire_stub):
+    """A head description answered 400 exits 2, and the tail description
+    sent with it leaves no record, as in a serial run."""
+    config = _http_dataset(tmp_path, monkeypatch)
+    ds = load_dataset(config)
+    head = ds.graph.entities.display_name(next(ds.graph.triples("test")).head)
+    wire_stub.barrier = threading.Barrier(2, timeout=5)
+    wire_stub.barrier_on = "Describe "  # the tail's reply exists, too
+    wire_stub.reject = instantiate(DEFAULT_TEMPLATES["entity_description"],
+                                   entity=head)
+    code = main(_describe_argv(config, wire_stub, tmp_path / "g"))
+    assert code == EXIT_BACKEND
+    assert "400" in capsys.readouterr().err
+    records = (tmp_path / "g" / "cache.jsonl").read_text().splitlines()
+    assert [json.loads(r)["kind"] for r in records] == ["relevance"] * 4
+
+
+def test_ctrl_c_abandons_requests_in_flight(tmp_path, monkeypatch):
+    """A first SIGINT ends an HTTP run at once, with exit 130, while its
+    requests wait on a server that accepts connections and never replies."""
+    config = _http_dataset(tmp_path, monkeypatch)
+    script = ("import signal, sys\n"
+              "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+              "from fichad.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    with socket.create_server(("127.0.0.1", 0)) as server:
+        server.settimeout(30)
+        endpoint = f"http://127.0.0.1:{server.getsockname()[1]}"
+        argv = ["filter-images", "--dataset", str(config), "--out",
+                str(tmp_path / "f"), "--backend", "http", "--endpoint",
+                endpoint, "--model-id", "m"]
+        with subprocess.Popen([sys.executable, "-c", script, *argv],
+                              cwd=config.parent, env=_subprocess_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              text=True) as proc:
+            conn = None
+            try:
+                conn, _ = server.accept()
+                proc.send_signal(signal.SIGINT)
+                try:
+                    _, err = proc.communicate(timeout=5)
+                except subprocess.TimeoutExpired:
+                    pytest.fail("the run was still going 5 s after SIGINT")
+                assert proc.returncode == EXIT_INTERRUPTED
+                assert err.strip().endswith("interrupted")
+            finally:
+                proc.kill()
+                proc.communicate()
+                if conn is not None:
+                    conn.close()
 
 
 def test_templates_wire_failure_is_backend_error(capsys, tmp_path,
