@@ -231,7 +231,14 @@ def cmd_build_prompts(args, ds) -> int:
     index = prompt.ContextIndex(contexts, g)
     rel_templates = {}
     if args.templates:
-        rel_templates = json.loads(Path(args.templates).read_text("utf-8"))
+        try:
+            rel_templates = json.loads(Path(args.templates).read_text("utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.templates}: {exc}") from None
+        if not (isinstance(rel_templates, dict) and all(
+                isinstance(v, str) for v in rel_templates.values())):
+            raise ValueError(f"{args.templates}: not a JSON object mapping "
+                             "relation labels to template strings")
     budget = (prompt.TokenBudget(args.budget) if args.budget is not None
               else None)
     inputs = []

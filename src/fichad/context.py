@@ -128,6 +128,15 @@ class ScoredImage:
     score: float
 
 
+#: the JSON type of each store field, the fields every line needs, and the
+#: labels each subject kind names
+_FIELDS = {"variant": str, "subject": dict, "text": str, "images": list,
+           "fallback": bool}
+_REQUIRED = {"variant", "subject", "text"}
+_SUBJECT_LABELS = {"entity": ("entity",),
+                   "triple": ("head", "relation", "tail")}
+
+
 @dataclass
 class GeneratedContext:
     """One unit of generated context, serializable to a JSONL store line."""
@@ -143,18 +152,37 @@ class GeneratedContext:
 
     @classmethod
     def from_json_line(cls, line: str) -> "GeneratedContext":
+        """One store line; raises ValueError when it is not a context."""
         rec = json.loads(line)
-        rec["images"] = [ScoredImage(**im) for im in rec.get("images", [])]
+        if not (isinstance(rec, dict)
+                and _REQUIRED <= rec.keys() <= _FIELDS.keys()
+                and all(isinstance(v, _FIELDS[k]) for k, v in rec.items())):
+            raise ValueError("not a context record: an object with string "
+                             "variant and text, object subject, and optional "
+                             "list images and boolean fallback, nothing else")
+        labels = _SUBJECT_LABELS.get(rec["subject"].get("kind"), ())
+        if not all(isinstance(rec["subject"].get(k), str) for k in labels):
+            raise ValueError(f"subject lacks string labels {list(labels)}")
+        try:
+            rec["images"] = [ScoredImage(**im) for im in rec.get("images", [])]
+        except TypeError:
+            raise ValueError("images must be {ref, score} objects") from None
         return cls(**rec)
 
 
 def read_context_store(path) -> list[GeneratedContext]:
+    """The contexts of a JSONL store; a line that is not one raises
+    ValueError naming ``path:line``."""
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for n, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(GeneratedContext.from_json_line(line))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
     return out
 
 

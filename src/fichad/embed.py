@@ -5,8 +5,8 @@ All four families share one convention: higher score = more plausible triple
 takes ``batch_size`` shuffled positives and ``negatives`` corruptions of each,
 takes the gradient of the batch loss (margin-ranking or logistic), summed over
 the batch rather than averaged so a learning rate moves each triple's rows as
-far as per-triple SGD would, and applies it with one scatter per parameter
-table. Everything is float64 and deterministic under a seed.
+far as per-triple SGD would, and applies it with ``np.add.at``. Everything
+is float64 and deterministic under a seed.
 
 Gradients for the complex-valued families are stored in the "encoded" form
 ``d/dRe + i * d/dIm``, so a plain ``param -= lr * grad`` update moves real and
@@ -280,7 +280,7 @@ def score_gradients(model: EmbeddingModel, rows: np.ndarray):
             norm = np.sqrt(np.sum(d * d, axis=-1))
             s = -norm
             g = -_unit(d, norm)
-        return s, g, g.copy(), -g
+        return s, g, g, -g
 
     if model.family == "distmult":
         return np.sum(eh * er * et, axis=-1), er * et, eh * et, eh * er
@@ -421,39 +421,20 @@ def _sgd_step(model: EmbeddingModel, pos: np.ndarray, neg: np.ndarray,
     """One update from the positives ``pos`` and their negatives ``neg``.
 
     The gradient of the batch loss (:func:`loss_gradients`) is summed over
-    the batch, not averaged, and applied with one scatter per parameter
-    table. Returns the batch loss and whether every parameter row the update
-    touched is still finite (no other row changed).
+    the batch, not averaged, and applied with ``np.add.at``. Returns the
+    batch loss and whether every parameter row the update touched is still
+    finite (no other row changed).
     """
     rows = np.concatenate((pos, neg))
     loss, dh, dr, dt = loss_gradients(model, pos, neg, config)
-    entity_ok = _descend(model.entity,
-                         np.concatenate((rows[:, 0], rows[:, 2])),
-                         np.concatenate((dh, dt)), config.lr)
-    relation_ok = _descend(model.relation, rows[:, 1], dr, config.lr)
-    return loss, entity_ok and relation_ok
-
-
-def _descend(table: np.ndarray, index: np.ndarray, grad: np.ndarray,
-             lr: float) -> bool:
-    """Subtract ``lr`` times the summed ``grad`` rows of each table row named
-    in ``index``, in one scatter; returns whether those rows are finite.
-
-    The rows are sorted by index, stably, so each index's rows form one run
-    in batch order. ``np.add.reduceat`` sums the runs longer than one row;
-    the others, most runs, are taken as they are.
-    """
-    order = np.argsort(index, kind="stable")
-    index = index[order]
-    first = np.concatenate(([True], index[1:] != index[:-1]))
-    touched = index[first]
-    summed = grad[order[first]]
-    repeated = ~(first & np.append(first[1:], True))
-    if repeated.any():
-        run = np.cumsum(first) - 1
-        summed[run[first & repeated]] = np.add.reduceat(
-            grad[order[repeated]], np.flatnonzero(first[repeated]), axis=0)
-    summed *= -lr
-    summed += table[touched]
-    table[touched] = summed
-    return bool(np.isfinite(summed).all())
+    d = model.dim
+    blocks = ((model.entity, rows[:, 0], dh), (model.entity, rows[:, 2], dt),
+              (model.relation, rows[:, 1], dr))
+    for table, index, grad in blocks:
+        # flat: with a one-dimensional table view (the tables are
+        # C-contiguous), index and values, np.add.at takes numpy's fast path
+        # (numpy >= 1.25); row indices into the 2-D table are ~3x slower
+        flat = (index[:, None] * d + np.arange(d)).ravel()
+        np.add.at(table.reshape(-1), flat, (-config.lr * grad).ravel())
+    return loss, all(bool(np.isfinite(table[index]).all())
+                     for table, index, _ in blocks)

@@ -761,3 +761,44 @@ def test_store_with_unknown_entity_is_input_error(capsys, tmp_path, argv):
     assert main(argv) == EXIT_INPUT
     assert "unknown label: 'atlantis'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["build-prompts", "--out", "o"], "[1]"),
+    (["stats"], '{"variant": "fichad-1"}'),
+    (["stats"], '{"variant": "fichad-2", "subject": {"kind": "entity"}, '
+                '"text": "x"}'),
+], ids=["build-prompts-list", "stats-no-subject", "stats-no-label"])
+def test_store_line_that_is_not_a_context_is_input_error(capsys, tmp_path,
+                                                         argv, line):
+    """A JSON line that is not a context is named by file and line."""
+    store = tmp_path / "s.jsonl"
+    store.write_text(json.dumps(
+        {"variant": "fichad-2", "subject": {"kind": "entity",
+                                             "entity": "arles"},
+         "text": "Arles is shown.", "images": [], "fallback": False})
+        + "\n" + line + "\n")
+    argv = [argv[0], "--dataset", ARLES, "--store", str(store),
+            *(str(tmp_path / a) if a == "o" else a for a in argv[1:])]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"{store}:2:" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("table", ['["x"]', '{"inspiredBy": 5}'],
+                         ids=["list", "number"])
+def test_relation_templates_not_strings_is_input_error(capsys, tmp_path,
+                                                       table):
+    """``--templates`` takes a JSON object of template strings, no other."""
+    code, _ = run(capsys, "gen-context", "--dataset", ARLES, "--out",
+                  str(tmp_path), "--splits", "test")
+    assert code == EXIT_OK
+    templates = tmp_path / "t.json"
+    templates.write_text(table + "\n")
+    code = main(["build-prompts", "--dataset", ARLES, "--store",
+                 str(tmp_path / "contexts.jsonl"), "--out", str(tmp_path / "p"),
+                 "--templates", str(templates)])
+    assert code == EXIT_INPUT
+    assert str(templates) in capsys.readouterr().err
+    assert not (tmp_path / "p").exists()
