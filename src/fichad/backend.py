@@ -225,28 +225,31 @@ class HttpBackend(GenerationBackend):
 
     def _post(self, payload: dict) -> tuple[dict | BackendError, int]:
         """(reply JSON, or the BackendError met, and the retries it took)."""
-        import requests
+        import urllib3
 
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        url = f"{self.endpoint}/chat/completions"
-        with requests.Session() as session:
-            session.mount(url, requests.adapters.HTTPAdapter(
-                max_retries=self.retry))
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        with urllib3.PoolManager(retries=self.retry) as http:
             try:
-                resp = session.post(url, json=payload, headers=headers,
+                resp = http.request("POST", f"{self.endpoint}/chat/completions",
+                                    body=body, headers=headers,
                                     timeout=TIMEOUT_S)
-            except requests.RequestException as exc:
+            except urllib3.exceptions.HTTPError as exc:
                 error = BackendError(f"backend unavailable: {exc}")
                 error.__cause__ = exc
                 return error, 0
-            retries = len(resp.raw.retries.history)
-            if resp.status_code == 200:
-                return resp.json(), retries
-        return BackendError(
-            f"backend returned {resp.status_code}: {resp.text[:200]}",
-            status=resp.status_code), retries
+        retries = len(resp.retries.history)
+        text = resp.data[:200].decode("utf-8", "replace")
+        if resp.status != 200:
+            return BackendError(f"backend returned {resp.status}: {text}",
+                                status=resp.status), retries
+        try:
+            return resp.json(), retries
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError alike
+            return BackendError(f"backend returned a body that is not JSON: "
+                                f"{text}", status=200), retries
 
     def _exchange(self, request: GenerationRequest):
         """Send one request and parse its reply by its kind, on any thread.
@@ -318,12 +321,13 @@ def _completion_text(data: dict) -> str:
 
 def _relevance_of(data: dict) -> float:
     try:
-        logprobs = data["choices"][0]["logprobs"]["content"][0]["top_logprobs"]
-    except (KeyError, IndexError, TypeError):
+        return yes_probability(
+            data["choices"][0]["logprobs"]["content"][0]["top_logprobs"])
+    except (KeyError, IndexError, TypeError, AttributeError, ValueError,
+            OverflowError):
         raise CapabilityError(
-            "endpoint did not return top logprobs; relevance scoring "
+            "endpoint did not return usable top logprobs; relevance scoring "
             "requires logprob support") from None
-    return yes_probability(logprobs)
 
 
 def _retry_policy(backoff: float):

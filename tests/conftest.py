@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import random
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 from pathlib import Path
@@ -234,7 +235,7 @@ class StubHandler(BaseHTTPRequestHandler):
     """OpenAI-compatible stub; the default reply carries no logprobs."""
 
     # class-level script: (status, payload) or (status, payload, headers)
-    # entries, consumed one per request
+    # entries, consumed one per request; a bytes payload is sent as it is
     script = []
     requests_seen = []
 
@@ -245,7 +246,8 @@ class StubHandler(BaseHTTPRequestHandler):
         status, payload, *extra = (
             StubHandler.script.pop(0) if StubHandler.script
             else (200, {"choices": [{"message": {"content": "ok"}}]}))
-        data = json.dumps(payload).encode()
+        data = (payload if isinstance(payload, bytes)
+                else json.dumps(payload).encode())
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -268,6 +270,15 @@ def stub_server():
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     server.server_close()
+
+
+@pytest.fixture
+def dead_endpoint():
+    """URL of a local port that nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
 
 class WireStub(ThreadingHTTPServer):

@@ -238,11 +238,38 @@ class TestHttpBackend:
         # relevance requests ask the endpoint for logprobs
         assert StubHandler.requests_seen[-1]["logprobs"] is True
 
-    def test_missing_logprobs_is_capability_error(self, stub_server):
-        StubHandler.script = [(200, {"choices": [{"message": {"content": "Yes"}}]})]
+    @pytest.mark.parametrize("choice", [
+        {"message": {"content": "Yes"}},
+        *({"message": {"content": "Yes"},
+           "logprobs": {"content": [{"top_logprobs": top_logprobs}]}}
+          for top_logprobs in ([{"token": "Yes"}], ["Yes"], None,
+                               [{"token": "Yes", "logprob": 1000}],
+                               [{"token": "Yes", "logprob": "x"}]))],
+        ids=["no-logprobs", "entry-without-logprob", "non-object-entry",
+             "null-list", "overflowing-logprob", "non-numeric-logprob"])
+    def test_missing_logprobs_is_capability_error(self, stub_server, choice):
+        StubHandler.script = [(200, {"choices": [choice]})]
         inner = HttpBackend(stub_server, "m", backoff=0.01)
         with pytest.raises(CapabilityError):
             inner.relevance(GenerationRequest(prompt="rel?", kind="relevance"))
+
+    def test_non_json_reply_is_backend_error(self, stub_server):
+        StubHandler.script = [(200, b"<html>gateway</html>")]
+        inner = HttpBackend(stub_server, "m", backoff=0.01)
+        with pytest.raises(BackendError, match="not JSON: <html>gateway"):
+            inner.generate(GenerationRequest(prompt="hi"))
+        assert len(StubHandler.requests_seen) == 1
+
+    def test_unreachable_endpoint_is_backend_unavailable(self, dead_endpoint):
+        inner = HttpBackend(dead_endpoint, "m", backoff=0.01)
+        with pytest.raises(BackendError, match="backend unavailable") as exc:
+            inner.generate(GenerationRequest(prompt="hi"))
+        assert exc.value.status is None
+
+    def test_wire_client_needs_no_requests(self, stub_server, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)  # import fails
+        inner = HttpBackend(stub_server, "m", backoff=0.01)
+        assert inner.generate(GenerationRequest(prompt="hi")) == "ok"
 
     def test_unreadable_image_is_input_error(self, stub_server):
         inner = HttpBackend(stub_server, "m", backoff=0.01)

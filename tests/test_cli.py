@@ -508,6 +508,42 @@ def test_templates_wire_failure_is_backend_error(capsys, tmp_path,
     assert len(StubHandler.requests_seen) == 3
 
 
+def test_unreachable_endpoint_is_backend_error(capsys, tmp_path, monkeypatch,
+                                               dead_endpoint):
+    config = write_synthetic_dataset(tmp_path / "ds", n_entities=4,
+                                     n_relations=1, n_train=3, n_valid=1,
+                                     n_test=1, images_per_entity=0)
+    policy = be._retry_policy
+    monkeypatch.setattr(be, "_retry_policy", lambda backoff: policy(0.01))
+    code = main(["templates", "--dataset", str(config),
+                 "--out", str(tmp_path / "t"), "--backend", "http",
+                 "--endpoint", dead_endpoint, "--model-id", "m"])
+    assert code == EXIT_BACKEND
+    assert "backend unavailable" in capsys.readouterr().err
+
+
+def test_non_json_reply_is_backend_error(capsys, tmp_path, monkeypatch,
+                                         stub_server):
+    """A 200 reply that is not JSON fails a generation request (exit 2) and
+    skips a relevance request's image, as a 5xx reply after retries does."""
+    config = write_synthetic_dataset(tmp_path / "ds", n_entities=4,
+                                     n_relations=1, n_train=3, n_valid=1,
+                                     n_test=1, images_per_entity=1)
+    write_image_files(config)
+    monkeypatch.chdir(config.parent)  # image refs are relative paths
+    StubHandler.script = [(200, b"<html>gateway</html>")] * 100
+    code = main(["templates", "--dataset", str(config),
+                 "--out", str(tmp_path / "t"), "--backend", "http",
+                 "--endpoint", stub_server, "--model-id", "m"])
+    assert code == EXIT_BACKEND
+    assert "not JSON" in capsys.readouterr().err
+    code, summary = run(capsys, "filter-images", "--dataset", str(config),
+                        "--out", str(tmp_path / "f"), "--backend", "http",
+                        "--endpoint", stub_server, "--model-id", "m")
+    assert code == EXIT_OK
+    assert summary["skipped_images"] == summary["backend_calls"] == 2
+
+
 def test_templates_report_wire_retries(capsys, tmp_path, stub_server):
     config = write_synthetic_dataset(tmp_path / "ds", n_entities=4,
                                      n_relations=1, n_train=3, n_valid=1,
