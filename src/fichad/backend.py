@@ -239,7 +239,10 @@ class HttpBackend(GenerationBackend):
             except urllib3.exceptions.HTTPError as exc:
                 error = BackendError(f"backend unavailable: {exc}")
                 error.__cause__ = exc
-                return error, 0
+                # connection errors end with MaxRetryError once every retry
+                # has been spent
+                exhausted = isinstance(exc, urllib3.exceptions.MaxRetryError)
+                return error, self.retry.total if exhausted else 0
         retries = len(resp.retries.history)
         text = resp.data[:200].decode("utf-8", "replace")
         if resp.status != 200:
@@ -354,15 +357,21 @@ def yes_probability(top_logprobs: list[dict]) -> float:
 
     Tokens whose stripped lowercase form is "yes"/"no" contribute their mass;
     absent "yes" means 0, absent "no" means p_yes, and otherwise the result
-    is p_yes / (p_yes + p_no).
+    is p_yes / (p_yes + p_no). A logprob of NaN or +Infinity raises
+    ValueError; -Infinity is a mass of 0.
     """
     p_yes = p_no = 0.0
     for item in top_logprobs:
         token = str(item.get("token", "")).strip().lower()
+        if token not in ("yes", "no"):
+            continue
+        logprob = float(item["logprob"])
+        if math.isnan(logprob) or logprob == math.inf:
+            raise ValueError(f"logprob {logprob} is not a log-probability")
         if token == "yes":
-            p_yes += math.exp(float(item["logprob"]))
-        elif token == "no":
-            p_no += math.exp(float(item["logprob"]))
+            p_yes += math.exp(logprob)
+        else:
+            p_no += math.exp(logprob)
     if p_yes == 0.0:
         return 0.0
     if p_no == 0.0:

@@ -163,8 +163,8 @@ def cmd_filter_images(args, ds) -> int:
     n_retained = 0
     with open(out / "filtered_images.jsonl", "w", encoding="utf-8",
               newline="\n") as fh:
-        for t in g.triples(args.split):
-            fhd, ftl = gen.filtered_images(t)
+        for t, (fhd, ftl) in zip(g.triples(args.split),
+                                 gen.filtered_images(g.triples(args.split))):
             n_retained += len(fhd) + len(ftl)
             rec = {"head": g.entities.label_of(t.head),
                    "relation": g.relations.label_of(t.relation),
@@ -195,20 +195,17 @@ def cmd_gen_context(args, ds) -> int:
 def cmd_hints(args, ds) -> int:
     gen, out = _setup(args, ds)
     g = ds.graph
-    seen = set()
+    pairs = dict.fromkeys((head, relation) for head, relation, _
+                          in g.splits[args.split].tolist())
     n_flagged = 0
     with open(out / "hints.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for head, relation, _ in g.splits[args.split].tolist():
-            if (head, relation) in seen:
-                continue
-            seen.add((head, relation))
-            text, flagged = gen.hint(head, relation)
+        for (head, relation), (text, flagged) in zip(pairs, gen.hints(pairs)):
             n_flagged += flagged
             fh.write(json.dumps({"entity": g.entities.label_of(head),
                                  "relation": g.relations.label_of(relation),
                                  "text": text, "flagged": flagged},
                                 sort_keys=True, ensure_ascii=False) + "\n")
-    _summary({"hints": len(seen), "flagged": n_flagged,
+    _summary({"hints": len(pairs), "flagged": n_flagged,
               **gen.backend.counts()}, args)
     return EXIT_OK
 
@@ -216,8 +213,8 @@ def cmd_hints(args, ds) -> int:
 def cmd_templates(args, ds) -> int:
     gen, out = _setup(args, ds)
     rel = ds.graph.relations
-    result = {rel.label_of(r): gen.relation_template(r)
-              for r in range(len(rel))}
+    result = dict(zip(map(rel.label_of, range(len(rel))),
+                      gen.relation_templates()))
     (out / "templates.json").write_text(
         json.dumps(result, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
         encoding="utf-8")

@@ -6,6 +6,10 @@ entity-centric summaries (fichad-2), and the two augmented variants that
 append a database description sentence (1+x) or a conceptual hint (1+y).
 Entities or triples with no image clearing the relevance threshold fall back
 to name-only generation, flagged so coverage statistics can exclude them.
+
+Every per-item routine is a request program, and one driver,
+:func:`run_waves`, runs them :data:`WINDOW` at a time, sending each step's
+requests of a whole window to the backend as one batch.
 """
 
 from __future__ import annotations
@@ -15,10 +19,11 @@ import random
 import string
 from contextlib import closing
 from dataclasses import dataclass, field, asdict
+from itertools import chain, islice, starmap
 from pathlib import Path
 
 from .backend import RELEVANCE, BackendError, CapabilityError, \
-    GenerationBackend, GenerationRequest, _value
+    GenerationBackend, GenerationRequest
 from .kg import KnowledgeGraph, MultimodalAssets, Triple, first_sentence
 
 V1 = "fichad-1"
@@ -192,6 +197,63 @@ def write_context_store(path, contexts: list[GeneratedContext]) -> None:
             fh.write(ctx.to_json_line() + "\n")
 
 
+# -- request programs and their driver ------------------------------------
+#
+# Each per-item routine is a request program: a generator that yields a list
+# of requests, is sent back their outcomes in the same order, and returns its
+# result. :func:`run_waves` advances many programs together, so the requests
+# they have pending at one step travel to the backend as one batch.
+
+#: programs advanced together by :func:`run_waves`
+WINDOW = 64
+
+
+def run_waves(programs, backend: GenerationBackend):
+    """Run request programs :data:`WINDOW` at a time; yield their results in
+    program order, each window's once the whole window has finished.
+
+    Within a window, the programs advance in lockstep: the requests every
+    unfinished program yields next form one wave, sent as a single
+    ``backend.answer_many`` batch. A window of fichad-1 triples on a cold
+    cache thus takes three waves: relevance, descriptions, link summaries.
+
+    Outcomes are pulled in request order. A :class:`CapabilityError`, or a
+    :class:`BackendError` of a free-text request, raises as soon as it is
+    pulled, and the later requests of its wave are dropped. A relevance
+    request's :class:`BackendError` is sent to its program as its outcome.
+    """
+    programs = iter(programs)
+    while window := list(islice(programs, WINDOW)):
+        results = [None] * len(window)
+        sends = dict.fromkeys(range(len(window)))  # program -> its outcomes
+        while sends:
+            wave = {}  # program -> the requests it yielded
+            for i, outcomes in sends.items():
+                try:
+                    wave[i] = window[i].send(outcomes)
+                except StopIteration as stop:
+                    results[i] = stop.value
+            batch = [r for requests in wave.values() for r in requests]
+            with closing(backend.answer_many(batch)) as outcomes:
+                answers = iter([_checked(r, o) for r, o in zip(batch, outcomes)])
+            sends = {i: list(islice(answers, len(requests)))
+                     for i, requests in wave.items()}
+        yield from results
+
+
+def _checked(request: GenerationRequest, outcome):
+    """The outcome as its program gets it; raise a failure no program handles."""
+    if isinstance(outcome, CapabilityError) or (
+            isinstance(outcome, BackendError) and request.kind != RELEVANCE):
+        raise outcome
+    return outcome
+
+
+def _run_one(program, backend: GenerationBackend):
+    [result] = run_waves([program], backend)
+    return result
+
+
 # -- core operations -----------------------------------------------------
 
 def filter_images(head_name: str, tail_name: str, images_head: list[str],
@@ -210,31 +272,30 @@ def filter_images(head_name: str, tail_name: str, images_head: list[str],
 
     Returns (filtered_head, filtered_tail, skipped_count).
     """
+    return _run_one(_filter_steps(head_name, tail_name, images_head,
+                                  images_tail, tau, templates), backend)
+
+
+def _filter_steps(head_name, tail_name, images_head, images_tail, tau,
+                  templates):
     prompt = instantiate(templates["relevance"], head=head_name, tail=tail_name)
-    requests = [GenerationRequest(prompt=prompt, images=(ref,), kind=RELEVANCE,
-                                  max_tokens=1, subjects=(head_name, tail_name))
-                for ref in (*images_head, *images_tail)]
-    scores = []
-    skipped = 0
-    with closing(backend.answer_many(requests)) as outcomes:
-        for p in outcomes:
-            if isinstance(p, CapabilityError):
-                raise p
-            if isinstance(p, BackendError):
-                p = 0.0
-                skipped += 1
-            scores.append(p)
-
-    def keep(refs: list[str], side_scores: list[float]) -> list[ScoredImage]:
-        kept = [ScoredImage(ref, p) for ref, p in zip(refs, side_scores)
-                if p >= tau]
-        # stable sort: descending score, manifest order breaks ties
-        kept.sort(key=lambda si: -si.score)
-        return kept[:MAX_GROUP]
-
+    outcomes = yield [GenerationRequest(prompt=prompt, images=(ref,),
+                                        kind=RELEVANCE, max_tokens=1,
+                                        subjects=(head_name, tail_name))
+                      for ref in (*images_head, *images_tail)]
+    scores = [0.0 if isinstance(p, BackendError) else p for p in outcomes]
+    skipped = sum(isinstance(p, BackendError) for p in outcomes)
     n_head = len(images_head)
-    return (keep(images_head, scores[:n_head]),
-            keep(images_tail, scores[n_head:]), skipped)
+    return (_keep(images_head, scores[:n_head], tau),
+            _keep(images_tail, scores[n_head:], tau), skipped)
+
+
+def _keep(refs: list[str], scores: list[float],
+          tau: float) -> list[ScoredImage]:
+    kept = [ScoredImage(ref, p) for ref, p in zip(refs, scores) if p >= tau]
+    # stable sort: descending score, manifest order breaks ties
+    kept.sort(key=lambda si: -si.score)
+    return kept[:MAX_GROUP]
 
 
 def lamm_context(head_name: str, tail_name: str,
@@ -249,21 +310,25 @@ def lamm_context(head_name: str, tail_name: str,
     all retained images. Otherwise a name-only fallback summary is generated.
     Returns (text, images_used, fallback).
     """
+    return _run_one(_lamm_steps(head_name, tail_name, filtered_head,
+                                filtered_tail, templates), backend)
+
+
+def _lamm_steps(head_name, tail_name, filtered_head, filtered_tail, templates):
     pair = (head_name, tail_name)
     if filtered_head and filtered_tail:
-        describe = [_request(templates, "entity_description", (name,),
-                             [si.ref for si in side], entity=name)
-                    for name, side in ((head_name, filtered_head),
-                                       (tail_name, filtered_tail))]
-        with closing(backend.answer_many(describe)) as outcomes:
-            d_head, d_tail = map(_value, outcomes)
+        d_head, d_tail = yield [
+            _request(templates, "entity_description", (name,),
+                     [si.ref for si in side], entity=name)
+            for name, side in ((head_name, filtered_head),
+                               (tail_name, filtered_tail))]
         used = filtered_head + filtered_tail
-        text = backend.generate(_request(
+        [text] = yield [_request(
             templates, "link_summary", pair, [si.ref for si in used],
-            head=head_name, tail=tail_name, d_head=d_head, d_tail=d_tail))
+            head=head_name, tail=tail_name, d_head=d_head, d_tail=d_tail)]
         return text, used, False
-    text = backend.generate(_request(templates, "link_summary_fallback", pair,
-                                     head=head_name, tail=tail_name))
+    [text] = yield [_request(templates, "link_summary_fallback", pair,
+                             head=head_name, tail=tail_name)]
     return text, [], True
 
 
@@ -274,9 +339,13 @@ def entity_summary(entity_name: str, images: list[str],
 
     Returns (text, fallback); entities without images get a name-only fallback.
     """
+    return _run_one(_summary_steps(entity_name, images, templates), backend)
+
+
+def _summary_steps(entity_name, images, templates):
     name = "entity_summary" if images else "entity_summary_fallback"
-    text = backend.generate(_request(templates, name, (entity_name,), images,
-                                     entity=entity_name))
+    [text] = yield [_request(templates, name, (entity_name,), images,
+                             entity=entity_name)]
     return text, not images
 
 
@@ -309,15 +378,20 @@ def conceptual_hint(graph: KnowledgeGraph, query_entity: int, relation: int,
     (text, flagged); flagged is True when the relation has no training
     triples and the hint had to come from the relation label alone.
     """
+    return _run_one(_hint_steps(graph, query_entity, relation,
+                                entity_summary_text, templates, seed), backend)
+
+
+def _hint_steps(graph, query_entity, relation, entity_summary_text, templates,
+                seed):
     ent_name = graph.entities.display_name(query_entity)
     rel_name = graph.relations.display_name(relation)
     sampled = sample_relation_triples(graph, relation, seed=seed)
-    flagged = not sampled
     triples_text = _format_triples(graph, sampled) if sampled else "(none)"
-    text = backend.generate(_request(
+    [text] = yield [_request(
         templates, "hint", (ent_name, rel_name), entity=ent_name,
-        relation=rel_name, triples=triples_text, summary=entity_summary_text))
-    return text, flagged
+        relation=rel_name, triples=triples_text, summary=entity_summary_text)]
+    return text, not sampled
 
 
 def relation_template(graph: KnowledgeGraph, relation: int,
@@ -331,6 +405,11 @@ def relation_template(graph: KnowledgeGraph, relation: int,
     then the literal ``[A] <label> [B]`` fallback. A :class:`BackendError`
     propagates.
     """
+    return _run_one(_template_steps(graph, relation, templates, assets, seed),
+                    backend)
+
+
+def _template_steps(graph, relation, templates, assets, seed):
     rel_name = graph.relations.display_name(relation)
     sampled = sample_relation_triples(graph, relation, seed=seed)
     images = []
@@ -343,9 +422,9 @@ def relation_template(graph: KnowledgeGraph, relation: int,
     prompt = instantiate(templates["relation_template"], relation=rel_name,
                          triples=_format_triples(graph, sampled) or "(none)")
     for attempt in range(2):
-        req = GenerationRequest(prompt=prompt if attempt == 0 else prompt + " ",
-                                images=tuple(images), subjects=(rel_name,))
-        text = backend.generate(req)
+        [text] = yield [GenerationRequest(
+            prompt=prompt if attempt == 0 else prompt + " ",
+            images=tuple(images), subjects=(rel_name,))]
         if text.count("[A]") == 1 and text.count("[B]") == 1:
             return text
     return f"[A] {rel_name} [B]"
@@ -354,7 +433,11 @@ def relation_template(graph: KnowledgeGraph, relation: int,
 # -- pipeline orchestration ----------------------------------------------
 
 class ContextGenerator:
-    """Drives context generation for whole splits with one backend."""
+    """Drives context generation for whole splits with one backend.
+
+    The methods over many items yield or return their results in item
+    order, and run their items' programs through :func:`run_waves`.
+    """
 
     def __init__(self, graph: KnowledgeGraph, assets: MultimodalAssets,
                  backend: GenerationBackend,
@@ -380,13 +463,16 @@ class ContextGenerator:
                 "relation": self.graph.relations.label_of(t.relation),
                 "tail": self.graph.entities.label_of(t.tail)}
 
-    def filtered_images(self, triple: Triple):
-        """Relevance-filtered (head, tail) images; skipped images are counted."""
-        fh, ft, skipped = filter_images(
+    def filtered_images(self, triples):
+        """Relevance-filtered (head, tail) images of each triple, yielded in
+        order; skipped images are counted."""
+        return run_waves(map(self._filter_steps, triples), self.backend)
+
+    def _filter_steps(self, triple: Triple):
+        fh, ft, skipped = yield from _filter_steps(
             self._name(triple.head), self._name(triple.tail),
             self.assets.images_of(triple.head),
-            self.assets.images_of(triple.tail), self.tau, self.backend,
-            self.templates)
+            self.assets.images_of(triple.tail), self.tau, self.templates)
         self.skipped_images += skipped
         return fh, ft
 
@@ -395,17 +481,31 @@ class ContextGenerator:
 
         Returns (text, flagged), as :func:`conceptual_hint`.
         """
-        summary, _ = entity_summary(self._name(entity),
-                                    self.assets.images_of(entity),
-                                    self.backend, self.templates)
-        return conceptual_hint(self.graph, entity, relation, summary,
-                               self.backend, self.templates, seed=self.seed)
+        return _run_one(self._hint_steps(entity, relation), self.backend)
+
+    def hints(self, pairs):
+        """:meth:`hint` of each (entity, relation) pair, yielded in order."""
+        return run_waves(starmap(self._hint_steps, pairs), self.backend)
+
+    def _hint_steps(self, entity: int, relation: int):
+        summary, _ = yield from _summary_steps(
+            self._name(entity), self.assets.images_of(entity), self.templates)
+        return (yield from _hint_steps(self.graph, entity, relation, summary,
+                                       self.templates, self.seed))
 
     def relation_template(self, relation: int) -> str:
         """[A]/[B] template for a relation, as :func:`relation_template`."""
-        return relation_template(self.graph, relation, self.backend,
-                                 self.templates, assets=self.assets,
-                                 seed=self.seed)
+        return _run_one(self._template_steps(relation), self.backend)
+
+    def relation_templates(self):
+        """:meth:`relation_template` of every relation, yielded in handle
+        order: one wave of first attempts, one of retries, per window."""
+        return run_waves(map(self._template_steps,
+                             range(len(self.graph.relations))), self.backend)
+
+    def _template_steps(self, relation: int):
+        return _template_steps(self.graph, relation, self.templates,
+                               self.assets, self.seed)
 
     def triple_context(self, triple: Triple, variant: str = V1) -> GeneratedContext:
         """Generate one fichad-1-family context for a triple.
@@ -413,12 +513,15 @@ class ContextGenerator:
         A fichad-1+x head without a database description keeps the plain
         fichad-1 text and is counted in ``degraded_compositions``.
         """
+        return _run_one(self._triple_steps(triple, variant), self.backend)
+
+    def _triple_steps(self, triple: Triple, variant: str):
         if variant not in (V1, V1X, V1Y):
             raise ValueError(f"{variant!r} is not a triple-level variant")
-        fh, ft = self.filtered_images(triple)
-        text, used, fallback = lamm_context(
+        fh, ft = yield from self._filter_steps(triple)
+        text, used, fallback = yield from _lamm_steps(
             self._name(triple.head), self._name(triple.tail), fh, ft,
-            self.backend, self.templates)
+            self.templates)
         if variant == V1X:
             db_desc = self.assets.description(triple.head)
             if db_desc is None:
@@ -426,7 +529,7 @@ class ContextGenerator:
             else:
                 text = f"{text} {first_sentence(db_desc)}"
         elif variant == V1Y:
-            hint, _ = self.hint(triple.head, triple.relation)
+            hint, _ = yield from self._hint_steps(triple.head, triple.relation)
             text = f"{text} {hint}"
         return GeneratedContext(variant=variant,
                                 subject=self.triple_subject(triple),
@@ -434,9 +537,11 @@ class ContextGenerator:
 
     def entity_context(self, entity: int) -> GeneratedContext:
         """Generate the fichad-2 context for one entity."""
-        text, fallback = entity_summary(self._name(entity),
-                                        self.assets.images_of(entity),
-                                        self.backend, self.templates)
+        return _run_one(self._entity_steps(entity), self.backend)
+
+    def _entity_steps(self, entity: int):
+        text, fallback = yield from _summary_steps(
+            self._name(entity), self.assets.images_of(entity), self.templates)
         return GeneratedContext(
             variant=V2,
             subject={"kind": "entity",
@@ -451,16 +556,12 @@ class ContextGenerator:
         if variant == V2:
             entities = {e for split in splits for t in self.graph.triples(split)
                         for e in (t.head, t.tail)}
-            return [self.entity_context(e) for e in sorted(entities)]
-        out = []
-        seen = set()
-        for split in splits:
-            for t in self.graph.triples(split):
-                if t in seen:
-                    continue
-                seen.add(t)
-                out.append(self.triple_context(t, variant))
-        return out
+            programs = map(self._entity_steps, sorted(entities))
+        else:
+            triples = dict.fromkeys(chain.from_iterable(
+                self.graph.triples(split) for split in splits))
+            programs = (self._triple_steps(t, variant) for t in triples)
+        return list(run_waves(programs, self.backend))
 
 
 # -- coverage statistics -------------------------------------------------

@@ -1,5 +1,7 @@
 import json
+import socket
 import sys
+import threading
 import time
 
 import pytest
@@ -88,6 +90,10 @@ class TestYesProbability:
         lp = [{"token": "yes", "logprob": math.log(0.6)},
               {"token": "no", "logprob": math.log(0.2)}]
         assert yes_probability(lp) == pytest.approx(0.75)
+
+    def test_minus_infinity_is_no_mass(self):
+        assert yes_probability([{"token": "Yes", "logprob": float("-inf")},
+                                {"token": "No", "logprob": -0.1}]) == 0.0
 
     def test_monotone_in_yes_logprob(self):
         last = -1.0
@@ -244,9 +250,14 @@ class TestHttpBackend:
            "logprobs": {"content": [{"top_logprobs": top_logprobs}]}}
           for top_logprobs in ([{"token": "Yes"}], ["Yes"], None,
                                [{"token": "Yes", "logprob": 1000}],
-                               [{"token": "Yes", "logprob": "x"}]))],
+                               [{"token": "Yes", "logprob": "x"}],
+                               # json.dumps writes these as the bare literals
+                               # NaN and Infinity, which json.loads accepts
+                               [{"token": "Yes", "logprob": float("nan")}],
+                               [{"token": "Yes", "logprob": float("inf")}]))],
         ids=["no-logprobs", "entry-without-logprob", "non-object-entry",
-             "null-list", "overflowing-logprob", "non-numeric-logprob"])
+             "null-list", "overflowing-logprob", "non-numeric-logprob",
+             "nan-logprob", "infinite-logprob"])
     def test_missing_logprobs_is_capability_error(self, stub_server, choice):
         StubHandler.script = [(200, {"choices": [choice]})]
         inner = HttpBackend(stub_server, "m", backoff=0.01)
@@ -265,6 +276,36 @@ class TestHttpBackend:
         with pytest.raises(BackendError, match="backend unavailable") as exc:
             inner.generate(GenerationRequest(prompt="hi"))
         assert exc.value.status is None
+
+    def test_connection_errors_count_their_retries(self):
+        """A server that accepts and closes each connection sees three
+        attempts, and the two retries among them are counted."""
+        accepted = []
+        done = threading.Event()
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            server.settimeout(0.05)
+
+            def serve():
+                while not done.is_set():
+                    try:
+                        conn, _ = server.accept()
+                    except TimeoutError:
+                        continue
+                    accepted.append(conn)
+                    conn.close()
+
+            thread = threading.Thread(target=serve)
+            thread.start()
+            inner = HttpBackend(f"http://127.0.0.1:{server.getsockname()[1]}",
+                                "m", backoff=0.01)
+            try:
+                with pytest.raises(BackendError, match="backend unavailable"):
+                    inner.generate(GenerationRequest(prompt="hi"))
+            finally:
+                done.set()
+                thread.join()
+        assert len(accepted) == 3
+        assert inner.wire_retries == 2
 
     def test_wire_client_needs_no_requests(self, stub_server, monkeypatch):
         monkeypatch.setitem(sys.modules, "requests", None)  # import fails

@@ -439,10 +439,43 @@ def test_gen_context_sends_both_descriptions_at_once(
     assert summary["backend_calls"] == wire_stub.requests == 2 * 7
 
 
+def test_gen_context_scores_a_windows_images_in_one_wave(
+        capsys, tmp_path, monkeypatch, wire_stub):
+    """The stub answers a relevance request only once eight are in flight
+    together: the 4 + 4 of both test triples. Per-triple batches of four
+    break its barrier, and every image is skipped."""
+    config = _http_dataset(tmp_path, monkeypatch)
+    wire_stub.barrier = threading.Barrier(8, timeout=5)
+    wire_stub.barrier_on = "Do these images depict"
+    code, summary = run(capsys, "gen-context", "--dataset", str(config),
+                        "--variant", "fichad-1", "--splits", "test",
+                        *_http(wire_stub, tmp_path / "g"))
+    assert code == EXIT_OK
+    assert summary["skipped_images"] == 0
+    assert summary["backend_calls"] == wire_stub.requests
+
+
+def test_templates_send_every_relations_attempt_in_one_wave(
+        capsys, tmp_path, monkeypatch, wire_stub):
+    """The stub answers a template request only once both relations' are in
+    flight together, first attempts and retries alike; serial calls break
+    its barrier and the run fails."""
+    config = _http_dataset(tmp_path, monkeypatch)
+    wire_stub.barrier = threading.Barrier(2, timeout=5)
+    wire_stub.barrier_on = "Example triples for the relation"
+    code, summary = run(capsys, "templates", "--dataset", str(config),
+                        *_http(wire_stub, tmp_path / "t"))
+    assert code == EXIT_OK
+    # the stub's sentences have no [A]/[B]: two attempts per relation
+    assert summary["relations"] == 2
+    assert summary["backend_calls"] == wire_stub.requests == 2 * 2
+
+
 def test_failed_head_description_caches_no_tail_description(
         capsys, tmp_path, monkeypatch, wire_stub):
-    """A head description answered 400 exits 2, and the tail description
-    sent with it leaves no record, as in a serial run."""
+    """A head description answered 400 exits 2, and the descriptions sent
+    with it leave no record; the relevance wave of both test triples that
+    came before it is cached."""
     config = _http_dataset(tmp_path, monkeypatch)
     ds = load_dataset(config)
     head = ds.graph.entities.display_name(next(ds.graph.triples("test")).head)
@@ -454,7 +487,7 @@ def test_failed_head_description_caches_no_tail_description(
     assert code == EXIT_BACKEND
     assert "400" in capsys.readouterr().err
     records = (tmp_path / "g" / "cache.jsonl").read_text().splitlines()
-    assert [json.loads(r)["kind"] for r in records] == ["relevance"] * 4
+    assert [json.loads(r)["kind"] for r in records] == ["relevance"] * 8
 
 
 def test_ctrl_c_abandons_requests_in_flight(tmp_path, monkeypatch):

@@ -89,7 +89,7 @@ ARLES_DIGESTS = {
     "build-prompts fichad-2 summary":
         "26b2d0f837cb2da5993d2917625b96facc77e4a91b888fdf9848b59e56585b26",
     "cache.jsonl":
-        "86ba581d991969e5e9f23d5ef6ffdeab24ae0b575bae19a210ce6edb336801cc",
+        "f86de04cf128ed653f77d1287faa14cc2d38f715f0aa403622249d97358d59b1",
     "filter-images filtered_images.jsonl":
         "5a3276bd70bc97170f216b819bb67fd150deab4417cfecc714f0a1aaffc9da18",
     "filter-images summary":
@@ -134,7 +134,7 @@ SYNTHETIC_DIGESTS = {
     "build-prompts fichad-2 summary":
         "295556c977950752b90e9c62556b3f97e2e74893f680c61425a0e13fbb953d8d",
     "cache.jsonl":
-        "6821d937f68e46655839ca213e38ec1171261b38f03dae419ab5c206e9508046",
+        "5aa4d95643c7dea18dcb892ae5f371839b026a6a4dedac7440a0a23563189f41",
     "filter-images filtered_images.jsonl":
         "127bd3e80c8a9cd747d4007b301dc3235bdb6cbcd704f37621c7dd1c098fdfc4",
     "filter-images summary":
