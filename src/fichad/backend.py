@@ -14,15 +14,17 @@ request opens one connection of its own; a keep-alive session per worker
 thread measured slower against a local stub.
 
 Requests of both kinds go through one batch method,
-:meth:`GenerationBackend.answer_many`. A triple's relevance requests form one
-batch, and so do a fichad-1 triple's two entity descriptions; every other
-generation request is a batch of one. The wire client sends a batch
+:meth:`GenerationBackend.answer_many`. Context generation calls it once per
+wave: ``fichad.context.run_waves`` advances ``WINDOW`` (64) items in
+lockstep and sends the requests all of them have pending at one step as one
+batch, so a fichad-1 window on a cold cache is three batches (relevance,
+descriptions, link summaries). The wire client sends a batch
 :data:`WIRE_WORKERS` (8) requests at a time, so a VLM server that batches
 concurrent requests can use that throughput; the mock and every other backend
 stay serial. The cache front records results on the calling thread in request
-order, so identical reruns still write byte-identical caches, and a killed
-run repeats at most the unfinished part of one batch: at most 2 x
-``image_cap`` relevance requests, or two descriptions.
+order, so records land in wave order with the same bytes for any worker
+count, identical reruns write byte-identical caches, and a killed run repeats
+at most the unfinished part of one window's wave.
 """
 
 from __future__ import annotations

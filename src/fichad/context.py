@@ -387,11 +387,12 @@ def _hint_steps(graph, query_entity, relation, entity_summary_text, templates,
     ent_name = graph.entities.display_name(query_entity)
     rel_name = graph.relations.display_name(relation)
     sampled = sample_relation_triples(graph, relation, seed=seed)
+    flagged = not sampled
     triples_text = _format_triples(graph, sampled) if sampled else "(none)"
     [text] = yield [_request(
         templates, "hint", (ent_name, rel_name), entity=ent_name,
         relation=rel_name, triples=triples_text, summary=entity_summary_text)]
-    return text, not sampled
+    return text, flagged
 
 
 def relation_template(graph: KnowledgeGraph, relation: int,
