@@ -318,6 +318,8 @@ def _completion_text(data: dict) -> str:
         text = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
         raise BackendError(f"malformed completion response: {exc}") from exc
+    if not isinstance(text, (str, type(None))):
+        raise BackendError(f"malformed completion response: content {text!r}")
     text = (text or "").strip()
     if not text:
         raise BackendError("backend returned empty text")
@@ -387,8 +389,8 @@ class ResponseCache:
     One record per line: ``{"k": hash, "kind": ..., "v": ...}``. A final
     line without its newline (crash mid-append) is ignored on load and cut
     off before the first append, so the next record starts on a fresh line.
-    Other lines that are not records are skipped and counted in
-    ``corrupt_lines``.
+    Other lines, and records whose value does not fit their kind, are
+    skipped and counted in ``corrupt_lines``.
     """
 
     def __init__(self, path):
@@ -407,9 +409,9 @@ class ResponseCache:
                     break
                 try:
                     rec = json.loads(line)
-                    self._index[rec["k"]] = rec["v"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    self.corrupt_lines += 1  # blank or corrupt line mid-file
+                    self._index[rec["k"]] = _cached_value(rec["kind"], rec["v"])
+                except (KeyError, TypeError, ValueError):
+                    self.corrupt_lines += 1  # its request is sent again
 
     def __len__(self) -> int:
         return len(self._index)
@@ -426,6 +428,16 @@ class ResponseCache:
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps({"k": key, "kind": kind, "v": value},
                                 sort_keys=True) + "\n")
+
+
+def _cached_value(kind: str, value):
+    """``value`` as a record of ``kind`` holds it, or ValueError: a relevance
+    is a float in [0, 1], free text a non-empty string."""
+    if kind == RELEVANCE and type(value) in (int, float) and 0 <= value <= 1:
+        return float(value)  # NaN fails the range check
+    if kind == FREE_TEXT and type(value) is str and value:
+        return value
+    raise ValueError(f"cache record of kind {kind!r} holds {value!r}")
 
 
 class CachedBackend(GenerationBackend):
@@ -470,8 +482,7 @@ class CachedBackend(GenerationBackend):
             for request, key, hit in zip(requests, keys, hits):
                 if hit is not None:
                     self.cache_hits += 1
-                    # the cache file is outside input: a relevance hit is a float
-                    yield float(hit) if request.kind == RELEVANCE else hit
+                    yield hit
                 elif sent[key] is None:
                     outcome = sent[key] = next(fresh)
                     if not isinstance(outcome, BackendError):

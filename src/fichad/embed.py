@@ -105,21 +105,21 @@ class EmbeddingModel:
     # -- scoring ---------------------------------------------------------
 
     def score(self, h: int, r: int, t: int) -> float:
-        return float(self._score_vec(self.entity[h], self.relation[r],
-                                     self.entity[t]))
+        return float(_forward(self, self.entity[h], self.relation[r],
+                              self.entity[t])[0])
 
     def score_tails(self, h: int, r: int,
                     tails: np.ndarray | None = None) -> np.ndarray:
         """Score of (h, r, t') for every t' in ``tails``, or every entity."""
         eh, er = self.entity[h], self.relation[r]
-        return self._score_blocks(lambda et: self._score_vec(eh, er, et),
+        return self._score_blocks(lambda et: _forward(self, eh, er, et)[0],
                                   tails)
 
     def score_heads(self, r: int, t: int,
                     heads: np.ndarray | None = None) -> np.ndarray:
         """Score of (h', r, t) for every h' in ``heads``, or every entity."""
         er, et = self.relation[r], self.entity[t]
-        return self._score_blocks(lambda eh: self._score_vec(eh, er, et),
+        return self._score_blocks(lambda eh: _forward(self, eh, er, et)[0],
                                   heads)
 
     def _score_blocks(self, score, rows) -> np.ndarray:
@@ -133,21 +133,6 @@ class EmbeddingModel:
             out[s:e] = score(self.entity[s:e] if rows is None
                              else self.entity[rows[s:e]])
         return out
-
-    def _score_vec(self, eh, er, et):
-        # all arguments broadcast over a leading candidate axis
-        if self.family == "transe":
-            d = eh + er - et
-            if self.transe_norm == 1:
-                return -np.sum(np.abs(d), axis=-1)
-            return -np.sqrt(np.sum(d * d, axis=-1))
-        if self.family == "distmult":
-            return np.sum(eh * er * et, axis=-1)
-        if self.family == "complex":
-            return np.real(np.sum(eh * er * np.conj(et), axis=-1))
-        # rotate: relation holds phases
-        d = eh * np.exp(1j * er) - et
-        return self.margin - np.sqrt(np.sum(np.abs(d) ** 2, axis=-1))
 
     # -- persistence -----------------------------------------------------
 
@@ -238,71 +223,62 @@ def init_model(family: str, n_entities: int, n_relations: int, dim: int,
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
 
-    def uniform(shape):
-        return rng.uniform(-bound, bound, size=shape)
+    def table(rows):
+        real = rng.uniform(-bound, bound, size=(rows, dim))
+        if family in ("transe", "distmult"):
+            return real
+        return real + 1j * rng.uniform(-bound, bound, size=(rows, dim))
 
-    if family in ("transe", "distmult"):
-        entity = uniform((n_entities, dim))
-        relation = uniform((n_relations, dim))
-    elif family == "complex":
-        entity = uniform((n_entities, dim)) + 1j * uniform((n_entities, dim))
-        relation = uniform((n_relations, dim)) + 1j * uniform((n_relations, dim))
-    elif family == "rotate":
-        entity = uniform((n_entities, dim)) + 1j * uniform((n_entities, dim))
-        relation = rng.uniform(-np.pi, np.pi, size=(n_relations, dim))
-    else:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family: {family!r}")
+    entity = table(n_entities)
+    relation = (rng.uniform(-np.pi, np.pi, size=(n_relations, dim))
+                if family == "rotate" else table(n_relations))
     return EmbeddingModel(family, entity, relation, margin=margin, seed=seed,
                           transe_norm=transe_norm)
 
 
-# -- gradients -----------------------------------------------------------
+# -- the forward pass ----------------------------------------------------
 
-def score_gradients(model: EmbeddingModel, rows: np.ndarray):
-    """(score, d_score/d_eh, d_score/d_er, d_score/d_et) of each triple.
-
-    ``rows`` is a (k, 3) array of (head, relation, tail) handles. The scores
-    have shape (k,) and each gradient (k, d), one row per triple; the scores
-    are bit-identical to :meth:`EmbeddingModel.score`. Complex gradients use
-    the encoded d/dRe + i*d/dIm form; the TransE L1 subgradient at 0 is 0 per
-    coordinate, and a zero distance has a zero gradient.
-    """
-    eh = model.entity[rows[:, 0]]
-    er = model.relation[rows[:, 1]]
-    et = model.entity[rows[:, 2]]
-
+def _forward(model: EmbeddingModel, eh, er, et):
+    """(scores, gradients) of ``model``'s family on the rows ``eh``, ``er``,
+    ``et``, which broadcast over a leading candidate axis. ``gradients()``
+    derives (d_score/d_eh, d_score/d_er, d_score/d_et) from the same
+    intermediates; scoring alone never calls it. The TransE L1 subgradient
+    at 0 is 0 per coordinate, and a zero distance has a zero gradient."""
     if model.family == "transe":
         d = eh + er - et
         if model.transe_norm == 1:
-            s = -np.sum(np.abs(d), axis=-1)
-            g = -np.sign(d)
-        else:
-            norm = np.sqrt(np.sum(d * d, axis=-1))
-            s = -norm
-            g = -_unit(d, norm)
-        return s, g, g, -g
-
+            return -np.sum(np.abs(d), axis=-1), lambda: _tied(-np.sign(d))
+        norm = np.sqrt(np.sum(d * d, axis=-1))
+        return -norm, lambda: _tied(-_unit(d, norm))
     if model.family == "distmult":
-        return np.sum(eh * er * et, axis=-1), er * et, eh * et, eh * er
-
+        return (np.sum(eh * er * et, axis=-1),
+                lambda: (er * et, eh * et, eh * er))
     if model.family == "complex":
-        s = np.real(np.sum(eh * er * np.conj(et), axis=-1))
-        return s, np.conj(er) * et, np.conj(eh) * et, eh * er
-
+        return (np.real(np.sum(eh * er * np.conj(et), axis=-1)),
+                lambda: (np.conj(er) * et, np.conj(eh) * et, eh * er))
     # rotate: relation holds phases
     rot = np.exp(1j * er)
     eh_rot = eh * rot
     d = eh_rot - et
     norm = np.sqrt(np.sum(np.abs(d) ** 2, axis=-1))
-    gt = _unit(d, norm)
-    return (model.margin - norm, -np.conj(rot) * gt,
-            np.imag(np.conj(gt) * eh_rot), gt)
+
+    def gradients():
+        gt = _unit(d, norm)
+        return -np.conj(rot) * gt, np.imag(np.conj(gt) * eh_rot), gt
+    return model.margin - norm, gradients
+
+
+def _tied(g: np.ndarray):
+    """TransE's gradients: ``g`` for head and relation, -g for the tail."""
+    return g, g, -g
 
 
 def _unit(d: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """``d / norm`` row by row, and 0 in rows whose norm is 0."""
-    return np.divide(d, norm[:, None], out=np.zeros_like(d),
-                     where=norm[:, None] > 0)
+    return np.divide(d, norm[..., None], out=np.zeros_like(d),
+                     where=norm[..., None] > 0)
 
 
 def loss_gradients(model: EmbeddingModel, pos: np.ndarray, neg: np.ndarray,
@@ -324,7 +300,10 @@ def loss_gradients(model: EmbeddingModel, pos: np.ndarray, neg: np.ndarray,
     """
     b = len(pos)
     rows = np.concatenate((pos, neg))
-    s, gh, gr, gt = score_gradients(model, rows)
+    eh, er, et = (model.entity[rows[:, 0]], model.relation[rows[:, 1]],
+                  model.entity[rows[:, 2]])
+    s, gradients = _forward(model, eh, er, et)
+    gh, gr, gt = gradients()
     if config.loss == "margin":
         hinge = config.margin - np.repeat(s[:b], len(neg) // b) + s[b:]
         active = hinge > 0
@@ -339,12 +318,10 @@ def loss_gradients(model: EmbeddingModel, pos: np.ndarray, neg: np.ndarray,
     coef = coef[:, None]
     dh, dr, dt = coef * gh, coef * gr, coef * gt
     if config.loss == "logistic" and config.l2 > 0:
-        eh, et = model.entity[rows[:, 0]], model.entity[rows[:, 2]]
         sq = np.sum(np.abs(eh) ** 2) + np.sum(np.abs(et) ** 2)
         dh = dh + 2.0 * config.l2 * eh
         dt = dt + 2.0 * config.l2 * et
         if model.family != "rotate":
-            er = model.relation[rows[:, 1]]
             sq += np.sum(np.abs(er) ** 2)
             dr = dr + 2.0 * config.l2 * er
         loss += config.l2 * float(sq)

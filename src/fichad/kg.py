@@ -385,34 +385,43 @@ def load_dataset(config_path) -> Dataset:
          "test": "test.tsv", "images": "images.tsv",
          "descriptions": "descriptions.tsv", "image_cap": 10}
 
-    ``images``, ``descriptions`` and ``names`` may be null/absent. The image
+    Each file entry is a string; ``images``, ``descriptions`` and ``names``
+    may also be null, absent or "". The image
     manifest and the descriptions are parsed on the first read of
     ``Dataset.assets``; here they only have to exist.
     """
     config_path = Path(config_path)
     with open(config_path, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    base = config_path.parent
+    if not isinstance(cfg, dict):
+        raise DatasetError(f"{config_path}: dataset config must be a JSON "
+                           f"object, got {cfg!r}")
+    files = {}  # the path of each file the config names
+    for key in (*SPLITS, "images", "descriptions", "names"):
+        name = cfg.get(key)
+        if not isinstance(name, (str, type(None))):
+            raise DatasetError(f"{config_path}: {key} must be a file name "
+                               f"or null, got {name!r}")
+        if name:
+            files[key] = config_path.parent / name
 
     entities, relations = Vocab(), Vocab()
     splits = {}
     for split in SPLITS:
-        if split not in cfg:
-            raise DatasetError(f"dataset config missing {split!r} file")
-        splits[split] = load_triples(base / cfg[split], entities, relations)
+        if split not in files:
+            raise DatasetError(f"{config_path}: {split} file missing")
+        splits[split] = load_triples(files.pop(split), entities, relations)
 
     cap = cfg.get("image_cap", 10)
     # bool is an int subclass; a float or string cap is a config mistake
     if type(cap) is not int or cap < 1:
         raise DatasetError(f"{config_path}: image_cap must be an integer "
                            f">= 1, got {cap!r}")
-    files = {key: base / cfg[key] for key in ("images", "descriptions")
-             if cfg.get(key)}
     for path in files.values():
         path.stat()  # a missing file fails every subcommand, not only some
-    if cfg.get("names"):
+    if "names" in files:
         # optional entity<TAB>display-name table; an empty name keeps the label
-        for label, name in _rows(base / cfg["names"], 2):
+        for label, name in _rows(files.pop("names"), 2):
             if name and label in entities:
                 entities.set_display_name(entities.id_of(label), name)
 

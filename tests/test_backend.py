@@ -168,6 +168,30 @@ class TestCache:
         bk = CachedBackend(MockBackend(1), cache)
         assert bk.counts()["cache_corrupt_lines"] == 1
 
+    @pytest.mark.parametrize("kind,value", [
+        (RELEVANCE, [1]), (RELEVANCE, {"p": 1}), (RELEVANCE, "abc"),
+        (RELEVANCE, True), (RELEVANCE, 7), (RELEVANCE, -0.5),
+        (RELEVANCE, float("nan")), (FREE_TEXT, 5), (FREE_TEXT, ["t"]),
+        (FREE_TEXT, ""), ("summary", "text")],
+        ids=["list", "object", "string", "bool", "above-one", "negative",
+             "nan", "numeric-text", "list-text", "empty-text", "unknown-kind"])
+    def test_record_unfit_for_its_kind_is_sent_again(self, tmp_path, kind,
+                                                     value):
+        """A record whose value does not fit its kind, or whose kind is
+        unknown, is counted as corrupt and its request sent again."""
+        req = GenerationRequest(prompt="p?", subjects=("X",),
+                                kind=RELEVANCE if kind == RELEVANCE
+                                else FREE_TEXT)
+        clean = CachedBackend(MockBackend(1),
+                              ResponseCache(tmp_path / "clean.jsonl"))
+        p = tmp_path / "c.jsonl"
+        p.write_text(json.dumps({"k": clean._key(req), "kind": kind,
+                                 "v": value}) + "\n", encoding="utf-8")
+        bk = CachedBackend(MockBackend(1), ResponseCache(p))
+        assert bk.generate(req) == clean.generate(req)
+        assert bk.counts() == {"backend_calls": 1, "cache_hits": 0,
+                               "wire_retries": 0, "cache_corrupt_lines": 1}
+
 
 class TestHttpBackend:
     def test_429_then_200_retries_and_caches_once(self, stub_server, tmp_path):
@@ -263,6 +287,16 @@ class TestHttpBackend:
         inner = HttpBackend(stub_server, "m", backoff=0.01)
         with pytest.raises(CapabilityError):
             inner.relevance(GenerationRequest(prompt="rel?", kind="relevance"))
+
+    @pytest.mark.parametrize("content", [["x"], 5, {"a": 1}],
+                             ids=["list", "number", "object"])
+    def test_non_text_content_is_backend_error(self, stub_server, content):
+        StubHandler.script = [
+            (200, {"choices": [{"message": {"content": content}}]})]
+        inner = HttpBackend(stub_server, "m", backoff=0.01)
+        with pytest.raises(BackendError,
+                           match="^malformed completion response: "):
+            inner.generate(GenerationRequest(prompt="hi"))
 
     def test_non_json_reply_is_backend_error(self, stub_server):
         StubHandler.script = [(200, b"<html>gateway</html>")]

@@ -141,6 +141,27 @@ def test_bad_image_cap_is_input_error(capsys, tmp_path, cap):
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("config,key", [
+    ("5", "JSON object"), ({"train": 5}, "train"), ({"valid": None}, "valid"),
+    ({"images": ["a"]}, "images"), ({"names": 7}, "names")],
+    ids=["not-an-object", "numeric-train", "null-valid", "list-images",
+         "numeric-names"])
+def test_malformed_dataset_config_is_input_error(capsys, tmp_path, config,
+                                                 key):
+    """A config of the wrong shape is an input error naming file and key."""
+    for f in ARLES_CONFIG.parent.iterdir():
+        (tmp_path / f.name).write_bytes(f.read_bytes())
+    path = tmp_path / "dataset.json"
+    if isinstance(config, dict):
+        config = json.dumps({**json.loads(path.read_text(encoding="utf-8")),
+                             **config})
+    path.write_text(config, encoding="utf-8")
+    assert main(["ingest", "--dataset", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path}: ") and key in err
+    assert "Traceback" not in err
+
+
 def test_missing_dataset_is_input_error(capsys):
     assert main(["ingest", "--dataset", "/nope/ds.json"]) == EXIT_INPUT
 

@@ -4,7 +4,7 @@ import pytest
 from fichad import embed
 from fichad.embed import (EmbeddingModel, TrainConfig, TrainingError,
                           init_model, loss_gradients, negative_sample,
-                          score_gradients, train)
+                          train)
 from fichad.kg import KnowledgeGraph, Triple
 from conftest import make_vocab, two_cluster_graph
 
@@ -104,9 +104,9 @@ class TestScore:
         for rows in (None, perm):
             cands = m.entity if rows is None else m.entity[rows]
             np.testing.assert_array_equal(m.score_tails(h, r, rows),
-                                          m._score_vec(eh, er, cands))
+                                          embed._forward(m, eh, er, cands)[0])
             np.testing.assert_array_equal(m.score_heads(r, t, rows),
-                                          m._score_vec(cands, er, et))
+                                          embed._forward(m, cands, er, et)[0])
 
     def test_rotate_phase_2pi_invariance(self):
         m = init_model("rotate", 5, 2, 8, seed=4)
@@ -118,11 +118,13 @@ class TestScore:
                                              ("distmult", 1), ("complex", 1),
                                              ("rotate", 1)])
     def test_training_score_equals_eval_score(self, family, norm):
-        """Training scores through ``score_gradients``, evaluation through
-        ``score``; the two must agree bit for bit."""
+        """Training scores gathered rows through the forward, evaluation one
+        triple through ``score``; the two must agree bit for bit."""
         m = init_model(family, 6, 3, 5, seed=13, transe_norm=norm)
         rows = np.array([(0, 0, 1), (2, 1, 5), (4, 2, 4)])
-        np.testing.assert_array_equal(score_gradients(m, rows)[0],
+        scores, _ = embed._forward(m, m.entity[rows[:, 0]],
+                                   m.relation[rows[:, 1]], m.entity[rows[:, 2]])
+        np.testing.assert_array_equal(scores,
                                       [m.score(*row) for row in rows.tolist()])
 
     def test_complex_all_real_equals_distmult(self):
@@ -192,7 +194,8 @@ class TestGradients:
         ent = np.array([[0.5, 0.2], [0.6, 0.9]])
         rel = np.array([[0.1, 0.3]])  # (h + r - t) = (0.0, -0.4)
         m = EmbeddingModel("transe", ent, rel)
-        _, gh, _, _ = score_gradients(m, np.array([[0, 0, 1]]))
+        _, gradients = embed._forward(m, ent[[0]], rel[[0]], ent[[1]])
+        gh, _, _ = gradients()
         assert gh[0, 0] == 0.0 and gh[0, 1] != 0.0
 
     def test_distmult_logistic_saturation(self):
