@@ -35,9 +35,13 @@ import json
 import math
 import os
 import time
+from array import array
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import compress, islice
 from pathlib import Path
+
+import numpy as np
 
 FREE_TEXT = "free-text"
 RELEVANCE = "relevance"
@@ -55,6 +59,8 @@ RETRY_STATUSES = (429, 500, 502, 503, 504)
 BACKOFF_JITTER_S = 0.5
 #: requests of one batch in flight at once on the wire
 WIRE_WORKERS = 8
+#: cache lines parsed by one ``json.loads`` on load
+LOAD_CHUNK = 512
 
 
 class BackendError(Exception):
@@ -386,48 +392,132 @@ def yes_probability(top_logprobs: list[dict]) -> float:
 class ResponseCache:
     """Content-addressed cache persisted as append-only JSONL.
 
-    One record per line: ``{"k": hash, "kind": ..., "v": ...}``. A final
-    line without its newline (crash mid-append) is ignored on load and cut
-    off before the first append, so the next record starts on a fresh line.
-    Other lines, and records whose value does not fit their kind, are
-    skipped and counted in ``corrupt_lines``.
+    One record per line: ``{"k": key, "kind": ..., "v": ...}``, where the key
+    is a request's sha256 digest in 64 hex digits. A final line without its
+    newline (crash mid-append) is ignored on load and cut off before the
+    first append, so the next record starts on a fresh line. Other lines, and
+    records whose key is not a digest or whose value does not fit their kind,
+    are skipped and counted in ``corrupt_lines``.
+
+    Lookups are per kind, so a record is served only to a request of its own
+    kind; the last record of a key and kind wins. Relevance values loaded
+    from the file sit in a sorted array of 32-byte digests beside a float64
+    array, 40 bytes a record; the ones put since the load sit in a dict.
+    Free text sits in a dict keyed by the 32-byte digest.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._index: dict[str, object] = {}
+        self._keys = np.empty(0, dtype="S32")  # sorted relevance digests
+        self._scores = np.empty(0)  # the relevance of each of ``_keys``
+        self._new_scores: dict[bytes, float] = {}  # put since the load
+        self._texts: dict[bytes, str] = {}
         self._torn_tail = 0  # bytes after the last newline
         self.corrupt_lines = 0
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
+        keys, scores = bytearray(), array("d")
         with open(self.path, encoding="utf-8", newline="\n") as fh:
-            for line in fh:
-                if not line.endswith("\n"):
-                    self._torn_tail = len(line.encode("utf-8"))
-                    break
-                try:
-                    rec = json.loads(line)
-                    self._index[rec["k"]] = _cached_value(rec["kind"], rec["v"])
-                except (KeyError, TypeError, ValueError):
-                    self.corrupt_lines += 1  # its request is sent again
+            while lines := list(islice(fh, LOAD_CHUNK)):
+                if not lines[-1].endswith("\n"):
+                    self._torn_tail = len(lines.pop().encode("utf-8"))
+                for rec in _parsed(lines):
+                    try:
+                        key = _digest(rec["k"])
+                        value = _cached_value(rec["kind"], rec["v"])
+                    except (KeyError, TypeError, ValueError):
+                        self.corrupt_lines += 1  # its request is sent again
+                        continue
+                    if rec["kind"] == RELEVANCE:
+                        keys += key
+                        scores.append(value)
+                    else:
+                        self._texts[key] = value
+        if keys:
+            keys = np.frombuffer(keys, dtype="S32")
+            order = np.argsort(keys, kind="stable")
+            keys, scores = keys[order], np.frombuffer(scores)[order]
+            last = np.ones(len(keys), dtype=bool)  # the last of equal keys
+            np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+            self._keys, self._scores = keys[last], scores[last]
 
     def __len__(self) -> int:
-        return len(self._index)
+        return len(self._keys) + len(self._new_scores) + len(self._texts)
 
-    def get(self, key: str):
-        return self._index.get(key)
+    def _loaded(self, keys: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of ``keys`` in the loaded relevance table, and whether
+        each is there."""
+        if not len(self._keys):
+            return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), bool)
+        wanted = np.frombuffer(b"".join(keys), dtype="S32")
+        # needles in order let each search start where the last one ended
+        order = np.argsort(wanted)
+        at = np.empty(len(keys), dtype=np.intp)
+        at[order] = np.searchsorted(self._keys, wanted[order])
+        at[at == len(self._keys)] = 0
+        return at, self._keys[at] == wanted
 
-    def put(self, key: str, kind: str, value) -> None:
-        self._index[key] = value
+    def get_many(self, keys: list[bytes], kinds: list[str]) -> list:
+        """The value cached for each digest under its kind, or None."""
+        values = [self._texts.get(key) if kind == FREE_TEXT
+                  else self._new_scores.get(key)
+                  for key, kind in zip(keys, kinds)]
+        asked = [i for i, (value, kind) in enumerate(zip(values, kinds))
+                 if value is None and kind == RELEVANCE]
+        if asked:
+            at, found = self._loaded([keys[i] for i in asked])
+            for i, value in zip(compress(asked, found),
+                                self._scores[at[found]].tolist()):
+                values[i] = value
+        return values
+
+    def put(self, key: bytes, kind: str, value) -> None:
+        if kind != RELEVANCE:
+            self._texts[key] = value
+        else:
+            [at], [loaded] = self._loaded([key])
+            if loaded:
+                self._scores[at] = value
+            else:
+                self._new_scores[key] = value
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self._torn_tail:
             os.truncate(self.path, self.path.stat().st_size - self._torn_tail)
             self._torn_tail = 0
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps({"k": key, "kind": kind, "v": value},
+            fh.write(json.dumps({"k": key.hex(), "kind": kind, "v": value},
                                 sort_keys=True) + "\n")
+
+
+def _parsed(lines: list[str]) -> list:
+    """The JSON value of each line, or None for a line that is not JSON.
+
+    The lines are parsed as one list; only when that fails, or yields another
+    number of values, are they parsed one by one.
+    """
+    try:
+        values = json.loads("[" + ",".join(lines) + "]")
+        if len(values) == len(lines):
+            return values
+    except ValueError:
+        pass
+    values = []
+    for line in lines:
+        try:
+            values.append(json.loads(line))
+        except ValueError:
+            values.append(None)
+    return values
+
+
+def _digest(key) -> bytes:
+    """The 32 bytes a record's 64-hex-digit key spells, or ValueError."""
+    digest = bytes.fromhex(key)
+    if len(key) != 64 or len(digest) != 32:
+        raise ValueError(f"cache key {key!r} is not a sha256 digest")
+    return digest
 
 
 def _cached_value(kind: str, value):
@@ -451,9 +541,9 @@ class CachedBackend(GenerationBackend):
         self.model_id = inner.model_id
         self.cache_hits = 0
 
-    def _key(self, request: GenerationRequest) -> str:
+    def _key(self, request: GenerationRequest) -> bytes:
         payload = f"{self.inner.backend_id}|{self.inner.model_id}|{request.canonical()}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256(payload.encode("utf-8")).digest()
 
     def generate(self, request: GenerationRequest) -> str:
         [outcome] = self.answer_many([request])
@@ -471,8 +561,8 @@ class CachedBackend(GenerationBackend):
         read the first one's outcome, and count as hits when it succeeded.
         """
         keys = [self._key(r) for r in requests]
-        hits = [self.cache.get(k) for k in keys]
-        sent: dict[str, object] = {}  # key -> outcome of the request sent
+        hits = self.cache.get_many(keys, [r.kind for r in requests])
+        sent: dict[bytes, object] = {}  # key -> outcome of the request sent
         misses = []
         for request, key, hit in zip(requests, keys, hits):
             if hit is None and key not in sent:

@@ -22,9 +22,12 @@ from dataclasses import dataclass, field, asdict
 from itertools import chain, islice, starmap
 from pathlib import Path
 
+import numpy as np
+
 from .backend import RELEVANCE, BackendError, CapabilityError, \
     GenerationBackend, GenerationRequest
-from .kg import KnowledgeGraph, MultimodalAssets, Triple, first_sentence
+from .kg import KnowledgeGraph, MultimodalAssets, Triple, _sorted_unique, \
+    first_sentence
 
 V1 = "fichad-1"
 V2 = "fichad-2"
@@ -555,9 +558,11 @@ class ContextGenerator:
         """Contexts for ``splits``: one per distinct triple, in split order,
         or for fichad-2 one per entity of those triples, in handle order."""
         if variant == V2:
-            entities = {e for split in splits for t in self.graph.triples(split)
-                        for e in (t.head, t.tail)}
-            programs = map(self._entity_steps, sorted(entities))
+            ends = [self.graph.splits[split][:, [0, 2]].ravel()
+                    for split in splits]  # heads and tails
+            entities = _sorted_unique(np.concatenate(
+                [np.empty(0, dtype=np.int64), *ends]))
+            programs = map(self._entity_steps, entities.tolist())
         else:
             triples = dict.fromkeys(chain.from_iterable(
                 self.graph.triples(split) for split in splits))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import socket
 import sys
@@ -11,6 +12,19 @@ from fichad.backend import (FREE_TEXT, RELEVANCE, BackendError,
                             HttpBackend, MockBackend, RequestError,
                             ResponseCache, yes_probability)
 from conftest import StubHandler
+
+#: 64-hex cache keys, the form the program writes
+KA, KB, KC = (hashlib.sha256(name).hexdigest() for name in (b"a", b"b", b"c"))
+
+
+def mock_key(request: GenerationRequest, seed: int) -> str:
+    """The hex cache key of ``request`` to ``MockBackend(seed)``."""
+    payload = f"mock|mock-{seed}|{request.canonical()}"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def record(key: str, kind: str, value) -> str:
+    return json.dumps({"k": key, "kind": kind, "v": value}) + "\n"
 
 
 class TestRequest:
@@ -48,7 +62,7 @@ class TestRequest:
         """Caches written by earlier versions keep hitting."""
         assert request_.canonical() == canonical
         cached = CachedBackend(MockBackend(0), ResponseCache(tmp_path / "c"))
-        assert cached._key(request_) == key
+        assert cached._key(request_).hex() == key == mock_key(request_, 0)
 
 
 class TestMockBackend:
@@ -107,26 +121,26 @@ class TestYesProbability:
 class TestCache:
     def test_put_get_roundtrip(self, tmp_path):
         cache = ResponseCache(tmp_path / "c.jsonl")
-        cache.put("k1", "free-text", "hello")
+        cache.put(bytes.fromhex(KA), FREE_TEXT, "hello")
         again = ResponseCache(tmp_path / "c.jsonl")
-        assert again.get("k1") == "hello"
+        assert again.get_many([bytes.fromhex(KA)], [FREE_TEXT]) == ["hello"]
 
     def test_torn_final_line_ignored(self, tmp_path):
         p = tmp_path / "c.jsonl"
-        p.write_text('{"k": "a", "kind": "free-text", "v": "ok"}\n'
-                     '{"k": "b", "kind": "free', encoding="utf-8")
+        p.write_text(record(KA, FREE_TEXT, "ok")
+                     + f'{{"k": "{KB}", "kind": "free', encoding="utf-8")
         cache = ResponseCache(p)
-        assert cache.get("a") == "ok"
-        assert cache.get("b") is None
+        assert cache.get_many([bytes.fromhex(KA), bytes.fromhex(KB)],
+                              [FREE_TEXT, FREE_TEXT]) == ["ok", None]
 
     def test_put_after_torn_tail_survives_reload(self, tmp_path):
         p = tmp_path / "c.jsonl"
-        p.write_text('{"k": "a", "kind": "free-text", "v": "ok"}\n'
-                     '{"k": "b", "kind": "free', encoding="utf-8")
-        ResponseCache(p).put("c", "free-text", "new")
+        p.write_text(record(KA, FREE_TEXT, "ok")
+                     + f'{{"k": "{KB}", "kind": "free', encoding="utf-8")
+        ResponseCache(p).put(bytes.fromhex(KC), FREE_TEXT, "new")
         again = ResponseCache(p)
-        assert again.get("a") == "ok"
-        assert again.get("c") == "new"
+        assert again.get_many([bytes.fromhex(KA), bytes.fromhex(KC)],
+                              [FREE_TEXT, FREE_TEXT]) == ["ok", "new"]
         assert p.read_text(encoding="utf-8").endswith('"v": "new"}\n')
 
     def test_cache_soundness_calls_equal_distinct_keys(self, tmp_path):
@@ -158,15 +172,93 @@ class TestCache:
 
     def test_corrupt_line_mid_file_is_counted(self, tmp_path):
         p = tmp_path / "c.jsonl"
-        p.write_text('{"k": "a", "kind": "free-text", "v": "one"}\n'
-                     'not json at all\n'
-                     '{"k": "b", "kind": "free-text", "v": "two"}\n',
-                     encoding="utf-8")
+        p.write_text(record(KA, FREE_TEXT, "one") + "not json at all\n"
+                     + record(KB, FREE_TEXT, "two"), encoding="utf-8")
         cache = ResponseCache(p)
-        assert (cache.get("a"), cache.get("b")) == ("one", "two")
+        assert cache.get_many([bytes.fromhex(KA), bytes.fromhex(KB)],
+                              [FREE_TEXT, FREE_TEXT]) == ["one", "two"]
         assert cache.corrupt_lines == 1
         bk = CachedBackend(MockBackend(1), cache)
         assert bk.counts()["cache_corrupt_lines"] == 1
+
+    @pytest.mark.parametrize("kind,first,later", [
+        (RELEVANCE, 0.25, 0.75), (FREE_TEXT, "first", "later")],
+        ids=[RELEVANCE, FREE_TEXT])
+    def test_later_record_of_a_key_is_served(self, tmp_path, kind, first,
+                                             later):
+        req = GenerationRequest(prompt="p?", subjects=("X",), kind=kind)
+        p = tmp_path / "c.jsonl"
+        p.write_text(record(mock_key(req, 1), kind, first)
+                     + record(mock_key(req, 1), kind, later), encoding="utf-8")
+        bk = CachedBackend(MockBackend(1), ResponseCache(p))
+        assert list(bk.answer_many([req])) == [later]
+        assert bk.counts()["backend_calls"] == 0
+
+    def test_batch_lookup_equals_per_request_lookups(self, tmp_path):
+        """One batch over hits and misses of both kinds, a repeat included,
+        answers, counts and caches as the same requests sent one by one."""
+        def req(i, kind):
+            return GenerationRequest(prompt=f"p{i}", subjects=("X",),
+                                     kind=kind)
+
+        warm = [req(i, kind) for i in range(0, 12, 2)
+                for kind in (RELEVANCE, FREE_TEXT)]
+        batch = [req(i, kind) for i in range(12)
+                 for kind in (RELEVANCE, FREE_TEXT)] + [req(3, RELEVANCE)]
+        seeded = tmp_path / "seed.jsonl"
+        list(CachedBackend(MockBackend(1), ResponseCache(seeded))
+             .answer_many(warm))
+        runs = []
+        for name, ask in (("batch", lambda bk: list(bk.answer_many(batch))),
+                          ("single", lambda bk: [
+                              o for r in batch for o in bk.answer_many([r])])):
+            p = tmp_path / f"{name}.jsonl"
+            p.write_bytes(seeded.read_bytes())
+            bk = CachedBackend(MockBackend(1), ResponseCache(p))
+            runs.append((ask(bk), bk.counts(), p.read_bytes()))
+        assert runs[0] == runs[1]
+        assert runs[0][1]["cache_hits"] == len(warm) + 1
+
+    def test_len_counts_distinct_keys(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text(record(KA, RELEVANCE, 0.5) + record(KB, FREE_TEXT, "b")
+                     + record(KA, RELEVANCE, 0.25) + record(KB, FREE_TEXT, "c")
+                     + record(KC, RELEVANCE, 1.0), encoding="utf-8")
+        bk = CachedBackend(MockBackend(1), ResponseCache(p))
+        assert len(bk.cache) == 3
+        reqs = [GenerationRequest(prompt=f"p{i % 2}", kind=kind)
+                for i in range(4) for kind in (RELEVANCE, FREE_TEXT)]
+        list(bk.answer_many(reqs))
+        assert len(bk.cache) == 3 + 4 == len(ResponseCache(p))
+
+    @pytest.mark.parametrize("key", [
+        "a", KA[:-1], KA + "0", "g" * 64, KA[:30] + "  " + KA[32:], 7, None],
+        ids=["short", "63-hex", "65-hex", "not-hex", "space", "number",
+             "null"])
+    def test_key_that_is_not_a_digest_is_corrupt(self, tmp_path, key):
+        p = tmp_path / "c.jsonl"
+        p.write_text(record(key, FREE_TEXT, "x") + record(KB, FREE_TEXT, "b"),
+                     encoding="utf-8")
+        cache = ResponseCache(p)
+        assert (len(cache), cache.corrupt_lines) == (1, 1)
+
+    def test_corrupt_lines_in_a_long_file_are_each_counted_once(self,
+                                                              tmp_path):
+        """Lines are parsed in chunks; each chunk holding a line that is not
+        one record falls back to the line-by-line parse."""
+        keys = [hashlib.sha256(b"%d" % i).hexdigest() for i in range(1500)]
+        lines = [record(k, RELEVANCE, i / 1500) for i, k in enumerate(keys)]
+        lines[10] = "not json\n"
+        lines[700] = lines[701].rstrip("\n") + ", " + lines[702]
+        lines[1400] = "\n"
+        p = tmp_path / "c.jsonl"
+        p.write_text("".join(lines), encoding="utf-8")
+        cache = ResponseCache(p)
+        assert (len(cache), cache.corrupt_lines) == (1497, 3)
+        got = cache.get_many([bytes.fromhex(k) for k in keys],
+                             [RELEVANCE] * len(keys))
+        assert [i for i, v in enumerate(got) if v is None] == [10, 700, 1400]
+        assert got[1499] == 1499 / 1500
 
     @pytest.mark.parametrize("kind,value", [
         (RELEVANCE, [1]), (RELEVANCE, {"p": 1}), (RELEVANCE, "abc"),
@@ -185,8 +277,7 @@ class TestCache:
         clean = CachedBackend(MockBackend(1),
                               ResponseCache(tmp_path / "clean.jsonl"))
         p = tmp_path / "c.jsonl"
-        p.write_text(json.dumps({"k": clean._key(req), "kind": kind,
-                                 "v": value}) + "\n", encoding="utf-8")
+        p.write_text(record(mock_key(req, 1), kind, value), encoding="utf-8")
         bk = CachedBackend(MockBackend(1), ResponseCache(p))
         assert bk.generate(req) == clean.generate(req)
         assert bk.counts() == {"backend_calls": 1, "cache_hits": 0,
@@ -377,7 +468,7 @@ class TestWireBatch:
         assert wire_stub.requests == 26
         lines = (tmp_path / "c.jsonl").read_text().splitlines()
         assert [json.loads(line)["k"] for line in lines] == [
-            bk._key(r) for r in requests]
+            bk._key(r).hex() for r in requests]
 
     def test_repeated_request_in_a_batch_is_sent_once(self, wire_stub,
                                                       tmp_path):

@@ -681,6 +681,31 @@ def test_full_pipeline_determinism_and_cache(capsys, tmp_path):
     assert built1["skipped_neighbors"] == 0
 
 
+def test_record_of_the_other_kind_is_sent_again(capsys, tmp_path):
+    """A relevance record edited into a well-formed free-text record is not
+    served to its relevance request: the request is sent again, and the
+    store equals a clean run's."""
+    def gen(out):
+        code, summary = run(capsys, "gen-context", "--dataset", ARLES,
+                            "--out", str(out))
+        assert code == EXIT_OK
+        return summary, (out / "contexts.jsonl").read_bytes()
+
+    _, clean_store = gen(tmp_path / "clean")
+    lines = (tmp_path / "clean" / "cache.jsonl").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    first = next(i for i, line in enumerate(lines)
+                 if json.loads(line)["kind"] == be.RELEVANCE)
+    record = dict(json.loads(lines[first]), kind=be.FREE_TEXT, v="yes")
+    lines[first] = json.dumps(record, sort_keys=True) + "\n"
+    (tmp_path / "edited").mkdir()
+    (tmp_path / "edited" / "cache.jsonl").write_text("".join(lines),
+                                                     encoding="utf-8")
+    summary, store = gen(tmp_path / "edited")
+    assert store == clean_store
+    assert (summary["backend_calls"], summary["cache_corrupt_lines"]) == (1, 0)
+
+
 def test_build_prompts_zero_budget_is_input_error(capsys, tmp_path):
     """``--budget 0`` is a budget of zero tokens, not "no budget"."""
     code, _ = run(capsys, "gen-context", "--dataset", ARLES, "--out",
