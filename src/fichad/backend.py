@@ -452,10 +452,7 @@ class ResponseCache:
         if not len(self._keys):
             return np.zeros(len(keys), dtype=np.intp), np.zeros(len(keys), bool)
         wanted = np.frombuffer(b"".join(keys), dtype="S32")
-        # needles in order let each search start where the last one ended
-        order = np.argsort(wanted)
-        at = np.empty(len(keys), dtype=np.intp)
-        at[order] = np.searchsorted(self._keys, wanted[order])
+        at = np.searchsorted(self._keys, wanted)
         at[at == len(self._keys)] = 0
         return at, self._keys[at] == wanted
 

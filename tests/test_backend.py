@@ -194,6 +194,17 @@ class TestCache:
         assert list(bk.answer_many([req])) == [later]
         assert bk.counts()["backend_calls"] == 0
 
+    def test_put_over_a_loaded_record_replaces_it(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text(record(KA, RELEVANCE, 0.5) + record(KB, RELEVANCE, 0.5),
+                     encoding="utf-8")
+        cache = ResponseCache(p)
+        cache.put(bytes.fromhex(KA), RELEVANCE, 0.25)
+        for reader in (cache, ResponseCache(p)):
+            assert reader.get_many([bytes.fromhex(KA), bytes.fromhex(KB)],
+                                   [RELEVANCE, RELEVANCE]) == [0.25, 0.5]
+            assert len(reader) == 2
+
     def test_batch_lookup_equals_per_request_lookups(self, tmp_path):
         """One batch over hits and misses of both kinds, a repeat included,
         answers, counts and caches as the same requests sent one by one."""
