@@ -103,12 +103,16 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 def _retain_freed_heap() -> None:
     """Keep up to 64 MB of freed heap for reuse, where the C library is glibc.
 
-    A training step allocates and frees about 12 MB of temporaries (TransE,
-    d = 200, 128 positives with 4 negatives each). By default glibc returns
-    free memory at the top of the heap to the kernel once it exceeds a trim
+    ``train-embed`` and ``eval`` set it before any embedding work. A training
+    step allocates and frees about 12 MB of temporaries (TransE, d = 200,
+    128 positives with 4 negatives each). By default glibc returns free
+    memory at the top of the heap to the kernel once it exceeds a trim
     threshold of twice the largest block freed so far, a few MB here, so
     every step faulted its temporaries in again: about 3,200 page faults per
-    step, half of the training time of a one-epoch run.
+    step, half of the training time of a one-epoch run. Scoring is the same
+    case: each 256-row block's temporaries (400 KB at d = 200) sit above
+    glibc's default 128 KB mmap threshold, so without the policy every block
+    maps and faults them in afresh, about three times the time per query.
     """
     import ctypes
 
@@ -127,7 +131,6 @@ def cmd_train_embed(args, ds) -> int:
                             negatives=args.negatives, margin=args.margin,
                             loss=args.loss, l2=args.l2, seed=args.seed)
     losses = []
-    _retain_freed_heap()
     model = embed.train(cfg, ds.graph, log=lambda e, l: losses.append(l))
     out = _out_dir(args)
     ckpt = out / "model.ckpt"
@@ -366,7 +369,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.func(args, kg.load_dataset(args.dataset))
+        ds = kg.load_dataset(args.dataset)
+        if args.func in (cmd_train_embed, cmd_eval):
+            _retain_freed_heap()
+        return args.func(args, ds)
     except be.BackendError as exc:
         print(f"backend error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -157,7 +157,9 @@ class EmbeddingModel:
                 fh.write(raw)
                 for block in (_param_blocks(self.entity)
                               + _param_blocks(self.relation)):
-                    fh.write(block.astype("<f8").tobytes())
+                    # a real table goes out from its own buffer; a complex
+                    # table's strided part costs one part-sized copy
+                    fh.write(np.ascontiguousarray(block, dtype="<f8").data)
             os.replace(tmp, path)
         except BaseException:
             tmp.unlink(missing_ok=True)
@@ -170,27 +172,41 @@ class EmbeddingModel:
             if magic != _MAGIC:
                 raise ValueError(f"not a fichad checkpoint: {path}")
 
-            def read(n):
+            def expect(got, n):
                 # a save interrupted mid-write leaves a short file
-                raw = fh.read(n)
-                if len(raw) != n:
+                if got != n:
                     raise ValueError(f"truncated checkpoint: {path}")
+
+            def read(n):
+                # fh.read stops at the end of the file, so a corrupt header
+                # length touches no more memory than the file holds
+                raw = fh.read(n)
+                expect(len(raw), n)
                 return raw
+
+            def fill(arr):
+                expect(fh.readinto(arr.data), arr.nbytes)
+                return arr
 
             (hlen,) = struct.unpack("<I", read(4))
             header = _header(read(hlen), path)
             ne, nr, d = header["n_entities"], header["n_relations"], header["dim"]
 
-            def read_matrix(rows, complex_):
-                n = rows * d
-                re = np.frombuffer(read(8 * n), dtype="<f8").reshape(rows, d)
+            def read_table(rows, complex_):
+                # each part is read straight into an array; a complex table
+                # fills its real and then its imaginary part through one
+                # part-sized buffer, so every stored bit comes back
+                part = np.empty((rows, d), dtype="<f8")
+                fill(part)
                 if not complex_:
-                    return re.astype(np.float64)
-                im = np.frombuffer(read(8 * n), dtype="<f8").reshape(rows, d)
-                return re + 1j * im
+                    return part.astype(np.float64, copy=False)
+                out = np.empty((rows, d), dtype=np.complex128)
+                out.real = part
+                out.imag = fill(part)
+                return out
 
-            entity = read_matrix(ne, header["entity_complex"])
-            relation = read_matrix(nr, header["relation_complex"])
+            entity = read_table(ne, header["entity_complex"])
+            relation = read_table(nr, header["relation_complex"])
         return cls(header["family"], entity, relation, margin=header["margin"],
                    seed=header["seed"], transe_norm=header["transe_norm"])
 
@@ -224,10 +240,14 @@ def init_model(family: str, n_entities: int, n_relations: int, dim: int,
     bound = 6.0 / np.sqrt(dim)
 
     def table(rows):
-        real = rng.uniform(-bound, bound, size=(rows, dim))
         if family in ("transe", "distmult"):
-            return real
-        return real + 1j * rng.uniform(-bound, bound, size=(rows, dim))
+            return rng.uniform(-bound, bound, size=(rows, dim))
+        # filled in place, one part-sized draw at a time; all real parts are
+        # drawn before all imaginary parts, which fixes a seed's tables
+        out = np.empty((rows, dim), dtype=np.complex128)
+        out.real = rng.uniform(-bound, bound, size=(rows, dim))
+        out.imag = rng.uniform(-bound, bound, size=(rows, dim))
+        return out
 
     if family not in FAMILIES:
         raise ValueError(f"unknown family: {family!r}")

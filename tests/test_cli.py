@@ -237,6 +237,22 @@ def test_train_embed_rejects_bad_config(capsys, tmp_path, flag, value):
     assert not (tmp_path / "run" / "model.ckpt").exists()
 
 
+def test_embed_subcommands_set_heap_policy(capsys, tmp_path, monkeypatch):
+    """train-embed and eval each set the freed-heap policy once: training's
+    step temporaries and scoring's block temporaries both rely on it."""
+    calls = []
+    monkeypatch.setattr("fichad.cli._retain_freed_heap",
+                        lambda: calls.append(1))
+    code, summary = run(capsys, "train-embed", "--dataset", ARLES,
+                        "--out", str(tmp_path), "--dim", "4", "--epochs", "1")
+    assert code == EXIT_OK and len(calls) == 1
+    assert main(["eval", "--dataset", ARLES,
+                 "--model", summary["checkpoint"]]) == EXIT_OK
+    assert len(calls) == 2
+    assert main(["ingest", "--dataset", ARLES]) == EXIT_OK
+    assert len(calls) == 2
+
+
 def test_eval_truncated_checkpoint_is_input_error(capsys, tmp_path):
     code, summary = run(capsys, "train-embed", "--dataset", ARLES,
                         "--out", str(tmp_path), "--dim", "4", "--epochs", "1")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -360,19 +362,66 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             EmbeddingModel.load(p)
 
-    @pytest.mark.parametrize("cut", ["after_magic", "in_header", "in_entity"])
+    @pytest.mark.parametrize("cut", ["after_magic", "in_header",
+                                     "in_entity_real", "in_entity",
+                                     "in_relation_real", "in_relation"])
     def test_truncated_checkpoint_rejected(self, tmp_path, cut):
-        """A checkpoint cut short, such as a partial copy, names its file."""
+        """A checkpoint cut short, such as a partial copy, names its file,
+        wherever the cut falls: each part of each table is one read."""
         p = tmp_path / "model.ckpt"
         init_model("complex", 6, 3, 5, seed=1).save(p)
         raw = p.read_bytes()
         body = len(embed._MAGIC) + 4 + int.from_bytes(raw[8:12], "little")
+        entity_part, relation_part = 8 * 6 * 5, 8 * 3 * 5
+        # "in_entity" and "in_relation" cut inside the imaginary part
         keep = {"after_magic": len(embed._MAGIC), "in_header": body - 5,
-                "in_entity": body + 8 * 6 * 5 + 3}[cut]
+                "in_entity_real": body + 3,
+                "in_entity": body + entity_part + 3,
+                "in_relation_real": body + 2 * entity_part + 3,
+                "in_relation": body + 2 * entity_part + relation_part + 3,
+                }[cut]
         p.write_bytes(raw[:keep])
         with pytest.raises(ValueError, match="truncated checkpoint") as exc:
             EmbeddingModel.load(p)
         assert str(p) in str(exc.value)
+
+    @pytest.mark.parametrize("family", embed.FAMILIES)
+    def test_load_then_save_is_byte_identical(self, family, tmp_path):
+        """Every stored bit comes back, signed zeros in either part too."""
+        m = init_model(family, 6, 3, 5, seed=4)
+        for table in (m.entity, m.relation):
+            if np.iscomplexobj(table):
+                table[0, :3] = [complex(-0.0, -0.0), complex(-0.0, 0.0),
+                                complex(0.0, -0.0)]
+            else:
+                table[0, :2] = [-0.0, 0.0]
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        m.save(first)
+        EmbeddingModel.load(first).save(second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("family, op, bound", [
+        ("transe", "save", 0.1), ("transe", "load", 1.05),
+        ("complex", "load", 1.55)])
+    def test_checkpoint_io_memory_bound(self, family, op, bound, tmp_path):
+        """Saving copies no real table; loading allocates the tables plus, for
+        a complex one, one part-sized read buffer. ``bound`` is in units of
+        the entity table's size; tracemalloc sees numpy's buffers."""
+        m = init_model(family, 4000, 3, 64, seed=5)
+        p = tmp_path / "model.ckpt"
+        m.save(p)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            if op == "save":
+                m.save(p)
+            else:
+                EmbeddingModel.load(p)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * m.entity.nbytes
 
     @pytest.mark.parametrize("header", [b"[1, 2]", b"\xff", b'"transe"',
                                         b'{"family": "transe"}'])
