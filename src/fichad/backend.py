@@ -111,8 +111,10 @@ class GenerationRequest:
 
 
 class GenerationBackend:
-    """Contract: ``generate`` returns text, ``relevance`` a probability in
-    [0,1], and ``answer_many`` either of them for each request of a batch."""
+    """Contract: :meth:`answer_many` is the one way in; a single request is
+    a batch of one. A backend implements :meth:`_answer` for one request, or
+    overrides :meth:`answer_many` to answer many at once, as
+    :class:`HttpBackend` does."""
 
     backend_id = "abstract"
     model_id = "none"
@@ -122,25 +124,22 @@ class GenerationBackend:
     def __init__(self):
         self.call_count = 0
 
-    def generate(self, request: GenerationRequest) -> str:
-        raise NotImplementedError
-
-    def relevance(self, request: GenerationRequest) -> float:
+    def _answer(self, request: GenerationRequest):
+        """The text or the probability of one request, as its kind says."""
         raise NotImplementedError
 
     def answer_many(self, requests: list[GenerationRequest]):
         """Yield one outcome per request, in request order: the text of a
-        free-text request, the probability of a relevance request, or the
-        :class:`BackendError` that request raised.
+        free-text request, the probability in [0, 1] of a relevance request,
+        or the :class:`BackendError` that request raised.
 
         Any other exception, such as a :class:`RequestError`, raises at its
         request's position. This default answers request i only when outcome
         i is asked for, one request at a time.
         """
         for request in requests:
-            answer = self.relevance if request.kind == RELEVANCE else self.generate
             try:
-                yield answer(request)
+                yield self._answer(request)
             except BackendError as exc:
                 yield exc
 
@@ -165,10 +164,12 @@ class MockBackend(GenerationBackend):
         payload = f"{self.seed}|{request.canonical()}".encode("utf-8")
         return hashlib.sha256(payload).digest()
 
-    def generate(self, request: GenerationRequest) -> str:
+    def _answer(self, request: GenerationRequest):
         request.validate()
         self.call_count += 1
         d = self._digest(request)
+        if request.kind == RELEVANCE:
+            return int.from_bytes(d[:8], "big") / float(1 << 64)
         adj = _MOCK_ADJECTIVES[d[0] % len(_MOCK_ADJECTIVES)]
         noun = _MOCK_NOUNS[d[1] % len(_MOCK_NOUNS)]
         subjects = request.subjects
@@ -178,12 +179,6 @@ class MockBackend(GenerationBackend):
         if len(subjects) == 1:
             return f"{subjects[0]} is shown as a {adj} {noun} in the images."
         return f"A {adj} {noun} is depicted."
-
-    def relevance(self, request: GenerationRequest) -> float:
-        request.validate()
-        self.call_count += 1
-        d = self._digest(request)
-        return int.from_bytes(d[:8], "big") / float(1 << 64)
 
 
 class HttpBackend(GenerationBackend):
@@ -267,8 +262,8 @@ class HttpBackend(GenerationBackend):
 
         Returns (the text or probability, or the :class:`BackendError` met,
         retries); a :class:`RequestError` raises. It changes no counter, so
-        worker threads share no state: the caller counts through
-        :meth:`_settle`.
+        worker threads share no state: :meth:`answer_many` counts on the
+        calling thread.
         """
         request.validate()
         reply, retries = self._post(self._payload(request))
@@ -279,17 +274,6 @@ class HttpBackend(GenerationBackend):
             except BackendError as exc:
                 reply = exc
         return reply, retries
-
-    def _settle(self, outcome, retries: int):
-        """Count one finished exchange; runs on the calling thread only."""
-        self.call_count += 1
-        self.wire_retries += retries
-        return outcome
-
-    def generate(self, request: GenerationRequest) -> str:
-        return _value(self._settle(*self._exchange(request)))
-
-    relevance = generate  # the reply is parsed as ``request.kind`` says
 
     def answer_many(self, requests: list[GenerationRequest]):
         """As the base method, with :data:`WIRE_WORKERS` requests in flight.
@@ -306,17 +290,13 @@ class HttpBackend(GenerationBackend):
         futures = [self._pool.submit(self._exchange, r) for r in requests]
         try:
             for future in futures:
-                yield self._settle(*future.result())
+                outcome, retries = future.result()
+                self.call_count += 1
+                self.wire_retries += retries
+                yield outcome
         finally:
             for future in futures:
                 future.cancel()
-
-
-def _value(outcome):
-    """The outcome itself, or raise it when it is a :class:`BackendError`."""
-    if isinstance(outcome, BackendError):
-        raise outcome
-    return outcome
 
 
 def _completion_text(data: dict) -> str:
@@ -541,12 +521,6 @@ class CachedBackend(GenerationBackend):
     def _key(self, request: GenerationRequest) -> bytes:
         payload = f"{self.inner.backend_id}|{self.inner.model_id}|{request.canonical()}"
         return hashlib.sha256(payload.encode("utf-8")).digest()
-
-    def generate(self, request: GenerationRequest) -> str:
-        [outcome] = self.answer_many([request])
-        return _value(outcome)
-
-    relevance = generate
 
     def answer_many(self, requests: list[GenerationRequest]):
         """Hits come from the cache; the misses go to the wrapped backend as

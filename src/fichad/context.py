@@ -252,35 +252,20 @@ def _checked(request: GenerationRequest, outcome):
     return outcome
 
 
-def _run_one(program, backend: GenerationBackend):
-    [result] = run_waves([program], backend)
-    return result
-
-
 # -- core operations -----------------------------------------------------
-
-def filter_images(head_name: str, tail_name: str, images_head: list[str],
-                  images_tail: list[str], tau: float,
-                  backend: GenerationBackend,
-                  templates: dict[str, str] = DEFAULT_TEMPLATES):
-    """Relevance-filter both endpoints' images for one entity pair.
-
-    Each image is scored by the backend's yes-probability; images scoring
-    >= ``tau`` are kept, and each side is truncated to the :data:`MAX_GROUP`
-    highest scorers (manifest order breaks ties). Both sides' requests go to
-    the backend as one batch. A backend failure on an individual image
-    scores it 0 and increments the skipped counter; a
-    :class:`CapabilityError` (an endpoint that cannot score relevance at all)
-    raises at its image's position, and the rest of the batch is dropped.
-
-    Returns (filtered_head, filtered_tail, skipped_count).
-    """
-    return _run_one(_filter_steps(head_name, tail_name, images_head,
-                                  images_tail, tau, templates), backend)
-
 
 def _filter_steps(head_name, tail_name, images_head, images_tail, tau,
                   templates):
+    """Relevance-filter both endpoints' images for one entity pair.
+
+    Each image is scored by the backend's yes-probability, both sides' in
+    one wave, and :func:`_keep` keeps each side's best. A backend failure on
+    an individual image scores it 0 and counts it as skipped; a
+    :class:`CapabilityError` (an endpoint that cannot score relevance at
+    all) raises from :func:`run_waves` at its image's position.
+
+    Returns (filtered_head, filtered_tail, skipped_count).
+    """
     prompt = instantiate(templates["relevance"], head=head_name, tail=tail_name)
     outcomes = yield [GenerationRequest(prompt=prompt, images=(ref,),
                                         kind=RELEVANCE, max_tokens=1,
@@ -295,29 +280,21 @@ def _filter_steps(head_name, tail_name, images_head, images_tail, tau,
 
 def _keep(refs: list[str], scores: list[float],
           tau: float) -> list[ScoredImage]:
+    """Images scoring >= ``tau``: the :data:`MAX_GROUP` best, best first."""
     kept = [ScoredImage(ref, p) for ref, p in zip(refs, scores) if p >= tau]
     # stable sort: descending score, manifest order breaks ties
     kept.sort(key=lambda si: -si.score)
     return kept[:MAX_GROUP]
 
 
-def lamm_context(head_name: str, tail_name: str,
-                 filtered_head: list[ScoredImage],
-                 filtered_tail: list[ScoredImage],
-                 backend: GenerationBackend,
-                 templates: dict[str, str] = DEFAULT_TEMPLATES):
+def _lamm_steps(head_name, tail_name, filtered_head, filtered_tail, templates):
     """Link-aware summary text for one entity pair (the fichad-1 core).
 
     With both filtered sets non-empty: per-endpoint descriptions, asked for
-    as one batch (head, then tail), feed a joint one-sentence summary over
-    all retained images. Otherwise a name-only fallback summary is generated.
+    in one wave (head, then tail), feed a joint one-sentence summary over all
+    retained images. Otherwise a name-only fallback summary is generated.
     Returns (text, images_used, fallback).
     """
-    return _run_one(_lamm_steps(head_name, tail_name, filtered_head,
-                                filtered_tail, templates), backend)
-
-
-def _lamm_steps(head_name, tail_name, filtered_head, filtered_tail, templates):
     pair = (head_name, tail_name)
     if filtered_head and filtered_tail:
         d_head, d_tail = yield [
@@ -335,17 +312,11 @@ def _lamm_steps(head_name, tail_name, filtered_head, filtered_tail, templates):
     return text, [], True
 
 
-def entity_summary(entity_name: str, images: list[str],
-                   backend: GenerationBackend,
-                   templates: dict[str, str] = DEFAULT_TEMPLATES):
+def _summary_steps(entity_name, images, templates):
     """Relation-agnostic summary over the full capped image list (fichad-2).
 
     Returns (text, fallback); entities without images get a name-only fallback.
     """
-    return _run_one(_summary_steps(entity_name, images, templates), backend)
-
-
-def _summary_steps(entity_name, images, templates):
     name = "entity_summary" if images else "entity_summary_fallback"
     [text] = yield [_request(templates, name, (entity_name,), images,
                              entity=entity_name)]
@@ -370,77 +341,15 @@ def _format_triples(graph: KnowledgeGraph, triples: list[Triple]) -> str:
         f"{ent.display_name(t.tail)})" for t in triples)
 
 
-def conceptual_hint(graph: KnowledgeGraph, query_entity: int, relation: int,
-                    entity_summary_text: str, backend: GenerationBackend,
-                    templates: dict[str, str] = DEFAULT_TEMPLATES,
-                    seed: int = 0):
-    """Hint text constraining the likely type of the missing entity.
-
-    Built from :data:`SAMPLE_TRIPLES` deterministically sampled same-relation
-    training triples plus the query entity's visual summary. Returns
-    (text, flagged); flagged is True when the relation has no training
-    triples and the hint had to come from the relation label alone.
-    """
-    return _run_one(_hint_steps(graph, query_entity, relation,
-                                entity_summary_text, templates, seed), backend)
-
-
-def _hint_steps(graph, query_entity, relation, entity_summary_text, templates,
-                seed):
-    ent_name = graph.entities.display_name(query_entity)
-    rel_name = graph.relations.display_name(relation)
-    sampled = sample_relation_triples(graph, relation, seed=seed)
-    flagged = not sampled
-    triples_text = _format_triples(graph, sampled) if sampled else "(none)"
-    [text] = yield [_request(
-        templates, "hint", (ent_name, rel_name), entity=ent_name,
-        relation=rel_name, triples=triples_text, summary=entity_summary_text)]
-    return text, flagged
-
-
-def relation_template(graph: KnowledgeGraph, relation: int,
-                      backend: GenerationBackend,
-                      templates: dict[str, str] = DEFAULT_TEMPLATES,
-                      assets: MultimodalAssets | None = None,
-                      seed: int = 0) -> str:
-    """Natural-language [A]/[B] template for a relation.
-
-    Backend output must contain [A] and [B] exactly once each; one retry,
-    then the literal ``[A] <label> [B]`` fallback. A :class:`BackendError`
-    propagates.
-    """
-    return _run_one(_template_steps(graph, relation, templates, assets, seed),
-                    backend)
-
-
-def _template_steps(graph, relation, templates, assets, seed):
-    rel_name = graph.relations.display_name(relation)
-    sampled = sample_relation_triples(graph, relation, seed=seed)
-    images = []
-    if assets is not None:
-        # one image per sampled head, when available
-        for t in sampled:
-            refs = assets.images_of(t.head)
-            if refs:
-                images.append(refs[0])
-    prompt = instantiate(templates["relation_template"], relation=rel_name,
-                         triples=_format_triples(graph, sampled) or "(none)")
-    for attempt in range(2):
-        [text] = yield [GenerationRequest(
-            prompt=prompt if attempt == 0 else prompt + " ",
-            images=tuple(images), subjects=(rel_name,))]
-        if text.count("[A]") == 1 and text.count("[B]") == 1:
-            return text
-    return f"[A] {rel_name} [B]"
-
-
 # -- pipeline orchestration ----------------------------------------------
 
 class ContextGenerator:
-    """Drives context generation for whole splits with one backend.
+    """Contexts, hints and relation templates over one graph, one backend.
 
-    The methods over many items yield or return their results in item
-    order, and run their items' programs through :func:`run_waves`.
+    Each public method takes many items and yields (for
+    :meth:`generate_for_splits`, returns) one result per item, in item
+    order, running the items' request programs through :func:`run_waves`.
+    A single item is a batch of one: ``next(gen.hints([(e, r)]))``.
     """
 
     def __init__(self, graph: KnowledgeGraph, assets: MultimodalAssets,
@@ -480,48 +389,64 @@ class ContextGenerator:
         self.skipped_images += skipped
         return fh, ft
 
-    def hint(self, entity: int, relation: int):
-        """Conceptual hint for (entity, relation, ?) over the entity's summary.
-
-        Returns (text, flagged), as :func:`conceptual_hint`.
-        """
-        return _run_one(self._hint_steps(entity, relation), self.backend)
-
     def hints(self, pairs):
-        """:meth:`hint` of each (entity, relation) pair, yielded in order."""
+        """Each (entity, relation) pair's (text, flagged) hint, in order."""
         return run_waves(starmap(self._hint_steps, pairs), self.backend)
 
     def _hint_steps(self, entity: int, relation: int):
+        """Conceptual hint for (entity, relation, ?), on the likely type of
+        the missing entity: from :data:`SAMPLE_TRIPLES` deterministically
+        sampled same-relation train triples plus the entity's visual summary.
+        Returns (text, flagged); flagged is True when the relation has no
+        train triples and the hint had to come from the relation label alone.
+        """
+        ent_name = self._name(entity)
         summary, _ = yield from _summary_steps(
-            self._name(entity), self.assets.images_of(entity), self.templates)
-        return (yield from _hint_steps(self.graph, entity, relation, summary,
-                                       self.templates, self.seed))
-
-    def relation_template(self, relation: int) -> str:
-        """[A]/[B] template for a relation, as :func:`relation_template`."""
-        return _run_one(self._template_steps(relation), self.backend)
+            ent_name, self.assets.images_of(entity), self.templates)
+        rel_name = self.graph.relations.display_name(relation)
+        sampled = sample_relation_triples(self.graph, relation, seed=self.seed)
+        triples_text = (_format_triples(self.graph, sampled) if sampled
+                        else "(none)")
+        [text] = yield [_request(
+            self.templates, "hint", (ent_name, rel_name), entity=ent_name,
+            relation=rel_name, triples=triples_text, summary=summary)]
+        return text, not sampled
 
     def relation_templates(self):
-        """:meth:`relation_template` of every relation, yielded in handle
-        order: one wave of first attempts, one of retries, per window."""
+        """[A]/[B] template of every relation, yielded in handle order: one
+        wave of first attempts, one of retries, per window."""
         return run_waves(map(self._template_steps,
                              range(len(self.graph.relations))), self.backend)
 
     def _template_steps(self, relation: int):
-        return _template_steps(self.graph, relation, self.templates,
-                               self.assets, self.seed)
-
-    def triple_context(self, triple: Triple, variant: str = V1) -> GeneratedContext:
-        """Generate one fichad-1-family context for a triple.
-
-        A fichad-1+x head without a database description keeps the plain
-        fichad-1 text and is counted in ``degraded_compositions``.
-        """
-        return _run_one(self._triple_steps(triple, variant), self.backend)
+        """Natural-language [A]/[B] template for a relation, asked with the
+        first image of each sampled head that has one. The reply must hold
+        [A] and [B] exactly once each; one retry (the prompt plus a space, so
+        a new cache key), then the literal ``[A] <label> [B]``. A
+        :class:`BackendError` raises from :func:`run_waves`."""
+        rel_name = self.graph.relations.display_name(relation)
+        sampled = sample_relation_triples(self.graph, relation, seed=self.seed)
+        images = [refs[0] for t in sampled
+                  if (refs := self.assets.images_of(t.head))]
+        prompt = instantiate(
+            self.templates["relation_template"], relation=rel_name,
+            triples=_format_triples(self.graph, sampled) or "(none)")
+        for attempt in range(2):
+            [text] = yield [GenerationRequest(
+                prompt=prompt if attempt == 0 else prompt + " ",
+                images=tuple(images), subjects=(rel_name,))]
+            if text.count("[A]") == 1 and text.count("[B]") == 1:
+                return text
+        return f"[A] {rel_name} [B]"
 
     def _triple_steps(self, triple: Triple, variant: str):
-        if variant not in (V1, V1X, V1Y):
-            raise ValueError(f"{variant!r} is not a triple-level variant")
+        """One fichad-1-family context for a triple.
+
+        fichad-1+x appends the first sentence of the head's database
+        description, fichad-1+y the head's hint for the triple's relation. A
+        fichad-1+x head without a description keeps the plain fichad-1 text
+        and is counted in ``degraded_compositions``.
+        """
         fh, ft = yield from self._filter_steps(triple)
         text, used, fallback = yield from _lamm_steps(
             self._name(triple.head), self._name(triple.tail), fh, ft,
@@ -539,11 +464,8 @@ class ContextGenerator:
                                 subject=self.triple_subject(triple),
                                 text=text, images=used, fallback=fallback)
 
-    def entity_context(self, entity: int) -> GeneratedContext:
-        """Generate the fichad-2 context for one entity."""
-        return _run_one(self._entity_steps(entity), self.backend)
-
     def _entity_steps(self, entity: int):
+        """The fichad-2 context of one entity."""
         text, fallback = yield from _summary_steps(
             self._name(entity), self.assets.images_of(entity), self.templates)
         return GeneratedContext(
@@ -556,7 +478,11 @@ class ContextGenerator:
                             splits: tuple[str, ...] = ("train", "valid", "test")
                             ) -> list[GeneratedContext]:
         """Contexts for ``splits``: one per distinct triple, in split order,
-        or for fichad-2 one per entity of those triples, in handle order."""
+        or for fichad-2 one per entity of those triples, in handle order. An
+        unknown variant raises ValueError, even with no triple to generate."""
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown context variant {variant!r} (known: "
+                             f"{', '.join(VARIANTS)})")
         if variant == V2:
             ends = [self.graph.splits[split][:, [0, 2]].ravel()
                     for split in splits]  # heads and tails

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fichad.backend import GenerationBackend
+from fichad.backend import RELEVANCE, BackendError, GenerationBackend
 from fichad.kg import KnowledgeGraph, Triple, Vocab
 from fichad.prompt import (ENTITY_HEADER, QUERY_HEADER, RELATION_HEADER,
                            TEMPLATE_HEADER, Sections, TruncationError, _render,
@@ -149,7 +149,8 @@ def check_cut(sections: Sections, limit: int) -> None:
 
 
 class ScriptedBackend(GenerationBackend):
-    """Relevance scores looked up per image ref; generate echoes subjects."""
+    """Relevance scores looked up per image ref (a BackendError there is
+    raised); free text is popped from ``texts``, then echoes the subjects."""
 
     backend_id = "scripted"
     model_id = "scripted"
@@ -160,16 +161,17 @@ class ScriptedBackend(GenerationBackend):
         self.scores = scores or {}
         self.texts = list(texts or [])
 
-    def generate(self, request):
+    def _answer(self, request):
         self.call_count += 1
+        if request.kind == RELEVANCE:
+            ref = request.images[0] if request.images else ""
+            score = self.scores.get(ref, 0.0)
+            if isinstance(score, BackendError):
+                raise score
+            return score
         if self.texts:
             return self.texts.pop(0)
         return "scripted text about " + " and ".join(request.subjects)
-
-    def relevance(self, request):
-        self.call_count += 1
-        ref = request.images[0] if request.images else ""
-        return self.scores.get(ref, 0.0)
 
 
 def two_cluster_graph():

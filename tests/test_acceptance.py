@@ -18,7 +18,7 @@ import pytest
 from fichad import context as cg, embed, linkpred, prompt
 from fichad.backend import MockBackend
 from fichad.cli import main
-from fichad.kg import Triple, load_dataset
+from fichad.kg import MultimodalAssets, Triple, load_dataset
 from conftest import (ARLES_CONFIG, ScriptedBackend, brute_force_candidates,
                       brute_force_report, check_cut, random_graph,
                       random_sections, two_cluster_graph,
@@ -138,7 +138,9 @@ def test_05_filtering_contract():
 
 
 def filter_at(refs, backend, tau):
-    return cg.filter_images("H", "T", refs, [], tau, backend)
+    [result] = cg.run_waves([cg._filter_steps("H", "T", refs, [], tau,
+                                              cg.DEFAULT_TEMPLATES)], backend)
+    return result
 
 
 def test_06_determinism_and_cache(tmp_path, capsys):
@@ -179,8 +181,11 @@ def test_07_prompt_format_fidelity():
     ctxs = gen.generate_for_splits(cg.V1, splits=("train", "valid", "test"))
     ctxs += gen.generate_for_splits(cg.V2)
     index = prompt.ContextIndex(ctxs, g)
-    templates = {g.relations.label_of(r): cg.relation_template(g, r, bk, seed=7)
-                 for r in range(g.n_relations)}
+    # the golden templates were asked for without images
+    imageless = cg.ContextGenerator(g, MultimodalAssets(image_cap=1), bk,
+                                    seed=7)
+    templates = dict(zip(map(g.relations.label_of, range(g.n_relations)),
+                         imageless.relation_templates()))
     t = next(g.triples("test"))
     q = linkpred.Query("tail", t.head, t.relation, t.tail)
     built = prompt.build_kgc_input(q, index, g, k=2, variant=cg.V1,

@@ -27,6 +27,12 @@ def record(key: str, kind: str, value) -> str:
     return json.dumps({"k": key, "kind": kind, "v": value}) + "\n"
 
 
+def answer(backend, request: GenerationRequest):
+    """The outcome of ``request`` sent as a batch of one."""
+    [outcome] = backend.answer_many([request])
+    return outcome
+
+
 class TestRequest:
     def test_empty_prompt_rejected(self):
         with pytest.raises(RequestError):
@@ -68,27 +74,27 @@ class TestRequest:
 class TestMockBackend:
     def test_deterministic_text(self):
         req = GenerationRequest(prompt="describe", subjects=("Arles",))
-        assert MockBackend(3).generate(req) == MockBackend(3).generate(req)
+        assert answer(MockBackend(3), req) == answer(MockBackend(3), req)
 
     def test_seed_changes_output_distribution(self):
         req = GenerationRequest(prompt="q", kind="relevance")
-        assert MockBackend(1).relevance(req) != MockBackend(2).relevance(req)
+        assert answer(MockBackend(1), req) != answer(MockBackend(2), req)
 
     def test_relevance_in_unit_interval(self):
         bk = MockBackend(0)
         for i in range(50):
-            p = bk.relevance(GenerationRequest(prompt=f"q{i}", kind="relevance"))
+            p = answer(bk, GenerationRequest(prompt=f"q{i}", kind="relevance"))
             assert 0.0 <= p <= 1.0
 
     def test_text_mentions_subjects(self):
         bk = MockBackend(0)
-        text = bk.generate(GenerationRequest(
+        text = answer(bk, GenerationRequest(
             prompt="x", subjects=("View of Arles", "Vincent van Gogh")))
         assert "View of Arles" in text and "Vincent van Gogh" in text
 
     def test_empty_prompt_is_input_error(self):
         with pytest.raises(RequestError):
-            MockBackend(0).generate(GenerationRequest(prompt=""))
+            answer(MockBackend(0), GenerationRequest(prompt=""))
 
 
 class TestYesProbability:
@@ -149,23 +155,23 @@ class TestCache:
         reqs = [GenerationRequest(prompt=f"p{i % 4}", subjects=(f"s{i % 3}",))
                 for i in range(20)]
         for r in reqs:
-            bk.generate(r)
+            answer(bk, r)
         distinct = len({r.canonical() for r in reqs})
         assert bk.counts()["backend_calls"] == distinct == len(bk.cache)
 
     def test_second_call_served_from_cache(self, tmp_path):
         bk = CachedBackend(MockBackend(1), ResponseCache(tmp_path / "c.jsonl"))
         req = GenerationRequest(prompt="hello", subjects=("X",))
-        first = bk.generate(req)
-        second = bk.generate(req)
+        first = answer(bk, req)
+        second = answer(bk, req)
         assert first == second
         assert bk.counts()["backend_calls"] == 1
 
     def test_relevance_cached_as_float(self, tmp_path):
         bk = CachedBackend(MockBackend(1), ResponseCache(tmp_path / "c.jsonl"))
         req = GenerationRequest(prompt="rel?", kind="relevance")
-        p1 = bk.relevance(req)
-        p2 = bk.relevance(req)
+        p1 = answer(bk, req)
+        p2 = answer(bk, req)
         assert p1 == p2
         assert bk.counts() == {"backend_calls": 1, "cache_hits": 1,
                                "wire_retries": 0, "cache_corrupt_lines": 0}
@@ -290,7 +296,7 @@ class TestCache:
         p = tmp_path / "c.jsonl"
         p.write_text(record(mock_key(req, 1), kind, value), encoding="utf-8")
         bk = CachedBackend(MockBackend(1), ResponseCache(p))
-        assert bk.generate(req) == clean.generate(req)
+        assert answer(bk, req) == answer(clean, req)
         assert bk.counts() == {"backend_calls": 1, "cache_hits": 0,
                                "wire_retries": 0, "cache_corrupt_lines": 1}
 
@@ -303,21 +309,20 @@ class TestHttpBackend:
         ]
         inner = HttpBackend(stub_server, "test-model", backoff=0.01)
         bk = CachedBackend(inner, ResponseCache(tmp_path / "c.jsonl"))
-        text = bk.generate(GenerationRequest(prompt="hi"))
+        text = answer(bk, GenerationRequest(prompt="hi"))
         assert text == "generated text"
         assert len(bk.cache) == 1
         assert inner.wire_retries == 1
         # cached now: no further wire traffic
         seen = len(StubHandler.requests_seen)
-        assert bk.generate(GenerationRequest(prompt="hi")) == "generated text"
+        assert answer(bk, GenerationRequest(prompt="hi")) == "generated text"
         assert len(StubHandler.requests_seen) == seen
 
     def test_exhausted_retries_carry_last_status(self, stub_server):
         StubHandler.script = [(503, {}), (503, {}), (503, {})]
         inner = HttpBackend(stub_server, "m", backoff=0.01)
-        with pytest.raises(BackendError) as exc:
-            inner.generate(GenerationRequest(prompt="hi"))
-        assert exc.value.status == 503
+        outcome = answer(inner, GenerationRequest(prompt="hi"))
+        assert isinstance(outcome, BackendError) and outcome.status == 503
         assert len(StubHandler.requests_seen) == 3
 
     def test_retry_after_is_honoured(self, stub_server):
@@ -327,7 +332,7 @@ class TestHttpBackend:
         ]
         inner = HttpBackend(stub_server, "m", backoff=0.01)
         t0 = time.perf_counter()
-        assert inner.generate(GenerationRequest(prompt="hi")) == "late"
+        assert answer(inner, GenerationRequest(prompt="hi")) == "late"
         assert time.perf_counter() - t0 >= 1.0
         assert len(StubHandler.requests_seen) == 2
 
@@ -339,7 +344,7 @@ class TestHttpBackend:
         ]
         inner = HttpBackend(stub_server, "m", backoff=2)
         t0 = time.perf_counter()
-        assert inner.generate(GenerationRequest(prompt="hi")) == "now"
+        assert answer(inner, GenerationRequest(prompt="hi")) == "now"
         assert time.perf_counter() - t0 < 1.0
         assert len(StubHandler.requests_seen) == 3
         assert inner.wire_retries == 2
@@ -350,9 +355,8 @@ class TestHttpBackend:
             (200, {"choices": [{"message": {"content": "x"}}]}),
         ]
         inner = HttpBackend(stub_server, "m", backoff=0.01)
-        with pytest.raises(BackendError) as exc:
-            inner.generate(GenerationRequest(prompt="hi"))
-        assert exc.value.status == 400
+        outcome = answer(inner, GenerationRequest(prompt="hi"))
+        assert isinstance(outcome, BackendError) and outcome.status == 400
         assert len(StubHandler.requests_seen) == 1
         assert inner.wire_retries == 0
 
@@ -365,7 +369,7 @@ class TestHttpBackend:
                 {"token": "No", "logprob": math.log(0.2)},
             ]}]}}]})]
         inner = HttpBackend(stub_server, "m", backoff=0.01)
-        p = inner.relevance(GenerationRequest(prompt="rel?", kind="relevance"))
+        p = answer(inner, GenerationRequest(prompt="rel?", kind="relevance"))
         assert p == pytest.approx(0.8)
         # relevance requests ask the endpoint for logprobs
         assert StubHandler.requests_seen[-1]["logprobs"] is True
@@ -387,8 +391,8 @@ class TestHttpBackend:
     def test_missing_logprobs_is_capability_error(self, stub_server, choice):
         StubHandler.script = [(200, {"choices": [choice]})]
         inner = HttpBackend(stub_server, "m", backoff=0.01)
-        with pytest.raises(CapabilityError):
-            inner.relevance(GenerationRequest(prompt="rel?", kind="relevance"))
+        assert isinstance(answer(inner, GenerationRequest(
+            prompt="rel?", kind="relevance")), CapabilityError)
 
     @pytest.mark.parametrize("content", [["x"], 5, {"a": 1}],
                              ids=["list", "number", "object"])
@@ -396,22 +400,24 @@ class TestHttpBackend:
         StubHandler.script = [
             (200, {"choices": [{"message": {"content": content}}]})]
         inner = HttpBackend(stub_server, "m", backoff=0.01)
-        with pytest.raises(BackendError,
-                           match="^malformed completion response: "):
-            inner.generate(GenerationRequest(prompt="hi"))
+        outcome = answer(inner, GenerationRequest(prompt="hi"))
+        assert isinstance(outcome, BackendError)
+        assert str(outcome).startswith("malformed completion response: ")
 
     def test_non_json_reply_is_backend_error(self, stub_server):
         StubHandler.script = [(200, b"<html>gateway</html>")]
         inner = HttpBackend(stub_server, "m", backoff=0.01)
-        with pytest.raises(BackendError, match="not JSON: <html>gateway"):
-            inner.generate(GenerationRequest(prompt="hi"))
+        outcome = answer(inner, GenerationRequest(prompt="hi"))
+        assert isinstance(outcome, BackendError)
+        assert "not JSON: <html>gateway" in str(outcome)
         assert len(StubHandler.requests_seen) == 1
 
     def test_unreachable_endpoint_is_backend_unavailable(self, dead_endpoint):
         inner = HttpBackend(dead_endpoint, "m", backoff=0.01)
-        with pytest.raises(BackendError, match="backend unavailable") as exc:
-            inner.generate(GenerationRequest(prompt="hi"))
-        assert exc.value.status is None
+        outcome = answer(inner, GenerationRequest(prompt="hi"))
+        assert isinstance(outcome, BackendError)
+        assert "backend unavailable" in str(outcome)
+        assert outcome.status is None
 
     def test_connection_errors_count_their_retries(self):
         """A server that accepts and closes each connection sees three
@@ -435,24 +441,25 @@ class TestHttpBackend:
             inner = HttpBackend(f"http://127.0.0.1:{server.getsockname()[1]}",
                                 "m", backoff=0.01)
             try:
-                with pytest.raises(BackendError, match="backend unavailable"):
-                    inner.generate(GenerationRequest(prompt="hi"))
+                outcome = answer(inner, GenerationRequest(prompt="hi"))
             finally:
                 done.set()
                 thread.join()
+        assert isinstance(outcome, BackendError)
+        assert "backend unavailable" in str(outcome)
         assert len(accepted) == 3
         assert inner.wire_retries == 2
 
     def test_wire_client_needs_no_requests(self, stub_server, monkeypatch):
         monkeypatch.setitem(sys.modules, "requests", None)  # import fails
         inner = HttpBackend(stub_server, "m", backoff=0.01)
-        assert inner.generate(GenerationRequest(prompt="hi")) == "ok"
+        assert answer(inner, GenerationRequest(prompt="hi")) == "ok"
 
     def test_unreadable_image_is_input_error(self, stub_server):
         inner = HttpBackend(stub_server, "m", backoff=0.01)
         with pytest.raises(RequestError, match="missing.jpg"):
-            inner.generate(GenerationRequest(prompt="p",
-                                             images=("/nope/missing.jpg",)))
+            answer(inner, GenerationRequest(prompt="p",
+                                            images=("/nope/missing.jpg",)))
 
 
 

@@ -391,8 +391,9 @@ def test_filter_images_sends_a_triples_requests_concurrently(
 
 def test_gen_context_over_http_is_byte_identical_for_any_worker_count(
         capsys, tmp_path, monkeypatch, wire_stub):
-    """Contexts and cache match a serial run for one worker and for the
-    default pool; a warm rerun makes no backend call and changes nothing."""
+    """Contexts and cache of the default pool match a serial run, one
+    worker taking the requests in order; a warm rerun of either makes no
+    backend call and changes nothing."""
     config = _http_dataset(tmp_path, monkeypatch)
 
     def outputs(out, *patches):
@@ -406,16 +407,14 @@ def test_gen_context_over_http_is_byte_identical_for_any_worker_count(
         return ([(out / name).read_bytes()
                  for name in ("contexts.jsonl", "cache.jsonl")], summary)
 
-    serial, cold = outputs(tmp_path / "serial", (
-        be.HttpBackend, "answer_many", be.GenerationBackend.answer_many))
+    serial, cold = outputs(tmp_path / "one", (be, "WIRE_WORKERS", 1))
     assert cold["backend_calls"] > 0 and cold["skipped_images"] == 0
     assert cold["cache_hits"] > 0  # the train self-loop repeats its images
-    for out, patches in ((tmp_path / "one", [(be, "WIRE_WORKERS", 1)]),
-                         (tmp_path / "pool", [])):
-        got, summary = outputs(out, *patches)
-        assert got == serial
-        assert summary["backend_calls"] == cold["backend_calls"]
-        assert summary["cache_hits"] == cold["cache_hits"]
+    got, summary = outputs(tmp_path / "pool")
+    assert got == serial
+    assert summary["backend_calls"] == cold["backend_calls"]
+    assert summary["cache_hits"] == cold["cache_hits"]
+    for out in (tmp_path / "one", tmp_path / "pool"):
         rerun, warm = outputs(out)
         assert rerun == serial
         assert warm["backend_calls"] == 0

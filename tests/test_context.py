@@ -2,15 +2,15 @@ import random
 
 import pytest
 
-from fichad.backend import MockBackend
+from fichad.backend import BackendError, CapabilityError, MockBackend
 from fichad.context import (DEFAULT_TEMPLATES, ContextGenerator,
                             GeneratedContext, ScoredImage, TemplateError,
-                            conceptual_hint, corpus_stats, entity_summary,
-                            filter_images, instantiate, lamm_context,
-                            load_templates, read_context_store,
-                            relation_template, sample_relation_triples,
-                            write_context_store, V1, V2, V1X, V1Y)
-from fichad.kg import KnowledgeGraph, Triple, first_sentence
+                            _filter_steps, _lamm_steps, _summary_steps,
+                            corpus_stats, instantiate, load_templates,
+                            read_context_store, run_waves,
+                            sample_relation_triples, write_context_store,
+                            V1, V2, V1X, V1Y)
+from fichad.kg import KnowledgeGraph, MultimodalAssets, Triple, first_sentence
 from conftest import ScriptedBackend, make_vocab
 
 
@@ -31,25 +31,47 @@ class TestTemplates:
         assert DEFAULT_TEMPLATES["relevance"] == default
 
 
+def filter_one(refs, tau, backend):
+    """(head, tail, skipped) of one pair whose head has ``refs``."""
+    [result] = run_waves([_filter_steps("H", "T", refs, [], tau,
+                                        DEFAULT_TEMPLATES)], backend)
+    return result
+
+
+def lamm_one(head, tail, filtered_head, filtered_tail, backend):
+    [result] = run_waves([_lamm_steps(head, tail, filtered_head,
+                                      filtered_tail, DEFAULT_TEMPLATES)],
+                         backend)
+    return result
+
+
 class TestFilterImages:
     def test_threshold_and_example_scores(self):
         bk = ScriptedBackend(scores={"i1": 0.9, "i2": 0.86, "i3": 0.2})
-        fh, ft, skipped = filter_images("H", "T", ["i1", "i2", "i3"], [],
-                                        0.85, bk)
+        fh, ft, skipped = filter_one(["i1", "i2", "i3"], 0.85, bk)
         assert [s.ref for s in fh] == ["i1", "i2"]
         assert ft == [] and skipped == 0
 
     def test_cap_at_five(self):
         refs = [f"i{j}" for j in range(7)]
         bk = ScriptedBackend(scores={r: 0.9 for r in refs})
-        fh, _, _ = filter_images("H", "T", refs, [], 0.85, bk)
+        fh, _, _ = filter_one(refs, 0.85, bk)
         assert len(fh) == 5
         # ties broken by manifest order
         assert [s.ref for s in fh] == refs[:5]
 
+    def test_failed_image_scores_zero_and_capability_error_raises(self):
+        bk = ScriptedBackend(scores={"i1": 0.9, "i2": BackendError("503")})
+        fh, _, skipped = filter_one(["i1", "i2"], 0.0, bk)
+        assert [(s.ref, s.score) for s in fh] == [("i1", 0.9), ("i2", 0.0)]
+        assert skipped == 1
+        bk = ScriptedBackend(scores={"i1": CapabilityError("no logprobs")})
+        with pytest.raises(CapabilityError):
+            filter_one(["i1"], 0.85, bk)
+
     def test_all_below_threshold_gives_empty(self):
         bk = ScriptedBackend(scores={"i1": 0.1, "i2": 0.5})
-        fh, _, _ = filter_images("H", "T", ["i1", "i2"], [], 0.85, bk)
+        fh, _, _ = filter_one(["i1", "i2"], 0.85, bk)
         assert fh == []
 
     def test_threshold_monotonicity_over_random_vectors(self):
@@ -61,8 +83,8 @@ class TestFilterImages:
             bk = ScriptedBackend(scores=scores)
             refs = list(scores)
             tau_lo, tau_hi = sorted((rng.random(), rng.random()))
-            lo, _, _ = filter_images("H", "T", refs, [], tau_lo, bk)
-            hi, _, _ = filter_images("H", "T", refs, [], tau_hi, bk)
+            lo, _, _ = filter_one(refs, tau_lo, bk)
+            hi, _, _ = filter_one(refs, tau_hi, bk)
             assert {s.ref for s in hi} <= {s.ref for s in lo}
             assert all(s.score >= tau_hi for s in hi)
             assert len(hi) <= 5 and {s.ref for s in hi} <= set(refs)
@@ -77,7 +99,7 @@ class TestFilterImages:
 class TestLammContext:
     def test_both_sides_present_names_both(self):
         bk = MockBackend(0)
-        text, used, fallback = lamm_context(
+        text, used, fallback = lamm_one(
             "View of Arles", "Vincent van Gogh",
             [ScoredImage("a.jpg", 0.9)], [ScoredImage("b.jpg", 0.88)], bk)
         assert not fallback
@@ -86,25 +108,27 @@ class TestLammContext:
 
     def test_empty_side_falls_back_with_names(self):
         bk = MockBackend(0)
-        text, used, fallback = lamm_context("A", "B", [], [ScoredImage("x", 0.9)],
-                                            bk)
+        text, used, fallback = lamm_one("A", "B", [], [ScoredImage("x", 0.9)],
+                                        bk)
         assert fallback and used == []
         assert "A" in text and "B" in text
 
     def test_mock_determinism(self):
         args = ("H", "T", [ScoredImage("a", 0.9)], [ScoredImage("b", 0.9)])
-        t1, _, _ = lamm_context(*args, MockBackend(7))
-        t2, _, _ = lamm_context(*args, MockBackend(7))
+        t1, _, _ = lamm_one(*args, MockBackend(7))
+        t2, _, _ = lamm_one(*args, MockBackend(7))
         assert t1 == t2
 
 
 class TestEntitySummary:
     def test_with_images(self):
-        text, fallback = entity_summary("Arles", ["i1", "i2"], MockBackend(0))
+        [(text, fallback)] = run_waves([_summary_steps(
+            "Arles", ["i1", "i2"], DEFAULT_TEMPLATES)], MockBackend(0))
         assert not fallback and "Arles" in text
 
     def test_without_images_falls_back(self):
-        text, fallback = entity_summary("Arles", [], MockBackend(0))
+        [(text, fallback)] = run_waves([_summary_steps(
+            "Arles", [], DEFAULT_TEMPLATES)], MockBackend(0))
         assert fallback and "Arles" in text
 
 
@@ -114,6 +138,12 @@ def hint_graph():
     train = [Triple(i, 0, (i + 1) % 10) for i in range(10)]
     train += [Triple(i, 1, (i + 2) % 10) for i in range(7)]
     return KnowledgeGraph(ents, rels, {"train": train, "valid": [], "test": []})
+
+
+def imageless(graph, backend, **kwargs):
+    """A generator over ``graph`` whose entities have no image."""
+    return ContextGenerator(graph, MultimodalAssets(image_cap=1), backend,
+                            **kwargs)
 
 
 class TestConceptualHint:
@@ -141,28 +171,34 @@ class TestConceptualHint:
 
     def test_hint_text_deterministic_and_flagging(self):
         g = hint_graph()
-        t1, f1 = conceptual_hint(g, 0, 0, "a summary", MockBackend(1), seed=4)
-        t2, f2 = conceptual_hint(g, 0, 0, "a summary", MockBackend(1), seed=4)
+        t1, f1 = next(imageless(g, MockBackend(1), seed=4).hints([(0, 0)]))
+        t2, f2 = next(imageless(g, MockBackend(1), seed=4).hints([(0, 0)]))
         assert t1 == t2 and not f1
-        _, flagged = conceptual_hint(g, 0, 2, "s", MockBackend(1))
+        _, flagged = next(imageless(g, MockBackend(1)).hints([(0, 2)]))
         assert flagged
+
+
+def template_one(graph, relation, backend):
+    gen = imageless(graph, backend)
+    [text] = run_waves([gen._template_steps(relation)], backend)
+    return text
 
 
 class TestRelationTemplate:
     def test_invalid_output_falls_back_to_literal(self):
         g = hint_graph()
         bk = ScriptedBackend(texts=["no placeholders", "still none"])
-        assert relation_template(g, 0, bk) == "[A] depict [B]"
+        assert template_one(g, 0, bk) == "[A] depict [B]"
 
     def test_valid_output_accepted(self):
         g = hint_graph()
         bk = ScriptedBackend(texts=["Painting [A] depict object [B]."])
-        assert relation_template(g, 0, bk) == "Painting [A] depict object [B]."
+        assert template_one(g, 0, bk) == "Painting [A] depict object [B]."
 
     def test_double_slot_rejected(self):
         g = hint_graph()
         bk = ScriptedBackend(texts=["[A] [A] and [B]", "[A] [B] [B]"])
-        assert relation_template(g, 0, bk) == "[A] depict [B]"
+        assert template_one(g, 0, bk) == "[A] depict [B]"
 
 
 class TestComposition:
@@ -199,17 +235,20 @@ class TestComposition:
         _, plain = self.contexts(arles, V1)
         gen, extended = self.contexts(arles, V1Y)
         ent, rel = arles.graph.entities, arles.graph.relations
-        for base, ctx in zip(plain, extended, strict=True):
-            hint, _ = gen.hint(ent.id_of(ctx.subject["head"]),
-                               rel.id_of(ctx.subject["relation"]))
+        pairs = [(ent.id_of(ctx.subject["head"]),
+                  rel.id_of(ctx.subject["relation"])) for ctx in extended]
+        for base, ctx, (hint, _) in zip(plain, extended, gen.hints(pairs),
+                                        strict=True):
             assert ctx.text == f"{base.text} {hint}"
         assert gen.degraded_compositions == 0
 
-    @pytest.mark.parametrize("variant", [V2, "fichad-3"])
-    def test_non_triple_variant_rejected(self, arles, variant):
+    @pytest.mark.parametrize("splits", [(), ("test",)],
+                             ids=["no-split", "test"])
+    def test_unknown_variant_rejected(self, arles, splits):
+        """Whether or not the splits hold a triple to generate."""
         gen = ContextGenerator(arles.graph, arles.assets, MockBackend(5))
-        with pytest.raises(ValueError, match="triple-level"):
-            gen.triple_context(next(arles.graph.triples("test")), variant)
+        with pytest.raises(ValueError, match="'fichad-3'"):
+            gen.generate_for_splits("fichad-3", splits=splits)
 
 
 class TestPipeline:

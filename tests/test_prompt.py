@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from fichad import context as cg
 from fichad.backend import MockBackend
+from fichad.kg import MultimodalAssets
 from fichad.linkpred import Query
 from fichad.prompt import (DESC_HEADER, BuildError, ContextIndex, KgcInput,
                            TokenBudget, TruncationError, build_kgc_input,
@@ -23,8 +24,11 @@ def pipeline():
     ctxs = gen.generate_for_splits(cg.V1, splits=("train", "valid", "test"))
     ctxs += gen.generate_for_splits(cg.V2)
     index = ContextIndex(ctxs, g)
-    templates = {g.relations.label_of(r): cg.relation_template(g, r, bk, seed=7)
-                 for r in range(g.n_relations)}
+    # the golden templates were asked for without images
+    imageless = cg.ContextGenerator(g, MultimodalAssets(image_cap=1), bk,
+                                    seed=7)
+    templates = dict(zip(map(g.relations.label_of, range(g.n_relations)),
+                         imageless.relation_templates()))
     t = next(g.triples("test"))
     query = Query("tail", t.head, t.relation, t.tail)
     return ds, index, templates, query
