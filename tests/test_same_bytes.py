@@ -62,7 +62,7 @@ def run_matrix(capsys, config: Path, work: Path) -> dict[str, str]:
          work / "h" / "hints.jsonl")
     step("templates", ["templates", *common, "--out", str(work / "t")],
          work / "t" / "templates.json")
-    for variant in ("fichad-1", "fichad-2"):
+    for variant in ("fichad-1", "fichad-2", "fichad-1+x", "fichad-1+y"):
         out = work / f"p-{variant}"
         step(f"build-prompts {variant}",
              ["build-prompts", "--dataset", str(config), "--variant", variant,
@@ -75,6 +75,13 @@ def run_matrix(capsys, config: Path, work: Path) -> dict[str, str]:
                                for v in ("fichad-1", "fichad-2")))
     step("stats", ["stats", "--dataset", str(config), "--store", str(store),
                    "--out", str(work / "s")], work / "s" / "stats.json")
+    store = work / "all4.jsonl"
+    store.write_bytes(b"".join((work / v / "contexts.jsonl").read_bytes()
+                               for v in ("fichad-1", "fichad-2", "fichad-1+x",
+                                         "fichad-1+y")))
+    step("stats four-variant", ["stats", "--dataset", str(config), "--store",
+                                str(store), "--out", str(work / "s4")],
+         work / "s4" / "stats.json")
     digests["cache.jsonl"] = sha((work / "cache.jsonl").read_bytes())
     return digests
 
@@ -84,6 +91,14 @@ ARLES_DIGESTS = {
         "08ea5094d5180d7eae4231195fbf2554fa68c7fd7d27db7fae67e712e41d26e2",
     "build-prompts fichad-1 summary":
         "26b2d0f837cb2da5993d2917625b96facc77e4a91b888fdf9848b59e56585b26",
+    "build-prompts fichad-1+x prompts.jsonl":
+        "60d9108a4c01af2f14db6e454f60d284c0959eaa99add0c59cf5caf036abff22",
+    "build-prompts fichad-1+x summary":
+        "af986951e3d660a30951dc1c0639136dfe18b69ad5a51544c28a425fe496f979",
+    "build-prompts fichad-1+y prompts.jsonl":
+        "1b6f9310e39801f5f6582f3174cfebdfed9e622e63ef637a58153db78e164f89",
+    "build-prompts fichad-1+y summary":
+        "06a0fdfbf8663a930177d0165aa6d85ffdaaff599c229d37e22b7f46e295b5a5",
     "build-prompts fichad-2 prompts.jsonl":
         "a43fc669959afdeacfe4d6aea9778e219e8406f5e9c9d16418dc123fd9dd6bf8",
     "build-prompts fichad-2 summary":
@@ -114,6 +129,10 @@ ARLES_DIGESTS = {
         "41d415a2be113ae28b39937e90dadfab1e9ad714e60dc51f758020e8902afd2a",
     "hints summary":
         "72f7ff066f27e1d9e8ef6398d03f145d2b4ad8faade4cbb6084e0ee1cf478b5f",
+    "stats four-variant stats.json":
+        "c07c94bce46e2a186561c32dcc6fd29fa8d8233ea49151b6d9e71e3ff603f504",
+    "stats four-variant summary":
+        "67c601669f8f33526221e5d5fb390f75d6e6dff27d72b9501c7f1b9960e9e36e",
     "stats stats.json":
         "f0cc551b3264e4323b36be1e865993606d002be837926417b4e379701d622b87",
     "stats summary":
@@ -129,6 +148,14 @@ SYNTHETIC_DIGESTS = {
         "4aba3c8e6c16a302997e6778f40863635ab9c33c6d911be9d135873f3c47bd72",
     "build-prompts fichad-1 summary":
         "295556c977950752b90e9c62556b3f97e2e74893f680c61425a0e13fbb953d8d",
+    "build-prompts fichad-1+x prompts.jsonl":
+        "7bc647caa75553cd0f8f64a2831530ff0f722483bfbf8820da0ca93f667fbe15",
+    "build-prompts fichad-1+x summary":
+        "3840290cb4cb0dabb5c8bd461cea4178c8fd3fc822254b8f891b0c342a8dcbc7",
+    "build-prompts fichad-1+y prompts.jsonl":
+        "b6eb210fc0574f147052f61582482bbfa831d85841e156fb5d8e8545620dd598",
+    "build-prompts fichad-1+y summary":
+        "3840290cb4cb0dabb5c8bd461cea4178c8fd3fc822254b8f891b0c342a8dcbc7",
     "build-prompts fichad-2 prompts.jsonl":
         "7fb9e3ed63bdda163fec710f945b408719bb67b481e5710aef5251fa4f69f883",
     "build-prompts fichad-2 summary":
@@ -159,6 +186,10 @@ SYNTHETIC_DIGESTS = {
         "f2289525ed85754fb1ed18ddc0922fda3c965638404bc0ebdf90954d50878431",
     "hints summary":
         "4114d0d452f89e91b77f8af0f5a11f46c101fd5538b258e38be5e1a1f64eb3b2",
+    "stats four-variant stats.json":
+        "c5bab4af7977353808cef3a945627bbde13f6fdec3ac79ca39a0ca25ca91fcd1",
+    "stats four-variant summary":
+        "1ef86523152aafeb3ee40480d3a07491ae45316b4488afd2c3b6f12b54c99edf",
     "stats stats.json":
         "5c8423ca08bac0f51d2cbb80a19d668ccb42181fcdd66f9d84baa6273fc67a3d",
     "stats summary":
