@@ -96,8 +96,8 @@ def load_templates(path) -> dict[str, str]:
     """The default wordings, each replaced by a ``<name>.txt`` file in ``path``.
 
     A missing directory, a file named after no key of
-    :data:`DEFAULT_TEMPLATES`, a malformed format string, or a slot its
-    default wording lacks raises :class:`TemplateError`.
+    :data:`DEFAULT_TEMPLATES`, an empty file, a malformed format string, or
+    a slot its default wording lacks raises :class:`TemplateError`.
     """
     directory = Path(path)
     if not directory.is_dir():
@@ -109,6 +109,8 @@ def load_templates(path) -> dict[str, str]:
                 f"{f}: unknown prompt template {f.stem!r} (known: "
                 f"{', '.join(sorted(DEFAULT_TEMPLATES))})")
         text = f.read_text(encoding="utf-8").strip()
+        if not text:
+            raise TemplateError(f"{f}: empty prompt template")
         known = _slots(DEFAULT_TEMPLATES[f.stem])
         try:
             unknown = _slots(text) - known
@@ -136,13 +138,10 @@ class ScoredImage:
     score: float
 
 
-#: the JSON type of each store field, the fields every line needs, and the
-#: labels each subject kind names
+#: the JSON type of each store field, and the fields every line needs
 _FIELDS = {"variant": str, "subject": dict, "text": str, "images": list,
            "fallback": bool}
 _REQUIRED = {"variant", "subject", "text"}
-_SUBJECT_LABELS = {"entity": ("entity",),
-                   "triple": ("head", "relation", "tail")}
 
 
 @dataclass
@@ -150,17 +149,19 @@ class GeneratedContext:
     """One unit of generated context, serializable to a JSONL store line."""
 
     variant: str
-    subject: dict  # {"kind": "triple", head/relation/tail labels} or {"kind": "entity", ...}
+    subject: dict  # {"kind": ..., labels}; the variant fixes the kind
     text: str
     images: list[ScoredImage] = field(default_factory=list)
     fallback: bool = False
 
     def to_json_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
+        rec = {**vars(self), "images": [vars(im) for im in self.images]}
+        return json.dumps(rec, sort_keys=True, ensure_ascii=False)
 
     @classmethod
     def from_json_line(cls, line: str) -> "GeneratedContext":
-        """One store line; raises ValueError when it is not a context."""
+        """One store line; raises ValueError when it is not a context, or its
+        subject is not the kind its variant fixes."""
         rec = json.loads(line)
         if not (isinstance(rec, dict)
                 and _REQUIRED <= rec.keys() <= _FIELDS.keys()
@@ -168,9 +169,16 @@ class GeneratedContext:
             raise ValueError("not a context record: an object with string "
                              "variant and text, object subject, and optional "
                              "list images and boolean fallback, nothing else")
-        labels = _SUBJECT_LABELS.get(rec["subject"].get("kind"), ())
-        if not all(isinstance(rec["subject"].get(k), str) for k in labels):
-            raise ValueError(f"subject lacks string labels {list(labels)}")
+        variant, subject = rec["variant"], rec["subject"]
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown context variant {variant!r} (known: "
+                             f"{', '.join(VARIANTS)})")
+        kind, labels = (("entity", ("entity",)) if variant == V2
+                        else ("triple", ("head", "relation", "tail")))
+        if not (subject.get("kind") == kind
+                and all(isinstance(subject.get(k), str) for k in labels)):
+            raise ValueError(f"a {variant} subject has kind {kind!r} and "
+                             f"string labels {list(labels)}")
         try:
             rec["images"] = [ScoredImage(**im) for im in rec.get("images", [])]
         except TypeError:
@@ -545,7 +553,7 @@ def corpus_stats(contexts: list[GeneratedContext], graph: KnowledgeGraph,
     f2_hits = f2_total = 0
 
     for ctx in contexts:
-        if ctx.variant in (V1, V1X, V1Y) and ctx.subject.get("kind") == "triple":
+        if ctx.variant != V2:
             if ctx.fallback:
                 continue
             h = ent.id_of(ctx.subject["head"])
@@ -559,7 +567,7 @@ def corpus_stats(contexts: list[GeneratedContext], graph: KnowledgeGraph,
                 single_hits += 1
             if named_h and named_t:
                 both_hits += 1
-        elif ctx.variant == V2 and ctx.subject.get("kind") == "entity":
+        else:
             e = ent.id_of(ctx.subject["entity"])
             if ctx.fallback:
                 continue

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .context import GeneratedContext, V1, V2, V1X, V1Y
+from .context import GeneratedContext, V1, V2
 from .kg import KnowledgeGraph, OUT
 from .linkpred import Query, TAIL
 
@@ -43,9 +43,6 @@ NEIGHBOR_HEADER = "# Neighbor Contexts:"
 RELATION_HEADER = "Relation:"
 TEMPLATE_HEADER = "# Relation Template:"
 QUERY_HEADER = "Query:"
-
-_VARIANT_MARKERS = {V1: "# FICHAD-1", V2: "# FICHAD-2",
-                    V1X: "# FICHAD-1", V1Y: "# FICHAD-1"}
 
 
 class BuildError(Exception):
@@ -76,41 +73,33 @@ class KgcInput:
     """One assembled KGC model input."""
 
     query: Query
-    neighbor_lines: list[tuple[str, str]]  # (label line, context text)
     text: str
     truncated: bool = False
     skipped_neighbors: int = 0
 
 
 class ContextIndex:
-    """Lookup structure over a loaded context store."""
+    """The texts of a loaded context store, the first per key."""
 
     def __init__(self, contexts: list[GeneratedContext], graph: KnowledgeGraph):
-        self.graph = graph
-        self.by_entity: dict[int, GeneratedContext] = {}
-        self.by_triple: dict[tuple[int, int, int, str], GeneratedContext] = {}
-        self.touching: dict[int, GeneratedContext] = {}  # first per entity
+        self.by_entity: dict[int, str] = {}  # fichad-2 summaries
+        self.by_triple: dict[tuple[int, int, int, str], str] = {}
+        self.touching: dict[int, str] = {}  # link-aware texts per entity
         ent, rel = graph.entities, graph.relations
         for ctx in contexts:
-            if ctx.subject.get("kind") == "entity":
-                e = ent.id_of(ctx.subject["entity"])
-                self.by_entity.setdefault(e, ctx)
-            elif ctx.subject.get("kind") == "triple":
-                h = ent.id_of(ctx.subject["head"])
-                r = rel.id_of(ctx.subject["relation"])
-                t = ent.id_of(ctx.subject["tail"])
-                self.by_triple.setdefault((h, r, t, ctx.variant), ctx)
-                self.touching.setdefault(h, ctx)
-                self.touching.setdefault(t, ctx)
+            s = ctx.subject
+            if ctx.variant == V2:
+                self.by_entity.setdefault(ent.id_of(s["entity"]), ctx.text)
+            else:
+                h, t = ent.id_of(s["head"]), ent.id_of(s["tail"])
+                r = rel.id_of(s["relation"])
+                self.by_triple.setdefault((h, r, t, ctx.variant), ctx.text)
+                self.touching.setdefault(h, ctx.text)
+                self.touching.setdefault(t, ctx.text)
 
     def entity_description(self, entity: int) -> str | None:
         """fichad-2 summary when present, else any link-aware text touching it."""
-        ctx = self.by_entity.get(entity, self.touching.get(entity))
-        return ctx.text if ctx is not None else None
-
-    def triple_text(self, h: int, r: int, t: int, variant: str) -> str | None:
-        ctx = self.by_triple.get((h, r, t, variant))
-        return ctx.text if ctx is not None else None
+        return self.by_entity.get(entity, self.touching.get(entity))
 
 
 def query_line(query: Query, graph: KnowledgeGraph) -> str:
@@ -140,30 +129,27 @@ def build_kgc_input(query: Query, index: ContextIndex, graph: KnowledgeGraph,
     if description is None:
         raise BuildError(f"no generated context for entity {entity_name!r}")
 
-    neighbor_lines: list[tuple[str, str]] = []
+    entries = []  # "<label>\n<text>"
     skipped = 0
     for rel, nbr, direction in graph.neighbors(entity, k):
-        label = (f"{graph.relations.display_name(rel)}|"
-                 f"{ent_names.display_name(nbr)}:")
         if variant == V2:
-            ctx = index.by_entity.get(nbr)
-            text = ctx.text if ctx is not None else None
+            text = index.by_entity.get(nbr)
         else:
             h, t = (entity, nbr) if direction == OUT else (nbr, entity)
-            text = index.triple_text(h, rel, t, variant)
+            text = index.by_triple.get((h, rel, t, variant))
         if text is None:
             skipped += 1
             continue
-        neighbor_lines.append((label, text))
+        entries.append(f"{graph.relations.display_name(rel)}|"
+                       f"{ent_names.display_name(nbr)}:\n{text}")
 
     rel_label = graph.relations.label_of(query.relation)
     template = f"[A] {relation_name} [B]"
     if relation_templates and relation_templates.get(rel_label):
         template = relation_templates[rel_label]
 
-    entries = [f"{label}\n{text}" for label, text in neighbor_lines]
     if entries:
-        marker = _VARIANT_MARKERS.get(variant, "# FICHAD-1")
+        marker = "# FICHAD-2" if variant == V2 else "# FICHAD-1"
         entries[0] = f"{marker}\n{entries[0]}"
     sections = Sections(
         entity=f"{ENTITY_HEADER} {entity_name}", description=description,
@@ -171,8 +157,7 @@ def build_kgc_input(query: Query, index: ContextIndex, graph: KnowledgeGraph,
         template=f"{TEMPLATE_HEADER}\n{template}",
         query=query_line(query, graph))
     truncated = budget is not None and truncate(sections, budget.limit)
-    return KgcInput(query=query, neighbor_lines=neighbor_lines,
-                    text=_render(sections), truncated=truncated,
+    return KgcInput(query=query, text=_render(sections), truncated=truncated,
                     skipped_neighbors=skipped)
 
 

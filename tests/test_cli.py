@@ -840,7 +840,9 @@ def test_unknown_prompt_template_file_is_input_error(capsys, tmp_path):
 @pytest.mark.parametrize("text,reason", [
     ("Describe {entity} and {mood}.", "unknown template slots ['mood']"),
     ("Describe {entity.", "malformed template"),
-], ids=["unknown-slot", "malformed"])
+    ("", "empty prompt template"),
+    (" \t", "empty prompt template"),
+], ids=["unknown-slot", "malformed", "empty", "blank"])
 def test_unfillable_prompt_template_is_input_error(capsys, tmp_path, text,
                                                    reason):
     """An override is checked at load, even when this variant never uses it."""
@@ -913,6 +915,37 @@ def test_store_line_that_is_not_a_context_is_input_error(capsys, tmp_path,
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error:") and f"{store}:2:" in err
+    assert not (tmp_path / "o").exists()
+
+
+TRIPLE = {"kind": "triple", "head": "view_of_arles", "relation": "creator",
+          "tail": "van_gogh"}
+
+
+@pytest.mark.parametrize("command", ["build-prompts", "stats"])
+@pytest.mark.parametrize("variant,subject,reason", [
+    ("fichad-3", TRIPLE, "unknown context variant 'fichad-3'"),
+    ("fichad-1", {k: v for k, v in TRIPLE.items() if k != "kind"},
+     "a fichad-1 subject has kind 'triple'"),
+    ("fichad-1", {"kind": "entity", "entity": "arles"},
+     "a fichad-1 subject has kind 'triple'"),
+    ("fichad-2", TRIPLE, "a fichad-2 subject has kind 'entity'"),
+], ids=["unknown-variant", "no-kind", "entity-for-fichad-1",
+        "triple-for-fichad-2"])
+def test_subject_not_of_its_variant_is_input_error(capsys, tmp_path, command,
+                                                   variant, subject, reason):
+    """The variant fixes the subject kind; a line that breaks the rule is
+    named by file and line, not read and then dropped or misfiled."""
+    store = tmp_path / "s.jsonl"
+    store.write_text(
+        json.dumps({"variant": "fichad-1", "subject": TRIPLE, "text": "x"})
+        + "\n" + json.dumps({"variant": variant, "subject": subject,
+                             "text": "y"}) + "\n")
+    code = main([command, "--dataset", ARLES, "--store", str(store),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"{store}:2: {reason}" in err
     assert not (tmp_path / "o").exists()
 
 

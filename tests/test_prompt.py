@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -7,9 +8,10 @@ from fichad import context as cg
 from fichad.backend import MockBackend
 from fichad.kg import MultimodalAssets
 from fichad.linkpred import Query
-from fichad.prompt import (DESC_HEADER, BuildError, ContextIndex, KgcInput,
-                           TokenBudget, TruncationError, build_kgc_input,
-                           export_prompts, query_line, whitespace_words)
+from fichad.prompt import (DESC_HEADER, NEIGHBOR_HEADER, BuildError,
+                           ContextIndex, TokenBudget, TruncationError,
+                           build_kgc_input, export_prompts, query_line,
+                           whitespace_words)
 from conftest import ARLES_CONFIG, check_cut, random_sections
 
 
@@ -37,6 +39,14 @@ def pipeline():
 GOLDEN = __file__.rsplit("/", 1)[0] + "/data/kgc_input_golden.txt"
 
 
+def neighbor_entries(text: str) -> list[tuple[str, str]]:
+    """The (label, context text) entries of a rendered input whose context
+    texts are one line each."""
+    [block] = [p for p in text.split("\n\n") if p.startswith(NEIGHBOR_HEADER)]
+    lines = block.split("\n")[2:]  # after the header and the variant marker
+    return list(zip(lines[::2], lines[1::2], strict=True))
+
+
 class TestBuild:
     def test_golden_file_byte_exact(self, pipeline):
         ds, index, templates, query = pipeline
@@ -62,7 +72,7 @@ class TestBuild:
         inp = build_kgc_input(query, index, ds.graph, k=0,
                               relation_templates=templates)
         assert "# Neighbor Contexts:" in inp.text
-        assert inp.neighbor_lines == []
+        assert neighbor_entries(inp.text) == []
         assert "Relation: depict" in inp.text
 
     def test_neighbor_count_bounded_by_k(self, pipeline):
@@ -70,7 +80,7 @@ class TestBuild:
         for k in (1, 2, 5):
             inp = build_kgc_input(query, index, ds.graph, k=k,
                                   relation_templates=templates)
-            assert len(inp.neighbor_lines) <= k
+            assert len(neighbor_entries(inp.text)) <= k
 
     def test_pure_function_same_bytes(self, pipeline):
         ds, index, templates, query = pipeline
@@ -109,7 +119,8 @@ class TestBuild:
                                 "relation": rel, "tail": tail},
             text=f"{v} text") for v in (cg.V1X, cg.V1)]
         idx = ContextIndex(ctxs, g)
-        assert idx.touching == {query.known: ctxs[0], query.answer: ctxs[0]}
+        first = f"{cg.V1X} text"
+        assert idx.touching == {query.known: first, query.answer: first}
         assert idx.entity_description(query.known) == f"{cg.V1X} text"
 
     def test_query_like_description_survives_budget(self, pipeline):
@@ -118,12 +129,8 @@ class TestBuild:
         g = ds.graph
         description = ("Query: which town does this painting show?\n"
                        "It shows Arles in summer light.")
-        own = cg.GeneratedContext(
-            variant=cg.V2, subject={"kind": "entity",
-                                    "entity": g.entities.label_of(query.known)},
-            text=description)
-        idx = ContextIndex([own, *index.by_entity.values(),
-                            *index.by_triple.values()], g)
+        idx = copy.copy(index)
+        idx.by_entity = {**index.by_entity, query.known: description}
         full = build_kgc_input(query, idx, g, k=2, relation_templates=templates)
         n = whitespace_words(full.text)
         cut = build_kgc_input(query, idx, g, k=2, relation_templates=templates,
@@ -131,8 +138,9 @@ class TestBuild:
         assert cut.truncated
         assert whitespace_words(cut.text) <= n - 3
         assert description in cut.text
-        assert full.neighbor_lines[-1][1] not in cut.text
-        assert full.neighbor_lines[0][1] in cut.text
+        entries = neighbor_entries(full.text)
+        assert entries[-1][1] not in cut.text
+        assert entries[0][1] in cut.text
 
 
 class TestTruncate:
@@ -155,8 +163,9 @@ class TestTruncate:
         cut = build_kgc_input(query, index, ds.graph, k=2,
                               relation_templates=templates,
                               budget=TokenBudget(n - 2)).text
-        assert full.neighbor_lines[-1][1] not in cut
-        assert full.neighbor_lines[0][1] in cut
+        entries = neighbor_entries(full.text)
+        assert entries[-1][1] not in cut
+        assert entries[0][1] in cut
         assert "Query: (View of Arles, depict, ?)" in cut
 
     def test_description_loses_only_its_word_tail(self, pipeline):
