@@ -155,7 +155,12 @@ class GeneratedContext:
     fallback: bool = False
 
     def to_json_line(self) -> str:
-        rec = {**vars(self), "images": [vars(im) for im in self.images]}
+        # from the fields: vars() would leave a dict on every instance it
+        # reads (64 B each), and asdict deep-copies the subject and images
+        rec = {"variant": self.variant, "subject": self.subject,
+               "text": self.text, "fallback": self.fallback,
+               "images": [{"ref": im.ref, "score": im.score}
+                          for im in self.images]}
         return json.dumps(rec, sort_keys=True, ensure_ascii=False)
 
     @classmethod
