@@ -15,6 +15,8 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
+from contextlib import closing
 from pathlib import Path
 
 from . import backend as be
@@ -227,8 +229,8 @@ def cmd_templates(args, ds) -> int:
 
 def cmd_build_prompts(args, ds) -> int:
     g = ds.graph
-    contexts = cg.read_context_store(args.store)
-    index = prompt.ContextIndex(contexts, g)
+    with closing(cg.read_context_store(args.store)) as contexts:
+        index = prompt.ContextIndex(contexts, g)
     rel_templates = {}
     if args.templates:
         try:
@@ -241,29 +243,34 @@ def cmd_build_prompts(args, ds) -> int:
                              "relation labels to template strings")
     budget = (prompt.TokenBudget(args.budget) if args.budget is not None
               else None)
-    inputs = []
-    build_errors = 0
-    for q in linkpred.queries_for_split(g, args.split):
-        try:
-            inputs.append(prompt.build_kgc_input(
-                q, index, g, k=args.k, variant=args.variant, budget=budget,
-                relation_templates=rel_templates))
-        except prompt.BuildError:
-            build_errors += 1
+    counts = Counter(prompts=0, build_errors=0, truncated=0,
+                     skipped_neighbors=0)
+
+    def inputs():
+        for q in linkpred.queries_for_split(g, args.split):
+            try:
+                item = prompt.build_kgc_input(
+                    q, index, g, k=args.k, variant=args.variant,
+                    budget=budget, relation_templates=rel_templates)
+            except prompt.BuildError:
+                counts["build_errors"] += 1
+                continue
+            counts.update(prompts=1, truncated=item.truncated,
+                          skipped_neighbors=item.skipped_neighbors)
+            if args.preview and counts["prompts"] == 1:
+                print(item.text, file=sys.stderr)
+            yield item
+
     out = _out_dir(args)
-    prompt.export_prompts(inputs, out / "prompts.jsonl")
-    if args.preview and inputs:
-        print(inputs[0].text, file=sys.stderr)
-    _summary({"prompts": len(inputs), "build_errors": build_errors,
-              "truncated": sum(i.truncated for i in inputs),
-              "skipped_neighbors": sum(i.skipped_neighbors for i in inputs),
-              "out": str(out / "prompts.jsonl")}, args)
+    prompt.export_prompts(inputs(), out / "prompts.jsonl")
+    _summary({**counts, "out": str(out / "prompts.jsonl")}, args)
     return EXIT_OK
 
 
 def cmd_stats(args, ds) -> int:
-    stats = cg.corpus_stats(cg.read_context_store(args.store), ds.graph,
-                            ds.assets, dataset_id=ds.dataset_id)
+    with closing(cg.read_context_store(args.store)) as contexts:
+        stats = cg.corpus_stats(contexts, ds.graph, ds.assets,
+                                dataset_id=ds.dataset_id)
     print(stats.to_table(), file=sys.stderr)
     if args.out:
         out = _out_dir(args)

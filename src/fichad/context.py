@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import random
 import string
+from collections.abc import Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field, asdict
 from itertools import chain, islice, starmap
@@ -142,6 +143,9 @@ class ScoredImage:
 _FIELDS = {"variant": str, "subject": dict, "text": str, "images": list,
            "fallback": bool}
 _REQUIRED = {"variant", "subject", "text"}
+#: the subject kind each variant fixes, and that kind's label keys
+_SUBJECTS = {V2: ("entity", ("entity",))} | dict.fromkeys(
+    (V1, V1X, V1Y), ("triple", ("head", "relation", "tail")))
 
 
 @dataclass
@@ -178,8 +182,7 @@ class GeneratedContext:
         if variant not in VARIANTS:
             raise ValueError(f"unknown context variant {variant!r} (known: "
                              f"{', '.join(VARIANTS)})")
-        kind, labels = (("entity", ("entity",)) if variant == V2
-                        else ("triple", ("head", "relation", "tail")))
+        kind, labels = _SUBJECTS[variant]
         if not (subject.get("kind") == kind
                 and all(isinstance(subject.get(k), str) for k in labels)):
             raise ValueError(f"a {variant} subject has kind {kind!r} and "
@@ -190,21 +193,24 @@ class GeneratedContext:
             raise ValueError("images must be {ref, score} objects") from None
         return cls(**rec)
 
+    def handles(self, graph: KnowledgeGraph) -> tuple[int, ...]:
+        """The subject's handles; an unknown label raises VocabError."""
+        ent, rel = graph.entities, graph.relations
+        return tuple((rel if k == "relation" else ent).id_of(self.subject[k])
+                     for k in _SUBJECTS[self.variant][1])
 
-def read_context_store(path) -> list[GeneratedContext]:
-    """The contexts of a JSONL store; a line that is not one raises
-    ValueError naming ``path:line``."""
-    out = []
+
+def read_context_store(path) -> Iterator[GeneratedContext]:
+    """The contexts of a JSONL store, read one line at a time; a line that
+    is not one raises ValueError naming ``path:line``."""
     with open(path, encoding="utf-8") as fh:
         for n, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
+            if line.isspace():
                 continue
             try:
-                out.append(GeneratedContext.from_json_line(line))
+                yield GeneratedContext.from_json_line(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{n}: {exc}") from None
-    return out
 
 
 def write_context_store(path, contexts: list[GeneratedContext]) -> None:
@@ -542,44 +548,34 @@ class CoverageStats:
         return "\n".join(lines)
 
 
-def corpus_stats(contexts: list[GeneratedContext], graph: KnowledgeGraph,
+def corpus_stats(contexts: Iterable[GeneratedContext], graph: KnowledgeGraph,
                  assets: MultimodalAssets,
                  dataset_id: str = "dataset") -> CoverageStats:
     """Table-style counters over a completed generation pass.
 
     An entity "has fichad-1" when at least one non-fallback link-aware context
     touches it; coverage rates use case-insensitive display-name substring
-    matching inside the generated text.
+    matching inside the generated text. Every line's labels are resolved.
     """
     ent = graph.entities
-    with_f1: set[int] = set()
-    with_f2: set[int] = set()
-    single_hits = both_hits = f1_total = 0
-    f2_hits = f2_total = 0
+    with_f1, with_f2 = set(), set()  # entity handles
+    single_hits = both_hits = f1_total = f2_hits = f2_total = 0
 
     for ctx in contexts:
+        ends = ctx.handles(graph)[::2]  # (head, tail), or fichad-2's (entity,)
+        if ctx.fallback:
+            continue
+        text = ctx.text.lower()
+        named = [ent.display_name(e).lower() in text for e in ends]
         if ctx.variant != V2:
-            if ctx.fallback:
-                continue
-            h = ent.id_of(ctx.subject["head"])
-            t = ent.id_of(ctx.subject["tail"])
-            with_f1.update((h, t))
+            with_f1.update(ends)
             f1_total += 1
-            text = ctx.text.lower()
-            named_h = ent.display_name(h).lower() in text
-            named_t = ent.display_name(t).lower() in text
-            if named_h or named_t:
-                single_hits += 1
-            if named_h and named_t:
-                both_hits += 1
+            single_hits += any(named)
+            both_hits += all(named)
         else:
-            e = ent.id_of(ctx.subject["entity"])
-            if ctx.fallback:
-                continue
-            with_f2.add(e)
+            with_f2.update(ends)
             f2_total += 1
-            if ent.display_name(e).lower() in ctx.text.lower():
-                f2_hits += 1
+            f2_hits += named[0]
 
     return CoverageStats(
         dataset_id=dataset_id,

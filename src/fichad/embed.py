@@ -17,14 +17,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, written_beside
 
 FAMILIES = ("transe", "distmult", "complex", "rotate")
 LOSSES = ("margin", "logistic")
@@ -146,24 +144,15 @@ class EmbeddingModel:
             "relation_complex": bool(np.iscomplexobj(self.relation)),
         }
         raw = json.dumps(header, sort_keys=True).encode("utf-8")
-        # written beside the target and renamed over it, so a save that fails
-        # midway leaves the previous checkpoint in place
-        path = Path(path)
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        try:
-            with open(tmp, "wb") as fh:
-                fh.write(_MAGIC)
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                for block in (_param_blocks(self.entity)
-                              + _param_blocks(self.relation)):
-                    # a real table goes out from its own buffer; a complex
-                    # table's strided part costs one part-sized copy
-                    fh.write(np.ascontiguousarray(block, dtype="<f8").data)
-            os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with written_beside(path) as tmp, open(tmp, "wb") as fh:
+            fh.write(_MAGIC)
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
+            for block in (_param_blocks(self.entity)
+                          + _param_blocks(self.relation)):
+                # a real table goes out from its own buffer; a complex
+                # table's strided part costs one part-sized copy
+                fh.write(np.ascontiguousarray(block, dtype="<f8").data)
 
     @classmethod
     def load(cls, path) -> "EmbeddingModel":

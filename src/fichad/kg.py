@@ -11,6 +11,8 @@ fields is a :class:`ParseError` in all of them.
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -108,6 +110,20 @@ def _rows(path, n_fields: int):
                                  f"expected {n_fields} tab-separated fields, "
                                  f"got {len(fields)}")
             yield fields
+
+
+@contextmanager
+def written_beside(path):
+    """A temporary path beside ``path``, renamed over it if the block succeeds
+    and removed if it fails: a failed write leaves the old file, or none."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_triples(path, entities: Vocab, relations: Vocab) -> np.ndarray:

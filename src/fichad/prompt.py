@@ -31,10 +31,11 @@ model's subword count.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .context import GeneratedContext, V1, V2
-from .kg import KnowledgeGraph, OUT
+from .kg import KnowledgeGraph, OUT, written_beside
 from .linkpred import Query, TAIL
 
 ENTITY_HEADER = "Entity:"
@@ -79,20 +80,18 @@ class KgcInput:
 
 
 class ContextIndex:
-    """The texts of a loaded context store, the first per key."""
+    """The texts of a context store, the first per key."""
 
-    def __init__(self, contexts: list[GeneratedContext], graph: KnowledgeGraph):
+    def __init__(self, contexts: Iterable[GeneratedContext],
+                 graph: KnowledgeGraph):
         self.by_entity: dict[int, str] = {}  # fichad-2 summaries
         self.by_triple: dict[tuple[int, int, int, str], str] = {}
         self.touching: dict[int, str] = {}  # link-aware texts per entity
-        ent, rel = graph.entities, graph.relations
         for ctx in contexts:
-            s = ctx.subject
             if ctx.variant == V2:
-                self.by_entity.setdefault(ent.id_of(s["entity"]), ctx.text)
+                self.by_entity.setdefault(*ctx.handles(graph), ctx.text)
             else:
-                h, t = ent.id_of(s["head"]), ent.id_of(s["tail"])
-                r = rel.id_of(s["relation"])
+                h, r, t = ctx.handles(graph)
                 self.by_triple.setdefault((h, r, t, ctx.variant), ctx.text)
                 self.touching.setdefault(h, ctx.text)
                 self.touching.setdefault(t, ctx.text)
@@ -236,9 +235,11 @@ def truncate(s: Sections, limit: int) -> bool:
     return True
 
 
-def export_prompts(inputs: list[KgcInput], path) -> None:
-    """Write one JSONL record per assembled input."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+def export_prompts(inputs: Iterable[KgcInput], path) -> None:
+    """Write one JSONL record per input as it arrives, to a file beside
+    ``path`` renamed over it at the end: a failed input leaves no half file."""
+    with written_beside(path) as tmp, \
+            open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         for item in inputs:
             q = item.query
             rec = {"query": {"direction": q.direction, "known": q.known,

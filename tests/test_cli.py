@@ -734,6 +734,45 @@ def test_build_prompts_zero_budget_is_input_error(capsys, tmp_path):
     assert not (tmp_path / "p" / "prompts.jsonl").exists()
 
 
+def test_build_prompts_failing_on_a_later_query_leaves_no_file(capsys,
+                                                               tmp_path):
+    """The first query line (6 words) fits a budget of 7 and is written; the
+    second (9 words) raises. The out dir then holds no prompts.jsonl and no
+    temporary file."""
+    config = arles_copy(tmp_path, "names.tsv",
+                        "orchard\tThe Big Old Orchard Of Arles")
+    code, _ = run(capsys, "gen-context", "--dataset", config, "--out",
+                  str(tmp_path / "g"), "--splits", "test")
+    assert code == EXIT_OK
+    out = tmp_path / "p"
+    code = main(["build-prompts", "--dataset", config, "--store",
+                 str(tmp_path / "g" / "contexts.jsonl"), "--out", str(out),
+                 "--budget", "7"])
+    assert code == EXIT_INPUT
+    assert "budget 7 cannot hold the query line" in capsys.readouterr().err
+    assert (list(out.iterdir()) if out.exists() else []) == []
+
+
+def test_build_prompts_preview_prints_the_first_input(capsys, tmp_path):
+    """``--preview`` prints the first built input's text to stderr, and
+    nothing when every query is a build error."""
+    code, _ = run(capsys, "gen-context", "--dataset", ARLES, "--out",
+                  str(tmp_path), "--splits", "test")
+    assert code == EXIT_OK
+    (tmp_path / "empty.jsonl").write_text("")
+    for store, prompts in (("contexts.jsonl", 2), ("empty.jsonl", 0)):
+        code = main(["build-prompts", "--dataset", ARLES, "--store",
+                     str(tmp_path / store), "--out", str(tmp_path / store[0]),
+                     "--preview"])
+        assert code == EXIT_OK
+        std = capsys.readouterr()
+        assert json.loads(std.out)["prompts"] == prompts
+        lines = (tmp_path / store[0] / "prompts.jsonl").read_text(
+            encoding="utf-8").splitlines()
+        assert std.err == "".join(json.loads(line)["text"] + "\n"
+                                  for line in lines[:1])
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--model", "model.ckpt", "--split", "bogus"],
     ["filter-images", "--out", "o", "--split", "bogus"],
@@ -878,20 +917,38 @@ def test_prompt_override_changes_fichad2_store(capsys, tmp_path):
     assert any(d["text"] != c["text"] for d, c in pairs if not d["fallback"])
 
 
-@pytest.mark.parametrize("argv", [
-    ["build-prompts", "--out", "o"],
-    ["stats"],
-], ids=lambda argv: argv[0])
-def test_store_with_unknown_entity_is_input_error(capsys, tmp_path, argv):
+TRIPLE = {"kind": "triple", "head": "view_of_arles", "relation": "creator",
+          "tail": "van_gogh"}
+
+#: store lines naming a label arles lacks, by test id suffix
+UNKNOWN_LABEL_LINES = {
+    "": ({"variant": "fichad-2",
+          "subject": {"kind": "entity", "entity": "atlantis"},
+          "text": "Atlantis is shown.", "images": [], "fallback": False},
+         "atlantis"),
+    "-relation": ({"variant": "fichad-1",
+                   "subject": dict(TRIPLE, relation="painted_by"),
+                   "text": "x"}, "painted_by"),
+    "-fallback-head": ({"variant": "fichad-1",
+                        "subject": dict(TRIPLE, head="atlantis"),
+                        "text": "x", "fallback": True}, "atlantis"),
+}
+
+
+@pytest.mark.parametrize("command,record,label", [
+    pytest.param(command, record, label, id=command + case)
+    for case, (record, label) in UNKNOWN_LABEL_LINES.items()
+    for command in ("build-prompts", "stats")])
+def test_store_with_unknown_entity_is_input_error(capsys, tmp_path, command,
+                                                  record, label):
+    """Both commands resolve every line's labels, the relation and fallback
+    lines included, so they reject the same stores."""
     store = tmp_path / "s.jsonl"
-    store.write_text(json.dumps(
-        {"variant": "fichad-2", "subject": {"kind": "entity",
-                                             "entity": "atlantis"},
-         "text": "Atlantis is shown.", "images": [], "fallback": False}) + "\n")
-    argv = [argv[0], "--dataset", ARLES, "--store", str(store),
-            *(str(tmp_path / a) if a == "o" else a for a in argv[1:])]
-    assert main(argv) == EXIT_INPUT
-    assert "unknown label: 'atlantis'" in capsys.readouterr().err
+    store.write_text(json.dumps(record) + "\n")
+    code = main([command, "--dataset", ARLES, "--store", str(store),
+                 "--out", str(tmp_path / "o")])
+    assert code == EXIT_INPUT
+    assert f"unknown label: {label!r}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -916,10 +973,6 @@ def test_store_line_that_is_not_a_context_is_input_error(capsys, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("input error:") and f"{store}:2:" in err
     assert not (tmp_path / "o").exists()
-
-
-TRIPLE = {"kind": "triple", "head": "view_of_arles", "relation": "creator",
-          "tail": "van_gogh"}
 
 
 @pytest.mark.parametrize("command", ["build-prompts", "stats"])

@@ -1,5 +1,7 @@
 import copy
+import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,8 @@ from fichad.prompt import (DESC_HEADER, NEIGHBOR_HEADER, BuildError,
                            ContextIndex, TokenBudget, TruncationError,
                            build_kgc_input, export_prompts, query_line,
                            whitespace_words)
-from conftest import ARLES_CONFIG, check_cut, random_sections
+from conftest import (ARLES_CONFIG, check_cut, random_sections,
+                      write_synthetic_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +227,50 @@ class TestTruncate:
                      if ln.strip() and ln in orig_lines]
         idx = [orig_lines.index(ln) for ln in cut_lines]
         assert idx == sorted(idx)
+
+
+def _traced(call):
+    """``call()``'s traced bytes held after it returns, and its peak."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held - before, peak - before
+
+
+def test_store_read_memory_bound(tmp_path):
+    """The store is streamed: building the index peaks near what the index
+    holds, and stats near nothing, not at one held context per line."""
+    from fichad.kg import load_dataset
+    ds = load_dataset(write_synthetic_dataset(tmp_path / "ds",
+                                              n_entities=200))
+    rng = random.Random(3)
+    keys = rng.sample(range(200 * 8 * 200), 20_000)  # distinct (h, r, t)
+    words = ["in", "a", "scene", "with", "light", "river"]
+    store = tmp_path / "s.jsonl"
+    with open(store, "w", encoding="utf-8") as fh:
+        for key in keys:
+            h, r, t = (f"ent_{key // 1600:04d}", f"rel_{key // 200 % 8}",
+                       f"ent_{key % 200:04d}")
+            fh.write(json.dumps({
+                "variant": cg.V1, "fallback": False,
+                "subject": {"kind": "triple", "head": h, "relation": r,
+                            "tail": t},
+                "text": " ".join([h, "and", t, *rng.choices(words, k=20)]),
+                "images": [{"ref": f"img/{h}_{j}.jpg", "score": rng.random()}
+                           for j in range(rng.randrange(5))]}) + "\n")
+    index, held, peak = _traced(
+        lambda: ContextIndex(cg.read_context_store(store), ds.graph))
+    assert len(index.by_triple) == 20_000
+    assert peak <= 1.25 * held
+    stats, _, stats_peak = _traced(lambda: cg.corpus_stats(
+        cg.read_context_store(store), ds.graph, ds.assets))
+    assert stats.triples_with_fichad1 == 20_000
+    assert stats_peak <= 0.1 * held
 
 
 def test_export_prompts_jsonl(pipeline, tmp_path):
