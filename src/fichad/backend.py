@@ -34,14 +34,18 @@ import hashlib
 import json
 import math
 import os
+import sys
 import time
 from array import array
 from contextlib import closing
 from dataclasses import dataclass
-from itertools import compress, islice
+from functools import cached_property
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
+
+from .kg import written_beside
 
 FREE_TEXT = "free-text"
 RELEVANCE = "relevance"
@@ -59,8 +63,13 @@ RETRY_STATUSES = (429, 500, 502, 503, 504)
 BACKOFF_JITTER_S = 0.5
 #: requests of one batch in flight at once on the wire
 WIRE_WORKERS = 8
-#: cache lines parsed by one ``json.loads`` on load
-LOAD_CHUNK = 512
+#: format of a cache's index snapshot
+INDEX_VERSION = 1
+#: bytes of a cache file hashed at a time while a snapshot is checked
+HASH_BLOCK = 1 << 20
+
+_quoted = json.encoder.encode_basestring_ascii
+_TEMPERATURE = json.dumps(TEMPERATURE)
 
 
 class BackendError(Exception):
@@ -101,13 +110,19 @@ class GenerationRequest:
         if self.kind not in (FREE_TEXT, RELEVANCE):
             raise RequestError(f"unknown request kind: {self.kind!r}")
 
+    @cached_property
+    def _canonical(self) -> str:
+        return (f'{{"images":[{",".join(map(_quoted, self.images))}],'
+                f'"kind":{_quoted(self.kind)},"max_tokens":{self.max_tokens},'
+                f'"prompt":{_quoted(self.prompt)},'
+                f'"subjects":[{",".join(map(_quoted, self.subjects))}],'
+                f'"temperature":{_TEMPERATURE}}}')
+
     def canonical(self) -> str:
-        """Stable JSON serialization used for cache keys and mock hashing."""
-        return json.dumps(
-            {"prompt": self.prompt, "images": list(self.images),
-             "kind": self.kind, "temperature": TEMPERATURE,
-             "max_tokens": self.max_tokens, "subjects": list(self.subjects)},
-            sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+        """Stable JSON serialization used for cache keys and mock hashing:
+        ``json.dumps`` of the six fields with sorted keys, ASCII escapes and
+        no spaces, written out in that order. It is built once a request."""
+        return self._canonical
 
 
 class GenerationBackend:
@@ -375,19 +390,37 @@ class ResponseCache:
     One record per line: ``{"k": key, "kind": ..., "v": ...}``, where the key
     is a request's sha256 digest in 64 hex digits. A final line without its
     newline (crash mid-append) is ignored on load and cut off before the
-    first append, so the next record starts on a fresh line. Other lines, and
-    records whose key is not a digest or whose value does not fit their kind,
-    are skipped and counted in ``corrupt_lines``.
+    first append, so the next record starts on a fresh line. Every other line
+    is parsed on its own, as ``json.loads`` reads it; a line that is not
+    JSON, and a record whose key is not a digest or whose value does not fit
+    its kind, is skipped and counted in ``corrupt_lines``.
 
     Lookups are per kind, so a record is served only to a request of its own
     kind; the last record of a key and kind wins. Relevance values loaded
     from the file sit in a sorted array of 32-byte digests beside a float64
     array, 40 bytes a record; the ones put since the load sit in a dict.
     Free text sits in a dict keyed by the 32-byte digest.
+
+    The loaded index is kept beside the file as a snapshot, ``<path>.idx``:
+    one JSON header line, then the relevance digests, their values as
+    little-endian float64, the free-text digests, the texts' lengths in code
+    points as little-endian uint64, and the texts in UTF-8. The header holds
+    the format version, the byte length of the whole lines the snapshot
+    covers, the sha256 of those bytes, the corrupt lines among them, the
+    table sizes and the sha256 of the body. A load uses the snapshot only
+    when its header has exactly these fields and types, its body matches its
+    digest, and the file still begins with the covered bytes; it then parses
+    only the lines after them, whose records merge after the snapshot's.
+    Otherwise it parses the whole file. A load that parsed a line, or used no
+    snapshot, writes a new one covering every whole line it read, renamed
+    into place, so the snapshot may be deleted at any time. When it cannot be
+    written, as in a read-only directory, one line on stderr says so and the
+    run goes on.
     """
 
     def __init__(self, path):
         self.path = Path(path)
+        self._index = self.path.with_name(self.path.name + ".idx")
         self._keys = np.empty(0, dtype="S32")  # sorted relevance digests
         self._scores = np.empty(0)  # the relevance of each of ``_keys``
         self._new_scores: dict[bytes, float] = {}  # put since the load
@@ -398,30 +431,71 @@ class ResponseCache:
             self._load()
 
     def _load(self) -> None:
+        snapshot = _read_index(self._index)
+        prefix = hashlib.sha256()  # of the whole lines read
         keys, scores = bytearray(), array("d")
-        with open(self.path, encoding="utf-8", newline="\n") as fh:
-            while lines := list(islice(fh, LOAD_CHUNK)):
-                if not lines[-1].endswith("\n"):
-                    self._torn_tail = len(lines.pop().encode("utf-8"))
-                for rec in _parsed(lines):
-                    try:
-                        key = _digest(rec["k"])
-                        value = _cached_value(rec["kind"], rec["v"])
-                    except (KeyError, TypeError, ValueError):
-                        self.corrupt_lines += 1  # its request is sent again
-                        continue
-                    if rec["kind"] == RELEVANCE:
-                        keys += key
-                        scores.append(value)
-                    else:
-                        self._texts[key] = value
+        with open(self.path, "rb") as fh:
+            if snapshot and (_hashed(fh, snapshot[0]["covered"], prefix)
+                             == snapshot[0]["prefix"]):
+                header, self._keys, self._scores, self._texts = snapshot
+                self.corrupt_lines = header["corrupt"]
+            else:
+                snapshot, prefix = None, hashlib.sha256()
+                fh.seek(0)
+            start = end = fh.tell()
+            for line in fh:
+                if not line.endswith(b"\n"):
+                    self._torn_tail = len(line)
+                    break
+                end += len(line)
+                prefix.update(line)
+                try:
+                    rec = _json_value(line.decode())
+                    key = _digest(rec["k"])
+                    value = _cached_value(rec["kind"], rec["v"])
+                except (KeyError, TypeError, ValueError):
+                    self.corrupt_lines += 1  # its request is sent again
+                    continue
+                if rec["kind"] == RELEVANCE:
+                    keys += key
+                    scores.append(value)
+                else:
+                    self._texts[key] = value
         if keys:
-            keys = np.frombuffer(keys, dtype="S32")
+            keys, scores = np.frombuffer(keys, dtype="S32"), np.frombuffer(scores)
+            if len(self._keys):  # the snapshot's records come first
+                keys = np.concatenate((self._keys, keys))
+                scores = np.concatenate((self._scores, scores))
             order = np.argsort(keys, kind="stable")
-            keys, scores = keys[order], np.frombuffer(scores)[order]
+            keys, scores = keys[order], scores[order]
             last = np.ones(len(keys), dtype=bool)  # the last of equal keys
             np.not_equal(keys[1:], keys[:-1], out=last[:-1])
             self._keys, self._scores = keys[last], scores[last]
+        if end > start or snapshot is None:
+            self._write_index(end, prefix.hexdigest())
+
+    def _write_index(self, covered: int, prefix: str) -> None:
+        """Snapshot the loaded index as covering the file's first ``covered``
+        bytes, whose sha256 is ``prefix``."""
+        texts = list(self._texts.values())
+        tables = (self._keys, self._scores.astype("<f8", copy=False),
+                  b"".join(self._texts),
+                  np.fromiter(map(len, texts), dtype="<u8", count=len(texts)),
+                  "".join(texts).encode("utf-8", "surrogatepass"))
+        body = hashlib.sha256()
+        for table in tables:
+            body.update(table)
+        header = {"version": INDEX_VERSION, "covered": covered,
+                  "prefix": prefix, "corrupt": self.corrupt_lines,
+                  "relevance": len(self._keys), "texts": len(texts),
+                  "text_bytes": len(tables[-1]), "body": body.hexdigest()}
+        try:
+            with written_beside(self._index) as tmp, open(tmp, "wb") as fh:
+                fh.write(json.dumps(header).encode("ascii") + b"\n")
+                fh.writelines(tables)
+        except OSError as exc:
+            print(f"cache index not written, so the next load parses every "
+                  f"line: {exc}", file=sys.stderr)
 
     def __len__(self) -> int:
         return len(self._keys) + len(self._new_scores) + len(self._texts)
@@ -468,25 +542,80 @@ class ResponseCache:
                                 sort_keys=True) + "\n")
 
 
-def _parsed(lines: list[str]) -> list:
-    """The JSON value of each line, or None for a line that is not JSON.
+_INDEX_HEADER = {"version": int, "covered": int, "prefix": str,
+                 "corrupt": int, "relevance": int, "texts": int,
+                 "text_bytes": int, "body": str}
 
-    The lines are parsed as one list; only when that fails, or yields another
-    number of values, are they parsed one by one.
-    """
+
+def _read_index(path: Path):
+    """(header, relevance digests, their values, texts) of the snapshot at
+    ``path``, or None when it is missing, its header is not exactly
+    :data:`_INDEX_HEADER`'s or its body does not match the header. Whether
+    it covers the cache file is for the caller to check."""
     try:
-        values = json.loads("[" + ",".join(lines) + "]")
-        if len(values) == len(lines):
-            return values
-    except ValueError:
-        pass
-    values = []
-    for line in lines:
+        fh = open(path, "rb")
+    except OSError:
+        return None
+    with fh:
         try:
-            values.append(json.loads(line))
+            header = _json_value(fh.readline(4096).decode())
         except ValueError:
-            values.append(None)
-    return values
+            return None
+        if (type(header) is not dict or header.keys() != _INDEX_HEADER.keys()
+                or any(type(header[name]) is not kind
+                       for name, kind in _INDEX_HEADER.items())
+                or header["version"] != INDEX_VERSION):
+            return None
+        n, m = header["relevance"], header["texts"]
+        text_bytes = header["text_bytes"]
+        if (min(n, m, text_bytes) < 0 or os.fstat(fh.fileno()).st_size
+                != fh.tell() + 40 * (n + m) + text_bytes):
+            return None
+        keys, scores = np.empty(n, dtype="S32"), np.empty(n, dtype="<f8")
+        lengths = np.empty(m, dtype="<u8")
+        fh.readinto(keys)
+        fh.readinto(scores)
+        digests = fh.read(32 * m)
+        fh.readinto(lengths)
+        blob = fh.read(text_bytes)
+    body = hashlib.sha256()
+    for table in (keys, scores, digests, lengths, blob):
+        body.update(table)
+    if body.hexdigest() != header["body"]:
+        return None
+    text, texts, at = blob.decode("utf-8", "surrogatepass"), {}, 0
+    for i, end in enumerate(np.cumsum(lengths).tolist()):
+        texts[digests[32 * i:32 * i + 32]] = text[at:end]
+        at = end
+    return header, keys, scores, texts
+
+
+def _hashed(fh, size: int, digest) -> str | None:
+    """The hex ``digest`` after the next ``size`` bytes of ``fh`` are read
+    into it in blocks, or None when the file ends first."""
+    while size:
+        block = fh.read(min(size, HASH_BLOCK))
+        if not block:
+            return None
+        digest.update(block)
+        size -= len(block)
+    return digest.hexdigest()
+
+
+_space = json.decoder.WHITESPACE.match
+_scan = json.JSONDecoder().scan_once
+
+
+def _json_value(line: str):
+    """The JSON value of ``line`` as ``json.loads`` reads it, or ValueError.
+    A value nested too deep for the scanner is not JSON either."""
+    try:
+        value, end = _scan(line, _space(line).end())
+    except (StopIteration, RecursionError):
+        raise ValueError("cache line is not JSON") from None
+    if _space(line, end).end() != len(line):
+        raise ValueError("cache line holds more than one JSON value")
+    return value
 
 
 def _digest(key) -> bytes:

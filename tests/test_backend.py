@@ -277,6 +277,17 @@ class TestCache:
         assert [i for i, v in enumerate(got) if v is None] == [10, 700, 1400]
         assert got[1499] == 1499 / 1500
 
+    def test_lines_that_are_not_json_are_not_read_together(self, tmp_path):
+        """No line of these three is JSON, though joined by commas they
+        read as three values; every line is skipped and counted."""
+        p = tmp_path / "c.jsonl"
+        p.write_text(record(KA, RELEVANCE, 0.5).rstrip("\n") + ", {}\n"
+                     '{"c": [{}\n'
+                     '{}]}\n', encoding="utf-8")
+        cache = ResponseCache(p)
+        assert cache.get_many([bytes.fromhex(KA)], [RELEVANCE]) == [None]
+        assert (len(cache), cache.corrupt_lines) == (0, 3)
+
     @pytest.mark.parametrize("kind,value", [
         (RELEVANCE, [1]), (RELEVANCE, {"p": 1}), (RELEVANCE, "abc"),
         (RELEVANCE, True), (RELEVANCE, 7), (RELEVANCE, -0.5),
