@@ -39,7 +39,6 @@ import time
 from array import array
 from contextlib import closing
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress
 from pathlib import Path
 
@@ -110,19 +109,15 @@ class GenerationRequest:
         if self.kind not in (FREE_TEXT, RELEVANCE):
             raise RequestError(f"unknown request kind: {self.kind!r}")
 
-    @cached_property
-    def _canonical(self) -> str:
+    def canonical(self) -> str:
+        """Stable JSON serialization used for cache keys and mock hashing:
+        ``json.dumps`` of the six fields with sorted keys, ASCII escapes and
+        no spaces, written out in that order."""
         return (f'{{"images":[{",".join(map(_quoted, self.images))}],'
                 f'"kind":{_quoted(self.kind)},"max_tokens":{self.max_tokens},'
                 f'"prompt":{_quoted(self.prompt)},'
                 f'"subjects":[{",".join(map(_quoted, self.subjects))}],'
                 f'"temperature":{_TEMPERATURE}}}')
-
-    def canonical(self) -> str:
-        """Stable JSON serialization used for cache keys and mock hashing:
-        ``json.dumps`` of the six fields with sorted keys, ASCII escapes and
-        no spaces, written out in that order. It is built once a request."""
-        return self._canonical
 
 
 class GenerationBackend:
@@ -139,22 +134,28 @@ class GenerationBackend:
     def __init__(self):
         self.call_count = 0
 
-    def _answer(self, request: GenerationRequest):
-        """The text or the probability of one request, as its kind says."""
+    def _answer(self, request: GenerationRequest, canonical: str):
+        """The text or the probability of one request, as its kind says;
+        ``canonical`` is ``request.canonical()``."""
         raise NotImplementedError
 
-    def answer_many(self, requests: list[GenerationRequest]):
+    def answer_many(self, requests: list[GenerationRequest],
+                    canonicals: list[str] | None = None):
         """Yield one outcome per request, in request order: the text of a
         free-text request, the probability in [0, 1] of a relevance request,
         or the :class:`BackendError` that request raised.
 
         Any other exception, such as a :class:`RequestError`, raises at its
         request's position. This default answers request i only when outcome
-        i is asked for, one request at a time.
+        i is asked for, one request at a time. ``canonicals`` are the
+        requests' canonical forms when the caller has built them, as the
+        cache front has for their keys, so no request is serialized twice.
         """
-        for request in requests:
+        if canonicals is None:
+            canonicals = map(GenerationRequest.canonical, requests)
+        for request, canonical in zip(requests, canonicals):
             try:
-                yield self._answer(request)
+                yield self._answer(request, canonical)
             except BackendError as exc:
                 yield exc
 
@@ -175,14 +176,10 @@ class MockBackend(GenerationBackend):
         self.seed = seed
         self.model_id = f"mock-{seed}"
 
-    def _digest(self, request: GenerationRequest) -> bytes:
-        payload = f"{self.seed}|{request.canonical()}".encode("utf-8")
-        return hashlib.sha256(payload).digest()
-
-    def _answer(self, request: GenerationRequest):
+    def _answer(self, request: GenerationRequest, canonical: str):
         request.validate()
         self.call_count += 1
-        d = self._digest(request)
+        d = hashlib.sha256(f"{self.seed}|{canonical}".encode("utf-8")).digest()
         if request.kind == RELEVANCE:
             return int.from_bytes(d[:8], "big") / float(1 << 64)
         adj = _MOCK_ADJECTIVES[d[0] % len(_MOCK_ADJECTIVES)]
@@ -290,11 +287,13 @@ class HttpBackend(GenerationBackend):
                 reply = exc
         return reply, retries
 
-    def answer_many(self, requests: list[GenerationRequest]):
+    def answer_many(self, requests: list[GenerationRequest],
+                    canonicals: list[str] | None = None):
         """As the base method, with :data:`WIRE_WORKERS` requests in flight.
 
         Outcomes are yielded in request order; requests not yet started
-        when the caller stops reading are cancelled.
+        when the caller stops reading are cancelled. ``canonicals`` goes
+        unread: a wire request is built from the request's fields.
         """
         if self._pool is None:
             # imported here, so mock runs never pay for it and its logging
@@ -462,7 +461,8 @@ class ResponseCache:
                 else:
                     self._texts[key] = value
         if keys:
-            keys, scores = np.frombuffer(keys, dtype="S32"), np.frombuffer(scores)
+            keys = np.frombuffer(keys, dtype="S32")
+            scores = np.frombuffer(scores)
             if len(self._keys):  # the snapshot's records come first
                 keys = np.concatenate((self._keys, keys))
                 scores = np.concatenate((self._scores, scores))
@@ -494,8 +494,7 @@ class ResponseCache:
                 fh.write(json.dumps(header).encode("ascii") + b"\n")
                 fh.writelines(tables)
         except OSError as exc:
-            print(f"cache index not written, so the next load parses every "
-                  f"line: {exc}", file=sys.stderr)
+            print(f"cache index not written: {exc}", file=sys.stderr)
 
     def __len__(self) -> int:
         return len(self._keys) + len(self._new_scores) + len(self._texts)
@@ -647,11 +646,15 @@ class CachedBackend(GenerationBackend):
         self.model_id = inner.model_id
         self.cache_hits = 0
 
-    def _key(self, request: GenerationRequest) -> bytes:
-        payload = f"{self.inner.backend_id}|{self.inner.model_id}|{request.canonical()}"
+    def _key(self, request: GenerationRequest,
+             canonical: str | None = None) -> bytes:
+        """The cache key of ``request``, from ``canonical`` when given."""
+        canonical = canonical or request.canonical()
+        payload = f"{self.inner.backend_id}|{self.inner.model_id}|{canonical}"
         return hashlib.sha256(payload.encode("utf-8")).digest()
 
-    def answer_many(self, requests: list[GenerationRequest]):
+    def answer_many(self, requests: list[GenerationRequest],
+                    canonicals: list[str] | None = None):
         """Hits come from the cache; the misses go to the wrapped backend as
         one batch, and each result is put with its request's kind before it
         is yielded, so records land in request order whatever order the
@@ -659,16 +662,23 @@ class CachedBackend(GenerationBackend):
 
         A request repeated within the batch is sent once; its later copies
         read the first one's outcome, and count as hits when it succeeded.
+        Each request is serialized once: its key and the wrapped backend
+        read the same canonical form.
         """
-        keys = [self._key(r) for r in requests]
+        if canonicals is None:
+            canonicals = [r.canonical() for r in requests]
+        keys = [self._key(r, c) for r, c in zip(requests, canonicals)]
         hits = self.cache.get_many(keys, [r.kind for r in requests])
         sent: dict[bytes, object] = {}  # key -> outcome of the request sent
-        misses = []
-        for request, key, hit in zip(requests, keys, hits):
+        misses, missed = [], []  # the requests sent and their forms
+        for request, canonical, key, hit in zip(requests, canonicals, keys,
+                                                hits):
             if hit is None and key not in sent:
                 sent[key] = None
                 misses.append(request)
-        with closing(self.inner.answer_many(misses)) as fresh:
+                missed.append(canonical)
+        del canonicals  # the hits' forms are not held while misses are sent
+        with closing(self.inner.answer_many(misses, missed)) as fresh:
             for request, key, hit in zip(requests, keys, hits):
                 if hit is not None:
                     self.cache_hits += 1

@@ -161,7 +161,7 @@ class ScriptedBackend(GenerationBackend):
         self.scores = scores or {}
         self.texts = list(texts or [])
 
-    def _answer(self, request):
+    def _answer(self, request, canonical):
         self.call_count += 1
         if request.kind == RELEVANCE:
             ref = request.images[0] if request.images else ""

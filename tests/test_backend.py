@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
 import json
+import shutil
 import socket
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import fichad.backend as be
 from fichad.backend import (FREE_TEXT, RELEVANCE, BackendError,
                             CachedBackend, CapabilityError, GenerationRequest,
                             HttpBackend, MockBackend, RequestError,
@@ -33,6 +37,12 @@ def answer(backend, request: GenerationRequest):
     return outcome
 
 
+#: any string: quotes, backslashes, control characters and lone surrogates
+#: are drawn more often than arbitrary characters would give them
+ANY_TEXT = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"]),
+                             st.sampled_from('"\\/\x00\x1f\x7f\u2028')))
+
+
 class TestRequest:
     def test_empty_prompt_rejected(self):
         with pytest.raises(RequestError):
@@ -44,6 +54,22 @@ class TestRequest:
         assert a.canonical() == b.canonical()
         c = GenerationRequest(prompt="p", images=("y", "x"), subjects=("s",))
         assert a.canonical() != c.canonical()
+
+    @given(prompt=ANY_TEXT, images=st.lists(ANY_TEXT, max_size=3),
+           kind=st.sampled_from([FREE_TEXT, RELEVANCE]),
+           max_tokens=st.integers(0, 1 << 20),
+           subjects=st.lists(ANY_TEXT, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_is_the_sorted_json_form(self, prompt, images, kind,
+                                               max_tokens, subjects):
+        request = GenerationRequest(prompt=prompt, images=tuple(images),
+                                    kind=kind, max_tokens=max_tokens,
+                                    subjects=tuple(subjects))
+        assert request.canonical() == json.dumps(
+            {"prompt": prompt, "images": images, "kind": kind,
+             "temperature": 1.0, "max_tokens": max_tokens,
+             "subjects": subjects},
+            sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
     @pytest.mark.parametrize("request_, canonical, key", [
         (GenerationRequest(
@@ -159,6 +185,25 @@ class TestCache:
         distinct = len({r.canonical() for r in reqs})
         assert bk.counts()["backend_calls"] == distinct == len(bk.cache)
 
+    def test_request_sent_is_serialized_once(self, tmp_path, monkeypatch):
+        """The mock's digest reads the canonical form the key was built
+        from; a hit is serialized once as well."""
+        built = []
+
+        def canonical(request, build=GenerationRequest.canonical):
+            built.append(request)
+            return build(request)
+
+        monkeypatch.setattr(GenerationRequest, "canonical", canonical)
+        bk = CachedBackend(MockBackend(1), ResponseCache(tmp_path / "c.jsonl"))
+        reqs = [GenerationRequest(prompt=f"p{i}", kind=kind)
+                for i in range(3) for kind in (RELEVANCE, FREE_TEXT)]
+        for _ in range(2):
+            built.clear()
+            list(bk.answer_many(reqs))
+            assert built == reqs
+        assert bk.counts()["backend_calls"] == len(reqs) == bk.cache_hits
+
     def test_second_call_served_from_cache(self, tmp_path):
         bk = CachedBackend(MockBackend(1), ResponseCache(tmp_path / "c.jsonl"))
         req = GenerationRequest(prompt="hello", subjects=("X",))
@@ -261,8 +306,8 @@ class TestCache:
 
     def test_corrupt_lines_in_a_long_file_are_each_counted_once(self,
                                                               tmp_path):
-        """Lines are parsed in chunks; each chunk holding a line that is not
-        one record falls back to the line-by-line parse."""
+        """Each line is parsed on its own, so every line that is not one
+        record is counted once, wherever it lies in the file."""
         keys = [hashlib.sha256(b"%d" % i).hexdigest() for i in range(1500)]
         lines = [record(k, RELEVANCE, i / 1500) for i, k in enumerate(keys)]
         lines[10] = "not json\n"
@@ -276,6 +321,13 @@ class TestCache:
                              [RELEVANCE] * len(keys))
         assert [i for i, v in enumerate(got) if v is None] == [10, 700, 1400]
         assert got[1499] == 1499 / 1500
+
+    def test_line_nested_too_deep_is_corrupt(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text("[" * 100_000 + "\n" + record(KB, FREE_TEXT, "b"),
+                     encoding="utf-8")
+        cache = ResponseCache(p)
+        assert (len(cache), cache.corrupt_lines) == (1, 1)
 
     def test_lines_that_are_not_json_are_not_read_together(self, tmp_path):
         """No line of these three is JSON, though joined by commas they
@@ -310,6 +362,212 @@ class TestCache:
         assert answer(bk, req) == answer(clean, req)
         assert bk.counts() == {"backend_calls": 1, "cache_hits": 0,
                                "wire_retries": 0, "cache_corrupt_lines": 1}
+
+
+#: 64-hex keys of the snapshot tests: even ones hold relevance records, odd
+#: ones free text
+KEYS = [hashlib.sha256(b"%d" % i).hexdigest() for i in range(24)]
+
+
+def kind_of(i: int) -> str:
+    return RELEVANCE if i % 2 == 0 else FREE_TEXT
+
+
+def records(values: dict[int, object]) -> str:
+    return "".join(record(KEYS[i], kind_of(i), v) for i, v in values.items())
+
+
+def index_of(path):
+    return path.with_name(path.name + ".idx")
+
+
+def state(cache: ResponseCache) -> tuple:
+    """What a load gave: size, corrupt lines, the torn tail, and the value
+    of every key under both kinds."""
+    keys = [bytes.fromhex(k) for k in KEYS] * 2
+    return (len(cache), cache.corrupt_lines, cache._torn_tail,
+            cache.get_many(keys, [RELEVANCE] * len(KEYS)
+                           + [FREE_TEXT] * len(KEYS)))
+
+
+def loaded_bare(path, tmp_path) -> ResponseCache:
+    """A load of a copy of ``path`` beside which no snapshot lies."""
+    bare = tmp_path / f"bare-{len(list(tmp_path.glob('bare-*')))}" / path.name
+    bare.parent.mkdir()
+    shutil.copyfile(path, bare)
+    return ResponseCache(bare)
+
+
+class TestCacheSnapshot:
+    """A load beside a snapshot gives what a load of the whole file gives,
+    whatever happened to the file or the snapshot since it was written."""
+
+    @pytest.fixture
+    def cache_path(self, tmp_path):
+        """A cache of both kinds with a corrupt line, and its snapshot."""
+        p = tmp_path / "c.jsonl"
+        p.write_text(records({i: 0.25 if i % 2 == 0 else f"text {i}"
+                              for i in range(12)})
+                     + "not json\n" + records({0: 0.5, 1: "text one"}),
+                     encoding="utf-8")
+        ResponseCache(p)
+        assert index_of(p).exists()
+        return p
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Every line a load hands to the JSON scanner, in order."""
+        lines = []
+
+        def parse(line, json_value=be._json_value):
+            lines.append(line)
+            return json_value(line)
+
+        monkeypatch.setattr(be, "_json_value", parse)
+        return lines
+
+    def test_covering_snapshot_parses_no_line(self, cache_path, tmp_path,
+                                              parsed):
+        """The only JSON such a load reads is the snapshot's header, and it
+        writes no new snapshot."""
+        index = index_of(cache_path).read_bytes()
+        cache = ResponseCache(cache_path)
+        assert parsed == [index.split(b"\n")[0].decode() + "\n"]
+        assert state(cache) == state(loaded_bare(cache_path, tmp_path))
+        assert state(cache)[:2] == (12, 1)
+        assert index_of(cache_path).read_bytes() == index
+
+    @pytest.mark.parametrize("change", [
+        "record-edited-in-place", "truncated-below-covered",
+        "header-lost-a-key", "header-field-type", "header-covered",
+        "header-version", "body-byte", "body-digest", "trailing-byte",
+        "index-of-another-cache", "torn-tail", "duplicate-keys-in-tail",
+        "index-not-an-index"])
+    def test_load_equals_a_load_without_snapshot(self, cache_path, tmp_path,
+                                                 parsed, change):
+        """A snapshot that still checks out is used, and only the lines
+        appended after it are parsed; any other is ignored and the whole
+        file parsed. Either way the new snapshot is the one a load without
+        a snapshot writes."""
+        index = index_of(cache_path)
+        header_line, body = index.read_bytes().split(b"\n", 1)
+        header = json.loads(header_line)
+
+        def rewrite(**fields):
+            edited = {k: v for k, v in {**header, **fields}.items()
+                      if v is not None}
+            index.write_bytes(json.dumps(edited).encode() + b"\n" + body)
+
+        text = cache_path.read_text(encoding="utf-8")
+        if change == "record-edited-in-place":
+            cache_path.write_text(text.replace('"v": 0.25', '"v": 0.75', 1)
+                                  .replace("text 3", "text 9"),
+                                  encoding="utf-8")
+        elif change == "truncated-below-covered":
+            with open(cache_path, "r+b") as fh:
+                fh.truncate(header["covered"] // 2)
+        elif change == "header-lost-a-key":
+            rewrite(corrupt=None)
+        elif change == "header-field-type":
+            rewrite(corrupt=float(header["corrupt"]))
+        elif change == "header-covered":
+            rewrite(covered=header["covered"] - 1)
+        elif change == "header-version":
+            rewrite(version=header["version"] + 1)
+        elif change == "body-byte":
+            body = body[:-1] + bytes([body[-1] ^ 1])
+            rewrite()
+        elif change == "body-digest":
+            rewrite(body=hashlib.sha256(b"").hexdigest())
+        elif change == "trailing-byte":
+            index.write_bytes(index.read_bytes() + b"\0")
+        elif change == "index-of-another-cache":
+            other = tmp_path / "other" / "c.jsonl"
+            other.parent.mkdir()
+            other.write_text(records({i: 1.0 if i % 2 == 0 else "other"
+                                      for i in range(20)}), encoding="utf-8")
+            ResponseCache(other)
+            shutil.copyfile(index_of(other), index)
+        elif change == "torn-tail":
+            cache_path.write_text(text + records({12: 0.125})
+                                  + records({13: "torn"})[:-9],
+                                  encoding="utf-8")
+        elif change == "duplicate-keys-in-tail":
+            cache_path.write_text(text + records({0: 1.0, 1: "again", 2: 0.0,
+                                                  14: 0.5}),
+                                  encoding="utf-8")
+        else:
+            index.write_bytes(b"\x00" * 64)
+        parsed.clear()
+        cache = ResponseCache(cache_path)
+        data = cache_path.read_bytes()
+        kept = change in ("torn-tail", "duplicate-keys-in-tail")
+        assert len(parsed) - 1 == data.count(b"\n") - (
+            data[:header["covered"]].count(b"\n") if kept else 0)
+        assert state(cache) == state(loaded_bare(cache_path, tmp_path))
+        assert index.read_bytes() == index_of(
+            loaded_bare(cache_path, tmp_path).path).read_bytes()
+
+    def test_incremental_snapshot_equals_one_from_a_full_parse(
+            self, cache_path, tmp_path):
+        with open(cache_path, "a", encoding="utf-8") as fh:
+            fh.write(records({0: 1.0, 3: "three again", 16: 0.5, 17: "new"})
+                     + "[1, 2]\n")
+        cache = ResponseCache(cache_path)
+        bare = loaded_bare(cache_path, tmp_path)
+        assert state(cache) == state(bare)
+        assert state(cache)[:2] == (14, 2)
+        assert (index_of(cache_path).read_bytes()
+                == index_of(bare.path).read_bytes())
+
+    def test_put_over_a_record_from_the_snapshot(self, cache_path, tmp_path):
+        cache = ResponseCache(cache_path)
+        cache.put(bytes.fromhex(KEYS[4]), RELEVANCE, 0.875)
+        cache.put(bytes.fromhex(KEYS[5]), FREE_TEXT, "put")
+        again = ResponseCache(cache_path)
+        for reader in (cache, again):
+            assert reader.get_many([bytes.fromhex(KEYS[4]),
+                                    bytes.fromhex(KEYS[5])],
+                                   [RELEVANCE, FREE_TEXT]) == [0.875, "put"]
+        assert state(again) == state(loaded_bare(cache_path, tmp_path))
+
+    def test_index_write_that_fails_leaves_the_run_going(self, tmp_path,
+                                                         monkeypatch, capsys):
+        @contextlib.contextmanager
+        def read_only(path):
+            raise PermissionError(13, "Permission denied", str(path))
+            yield
+
+        p = tmp_path / "c.jsonl"
+        p.write_text(records({i: 0.5 if i % 2 == 0 else "t"
+                              for i in range(6)}), encoding="utf-8")
+        monkeypatch.setattr(be, "written_beside", read_only)
+        bk = CachedBackend(MockBackend(1), ResponseCache(p))
+        req = GenerationRequest(prompt="p?", kind=RELEVANCE)
+        assert answer(bk, req) == answer(MockBackend(1), req)
+        monkeypatch.undo()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Permission denied" in err[0]
+        assert not index_of(p).exists()
+        assert state(bk.cache) == state(loaded_bare(p, tmp_path))
+        assert len(ResponseCache(p)) == 7
+
+    def test_identical_caches_have_identical_snapshots(self, tmp_path):
+        """Texts with lone surrogates, NUL and astral characters keep their
+        code points through the snapshot."""
+        texts = {1: "\ud800 lone", 3: "nul \x00 and \U0001f600", 5: "é"}
+        paths = []
+        for name in ("a", "b"):
+            p = tmp_path / name / "c.jsonl"
+            p.parent.mkdir()
+            p.write_text(records({0: 0.5, **texts}), encoding="utf-8")
+            ResponseCache(p)
+            paths.append(p)
+        assert (index_of(paths[0]).read_bytes()
+                == index_of(paths[1]).read_bytes())
+        got = ResponseCache(paths[0]).get_many(
+            [bytes.fromhex(KEYS[i]) for i in texts], [FREE_TEXT] * 3)
+        assert got == list(texts.values())
 
 
 class TestHttpBackend:
