@@ -86,6 +86,10 @@ def _setup(args, ds, tau: float = cg.DEFAULT_TAU):
 
 def cmd_ingest(args, ds) -> int:
     g = ds.graph
+    try:
+        ds.write_snapshot()
+    except OSError as exc:
+        print(f"dataset index not written: {exc}", file=sys.stderr)
     _summary({
         "dataset": ds.dataset_id, "entities": g.n_entities,
         "relations": g.n_relations,
@@ -94,6 +98,8 @@ def cmd_ingest(args, ds) -> int:
         "entities_with_images": len(ds.assets.entities_with_images()),
         "skipped_image_lines": ds.assets.skipped_image_lines,
         "duplicate_description_lines": ds.assets.duplicate_description_lines,
+        "skipped_description_lines": ds.assets.skipped_description_lines,
+        "skipped_name_lines": ds.skipped_name_lines,
     }, args)
     return EXIT_OK
 

@@ -10,12 +10,14 @@ fields is a :class:`ParseError` in all of them.
 
 from __future__ import annotations
 
+import codecs
+import hashlib
 import json
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress, islice
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -315,6 +317,7 @@ class MultimodalAssets:
     descriptions: dict[int, str] = field(default_factory=dict)
     skipped_image_lines: int = 0
     duplicate_description_lines: int = 0
+    skipped_description_lines: int = 0
 
     def images_of(self, entity: int) -> list[str]:
         return list(self.images.get(entity, ()))
@@ -347,9 +350,13 @@ def load_image_manifest(path, entities: Vocab, cap: int) -> MultimodalAssets:
 
 def load_descriptions(path, entities: Vocab,
                       assets: MultimodalAssets) -> MultimodalAssets:
-    """Load ``entity<TAB>description`` text; duplicate entities are last-wins."""
+    """Load ``entity<TAB>description`` text; duplicate entities are last-wins.
+
+    Lines naming entities outside the vocabulary are skipped and counted.
+    """
     for label, text in _rows(path, 2):
         if label not in entities:
+            assets.skipped_description_lines += 1
             continue
         handle = entities.id_of(label)
         if handle in assets.descriptions:
@@ -372,23 +379,333 @@ def first_sentence(text: str) -> str:
 
 @dataclass
 class Dataset:
-    """A loaded benchmark: graph, config id, and assets parsed on first use."""
+    """A loaded benchmark: graph, config id, and assets read on first use.
+
+    ``skipped_name_lines`` counts the ``names.tsv`` lines naming no entity.
+    ``snapshot`` is the :class:`Snapshot` beside the config.
+    """
 
     dataset_id: str
     graph: KnowledgeGraph
     image_cap: int
     images: Path | None = None
     descriptions: Path | None = None
+    skipped_name_lines: int = 0
+    snapshot: Snapshot | None = field(default=None, repr=False)
 
     @cached_property
     def assets(self) -> MultimodalAssets:
-        """The image manifest and the descriptions, parsed on first access."""
+        """The image manifest and the descriptions, read on first access:
+        from the snapshot when it matches them, else parsed."""
+        if self.snapshot is not None:
+            assets = self.snapshot.assets(self.graph.entities,
+                                          self.image_cap)
+            if assets is not None:
+                return assets
         entities = self.graph.entities
         assets = (load_image_manifest(self.images, entities, self.image_cap)
                   if self.images else MultimodalAssets(image_cap=self.image_cap))
         if self.descriptions:
             load_descriptions(self.descriptions, entities, assets)
         return assets
+
+    def write_snapshot(self) -> None:
+        """Write the snapshot of a dataset :func:`load_dataset` returned
+        beside its config, unless both sections were read from it.
+        ``OSError`` when it cannot be written."""
+        assets = self.assets
+        if self.snapshot.served != _SECTIONS.keys():
+            self.snapshot.write(self.graph, assets, self.skipped_name_lines)
+
+
+#: format of a dataset snapshot
+SNAPSHOT_VERSION = 1
+#: bytes read at a time from a snapshot or its sources; below glibc's 128 KB
+#: mmap threshold, so no block raises it for the allocations that follow
+BLOCK = 1 << 16
+#: longest snapshot header line read
+HEADER_LIMIT = 4096
+
+
+def _graph_bytes(header: dict) -> int:
+    g = header["graph"]
+    return (g["entity_bytes"] + g["relation_bytes"] + g["name_bytes"]
+            + 24 * (g["train"] + g["valid"] + g["test"]))
+
+
+def _asset_bytes(header: dict) -> int:
+    a = header["assets"]
+    return (16 * header["graph"]["entities"] + a["image_bytes"]
+            + a["description_bytes"])
+
+
+#: each snapshot section in file order: the config keys of the files it is
+#: built from, its header fields with their types, and its size in bytes
+_SECTIONS = {
+    "graph": ((*SPLITS, "names"),
+              {"sources": str, "body": str, "entities": int,
+               "entity_bytes": int, "relations": int, "relation_bytes": int,
+               "name_bytes": int, "train": int, "valid": int, "test": int,
+               "skipped_name_lines": int},
+              _graph_bytes),
+    "assets": (("images", "descriptions"),
+               {"sources": str, "body": str, "images": int, "image_bytes": int,
+                "descriptions": int, "description_bytes": int,
+                "skipped_image_lines": int, "duplicate_description_lines": int,
+                "skipped_description_lines": int},
+               _asset_bytes),
+}
+
+
+class Snapshot:
+    """What parsing a dataset gives, kept beside its config as
+    ``<config>.idx`` so that a load need not parse the TSV files again.
+
+    The file is one JSON header line, then the graph section, then the
+    assets section. The graph section holds the entity labels and the
+    relation labels in handle order, each entity's display name ("" for
+    none) and the train, valid and test rows. The assets section holds each
+    entity's image count, then the capped image refs, each entity's number of
+    descriptions (0 or 1), then the descriptions. Counts and rows are
+    little-endian int64; each text is UTF-8 and ends with a newline, which no
+    parsed field holds.
+
+    For each section the header holds its counts and counters, the sha256 of
+    its sources (the config bytes, then each file the section is built from:
+    its config key, length and bytes) and the sha256 of its own bytes. A
+    section is used only when the header has exactly its fields and types,
+    the section sizes add up to the file's, and both digests match;
+    otherwise the caller parses. The assets section holds handles of the
+    graph section's vocabulary, so it is used only when the graph section
+    was. The sources are hashed before a section is read or parsed, so a
+    snapshot written from a load describes the bytes that load saw. No path
+    is stored: a dataset directory keeps its snapshot when it moves.
+    """
+
+    def __init__(self, config_path: Path, config: bytes,
+                 files: dict[str, Path]):
+        self.path = config_path.with_name(config_path.name + ".idx")
+        self._config, self._files = config, files
+        #: the sha256 of each loaded section's sources
+        self.sources: dict[str, str | None] = {}
+        #: the sections read from the snapshot rather than parsed
+        self.served: set[str] = set()
+        self._sections = self._read_header()
+
+    def _read_header(self) -> dict[str, tuple[dict, int]] | None:
+        """Each section's header fields and offset, or None when the file is
+        missing, its header is not exactly the layout's, or its sections do
+        not end where the file does."""
+        try:
+            with open(self.path, "rb") as fh:
+                line = fh.readline(HEADER_LIMIT)
+                size = os.fstat(fh.fileno()).st_size
+            header = json.loads(line)
+        except (OSError, ValueError, RecursionError):
+            return None
+        if (type(header) is not dict or header.keys() != {"version", *_SECTIONS}
+                or type(header["version"]) is not int
+                or header["version"] != SNAPSHOT_VERSION):
+            return None
+        sections, at = {}, len(line)
+        for name, (_, fields, section_bytes) in _SECTIONS.items():
+            got = header[name]
+            if (type(got) is not dict or got.keys() != fields.keys()
+                    or any(type(got[key]) is not kind
+                           or kind is int and got[key] < 0
+                           for key, kind in fields.items())):
+                return None
+            sections[name] = got, at
+            at += section_bytes(header)
+        return sections if at == size else None
+
+    def _load(self, name: str, read, usable: bool = True):
+        """``read(fh, fields, body)`` over section ``name`` when it is
+        ``usable`` and its sources and its bytes match the header, else
+        None. The sources' digest is kept for :meth:`write` either way."""
+        sources = self.sources[name] = _sources_digest(
+            self._config, self._files, _SECTIONS[name][0])
+        if (not usable or self._sections is None
+                or self._sections[name][0]["sources"] != sources):
+            return None
+        fields, offset = self._sections[name]
+        body = hashlib.sha256()
+        try:
+            with open(self.path, "rb") as fh:
+                fh.seek(offset)
+                value = read(fh, fields, body)
+        except (OSError, ValueError):
+            return None
+        if body.hexdigest() != fields["body"]:
+            return None
+        self.served.add(name)
+        return value
+
+    def graph(self):
+        """(entities, relations, splits, skipped name lines) from the graph
+        section, or None when the caller must parse."""
+        return self._load("graph", _read_graph)
+
+    def assets(self, entities: Vocab, cap: int) -> MultimodalAssets | None:
+        """The assets section over the graph section's ``entities``, or None
+        when the caller must parse."""
+        return self._load("assets", lambda fh, fields, body: _read_assets(
+            fh, fields, body, entities, cap), usable="graph" in self.served)
+
+    def write(self, graph: KnowledgeGraph, assets: MultimodalAssets,
+              skipped_name_lines: int) -> None:
+        """Write the snapshot of these parse results, renamed into place.
+        Both sections must have been loaded, so their sources are hashed."""
+        entities = graph.entities
+        handles = range(len(entities))
+        refs = [assets.images.get(handle, ()) for handle in handles]
+        described = [handle in assets.descriptions for handle in handles]
+        graph_tables = [_encoded(entities.labels),
+                        _encoded(graph.relations.labels),
+                        _encoded(entities._display.get(handle, "")
+                                 for handle in handles),
+                        *(np.ascontiguousarray(graph.splits[split], "<i8")
+                          for split in SPLITS)]
+        asset_tables = [_counts(map(len, refs)),
+                        _encoded(chain.from_iterable(refs)),
+                        _counts(described),
+                        _encoded(map(assets.descriptions.get,
+                                     compress(handles, described)))]
+        header = {
+            "version": SNAPSHOT_VERSION,
+            "graph": {
+                "sources": self.sources["graph"],
+                "body": _sha256(graph_tables),
+                "entities": len(entities), "entity_bytes": len(graph_tables[0]),
+                "relations": len(graph.relations),
+                "relation_bytes": len(graph_tables[1]),
+                "name_bytes": len(graph_tables[2]),
+                **{split: len(graph.splits[split]) for split in SPLITS},
+                "skipped_name_lines": skipped_name_lines},
+            "assets": {
+                "sources": self.sources["assets"],
+                "body": _sha256(asset_tables),
+                "images": sum(map(len, refs)),
+                "image_bytes": len(asset_tables[1]),
+                "descriptions": len(assets.descriptions),
+                "description_bytes": len(asset_tables[3]),
+                "skipped_image_lines": assets.skipped_image_lines,
+                "duplicate_description_lines":
+                    assets.duplicate_description_lines,
+                "skipped_description_lines": assets.skipped_description_lines},
+        }
+        with written_beside(self.path) as tmp, open(tmp, "wb") as fh:
+            fh.write(json.dumps(header).encode("ascii") + b"\n")
+            fh.writelines(graph_tables + asset_tables)
+
+
+def _sources_digest(config: bytes, files: dict[str, Path],
+                    keys) -> str | None:
+    """The sha256 of the config bytes and, for each of ``keys`` the config
+    names a file for, the key, the file's length and its bytes; None when a
+    file cannot be read, or changes length while it is read."""
+    digest = hashlib.sha256(b"%d\n" % len(config) + config)
+    block = memoryview(bytearray(BLOCK))
+    try:
+        for key in keys:
+            if key not in files:
+                continue
+            with open(files[key], "rb") as fh:
+                left = os.fstat(fh.fileno()).st_size
+                digest.update(b"\n%s %d\n" % (key.encode(), left))
+                while got := fh.readinto(block):
+                    digest.update(block[:got])
+                    left -= got
+            if left:
+                return None
+    except OSError:
+        return None
+    return digest.hexdigest()
+
+
+def _read_ints(fh, shape, body) -> np.ndarray:
+    """The next little-endian int64 array of ``shape`` in ``fh``, hashed into
+    ``body``."""
+    table = np.empty(shape, dtype="<i8")
+    if fh.readinto(table) != table.nbytes:
+        raise ValueError("snapshot ends inside a table")
+    body.update(table)
+    return table
+
+
+def _read_texts(fh, count: int, size: int, body):
+    """The ``count`` newline-terminated UTF-8 texts in the next ``size``
+    bytes of ``fh``, read and hashed into ``body`` a block at a time and
+    yielded one by one; ValueError at the end when they are not that."""
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    block = memoryview(bytearray(min(size, BLOCK)))
+    tail = ""
+    while size:
+        got = fh.readinto(block[:min(size, BLOCK)])
+        if not got:
+            raise ValueError("snapshot ends inside a table")
+        body.update(block[:got])
+        size -= got
+        *done, tail = (tail + decode(block[:got], final=not size)).split("\n")
+        count -= len(done)
+        yield from done
+    if tail or count:
+        raise ValueError("snapshot table holds another number of texts")
+
+
+def _read_graph(fh, fields: dict, body):
+    entities, relations = Vocab(), Vocab()
+    for vocab, count, size in (
+            (entities, fields["entities"], fields["entity_bytes"]),
+            (relations, fields["relations"], fields["relation_bytes"])):
+        for label in _read_texts(fh, count, size, body):
+            vocab.intern(label)
+        if len(vocab) != count:
+            raise ValueError("snapshot labels repeat")
+    # the vocabulary's own handle objects, as a parse keys its names by
+    names = _read_texts(fh, fields["entities"], fields["name_bytes"], body)
+    for handle, name in zip(entities._index.values(), names, strict=True):
+        if name:
+            entities.set_display_name(handle, name)
+    splits = {split: _read_ints(fh, (fields[split], 3), body)
+              for split in SPLITS}
+    return entities, relations, splits, fields["skipped_name_lines"]
+
+
+def _read_assets(fh, fields: dict, body, entities: Vocab,
+                 cap: int) -> MultimodalAssets:
+    handles = entities._index.values()
+    counts = _read_ints(fh, len(entities), body).tolist()
+    refs = _read_texts(fh, fields["images"], fields["image_bytes"], body)
+    images = {handle: list(islice(refs, n))
+              for handle, n in zip(handles, counts) if n}
+    if next(refs, None) is not None:  # also reads the table to its end
+        raise ValueError("snapshot image counts fall short of its refs")
+    described = _read_ints(fh, len(entities), body).tolist()
+    texts = _read_texts(fh, fields["descriptions"],
+                        fields["description_bytes"], body)
+    return MultimodalAssets(
+        image_cap=cap, images=images,
+        descriptions=dict(zip(compress(handles, described), texts,
+                              strict=True)),
+        skipped_image_lines=fields["skipped_image_lines"],
+        duplicate_description_lines=fields["duplicate_description_lines"],
+        skipped_description_lines=fields["skipped_description_lines"])
+
+
+def _encoded(texts) -> bytes:
+    return "".join(text + "\n" for text in texts).encode("utf-8")
+
+
+def _counts(values) -> np.ndarray:
+    return np.fromiter(values, dtype="<i8")
+
+
+def _sha256(tables) -> str:
+    digest = hashlib.sha256()
+    for table in tables:
+        digest.update(table)
+    return digest.hexdigest()
 
 
 def load_dataset(config_path) -> Dataset:
@@ -402,13 +719,23 @@ def load_dataset(config_path) -> Dataset:
          "descriptions": "descriptions.tsv", "image_cap": 10}
 
     Each file entry is a string; ``images``, ``descriptions`` and ``names``
-    may also be null, absent or "". The image
-    manifest and the descriptions are parsed on the first read of
-    ``Dataset.assets``; here they only have to exist.
+    may also be null, absent or "". The image manifest and the descriptions
+    are read on the first read of ``Dataset.assets``; here they only have to
+    exist.
+
+    ``fichad ingest`` writes a :class:`Snapshot` of the parse results beside
+    the config, ``<config>.idx``. A load reads the graph (triples and names)
+    from it when the config and those files hash to what the snapshot
+    recorded, and ``Dataset.assets`` reads the assets likewise; each section
+    is otherwise parsed, so a stale or damaged snapshot changes nothing but
+    the time taken, and the snapshot is safe to delete. Only
+    :meth:`Dataset.write_snapshot` writes it; a load never does. Every file
+    the config names is ``stat``-ed on every load.
     """
     config_path = Path(config_path)
-    with open(config_path, encoding="utf-8") as fh:
-        cfg = json.load(fh)
+    with open(config_path, "rb") as fh:
+        config = fh.read()
+    cfg = json.loads(config.decode("utf-8"))
     if not isinstance(cfg, dict):
         raise DatasetError(f"{config_path}: dataset config must be a JSON "
                            f"object, got {cfg!r}")
@@ -421,12 +748,19 @@ def load_dataset(config_path) -> Dataset:
         if name:
             files[key] = config_path.parent / name
 
-    entities, relations = Vocab(), Vocab()
-    splits = {}
-    for split in SPLITS:
-        if split not in files:
-            raise DatasetError(f"{config_path}: {split} file missing")
-        splits[split] = load_triples(files.pop(split), entities, relations)
+    snapshot = Snapshot(config_path, config, files)
+    # a config that lacks a split or has a bad cap never matches a snapshot,
+    # which only a successful load writes
+    loaded = snapshot.graph()
+    if loaded is None:
+        entities, relations = Vocab(), Vocab()
+        splits, skipped_names = {}, 0
+        for split in SPLITS:
+            if split not in files:
+                raise DatasetError(f"{config_path}: {split} file missing")
+            splits[split] = load_triples(files[split], entities, relations)
+    else:
+        entities, relations, splits, skipped_names = loaded
 
     cap = cfg.get("image_cap", 10)
     # bool is an int subclass; a float or string cap is a config mistake
@@ -435,12 +769,16 @@ def load_dataset(config_path) -> Dataset:
                            f">= 1, got {cap!r}")
     for path in files.values():
         path.stat()  # a missing file fails every subcommand, not only some
-    if "names" in files:
+    if loaded is None and "names" in files:
         # optional entity<TAB>display-name table; an empty name keeps the label
-        for label, name in _rows(files.pop("names"), 2):
-            if name and label in entities:
+        for label, name in _rows(files["names"], 2):
+            if label not in entities:
+                skipped_names += 1
+            elif name:
                 entities.set_display_name(entities.id_of(label), name)
 
     graph = KnowledgeGraph(entities, relations, splits)
     return Dataset(dataset_id=str(cfg.get("id", config_path.stem)),
-                   graph=graph, image_cap=cap, **files)
+                   graph=graph, image_cap=cap, images=files.get("images"),
+                   descriptions=files.get("descriptions"),
+                   skipped_name_lines=skipped_names, snapshot=snapshot)

@@ -27,6 +27,30 @@ DATA_DIR = Path(__file__).parent / "data"
 ARLES_CONFIG = DATA_DIR / "arles" / "dataset.json"
 
 
+def _listing(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def fixture_files_stay_as_they_are():
+    """No test adds, removes or renames a file under ``tests/data``: a test
+    that writes there, as ``ingest`` writes its snapshot beside a config,
+    runs on a copy instead."""
+    before = _listing(DATA_DIR)
+    yield
+    assert _listing(DATA_DIR) == before, "a test changed tests/data"
+
+
+def copy_arles(dest: Path) -> Path:
+    """A copy of the arles fixture's data files in ``dest``, without any
+    snapshot beside its config; returns the copy's config."""
+    dest.mkdir(parents=True, exist_ok=True)
+    for f in ARLES_CONFIG.parent.iterdir():
+        if f.suffix != ".idx":
+            (dest / f.name).write_bytes(f.read_bytes())
+    return dest / ARLES_CONFIG.name
+
+
 def make_vocab(labels):
     v = Vocab()
     for lab in labels:

@@ -16,8 +16,8 @@ from fichad.cli import (build_parser, main, EXIT_OK, EXIT_INPUT,
                         EXIT_BACKEND, EXIT_USAGE, EXIT_INTERRUPTED)
 from fichad.context import DEFAULT_TEMPLATES, instantiate
 from fichad.kg import SPLITS, load_dataset
-from conftest import (ARLES_CONFIG, StubHandler, write_image_files,
-                      write_synthetic_dataset)
+from conftest import (ARLES_CONFIG, StubHandler, copy_arles,
+                      write_image_files, write_synthetic_dataset)
 
 ARLES = str(ARLES_CONFIG)
 
@@ -74,11 +74,10 @@ def test_tau_only_on_filtering_subcommands(capsys, tmp_path, command):
 
 def arles_copy(tmp_path, name: str, line: str) -> str:
     """A copy of the arles fixture with ``line`` appended to file ``name``."""
-    for f in ARLES_CONFIG.parent.iterdir():
-        (tmp_path / f.name).write_bytes(f.read_bytes())
+    config = copy_arles(tmp_path)
     with open(tmp_path / name, "a", encoding="utf-8") as fh:
         fh.write(line + "\n")
-    return str(tmp_path / "dataset.json")
+    return str(config)
 
 
 @pytest.mark.parametrize("line,fields", [("lonely_label", 1),
@@ -94,17 +93,30 @@ def test_malformed_names_line_is_input_error(capsys, tmp_path, line, fields):
 
 def test_structural_commands_never_parse_the_image_manifest(capsys, tmp_path):
     """train-embed, eval and build-prompts use no images or descriptions, so
-    a malformed images.tsv does not stop them."""
-    config = arles_copy(tmp_path, "images.tsv", "lonely_label")
-    out = str(tmp_path / "o")
-    assert main(["train-embed", "--dataset", config, "--out", out,
-                 "--epochs", "1"]) == EXIT_OK
-    assert main(["eval", "--dataset", config, "--model",
-                 f"{out}/model.ckpt"]) == EXIT_OK
-    assert main(["gen-context", "--dataset", ARLES, "--out", out,
-                 "--splits", "test"]) == EXIT_OK
-    assert main(["build-prompts", "--dataset", config, "--store",
-                 f"{out}/contexts.jsonl", "--out", out]) == EXIT_OK
+    a malformed images.tsv does not stop them, whether the graph is parsed or
+    read from the snapshot ``ingest`` wrote before the manifest broke;
+    gen-context reads the manifest and names its malformed line."""
+    for indexed in (False, True):
+        config = copy_arles(tmp_path / str(indexed))
+        out = str(tmp_path / str(indexed) / "o")
+        assert main(["gen-context", "--dataset", str(config), "--out", out,
+                     "--splits", "test"]) == EXIT_OK
+        if indexed:
+            assert main(["ingest", "--dataset", str(config)]) == EXIT_OK
+        assert config.with_name("dataset.json.idx").exists() == indexed
+        with open(config.with_name("images.tsv"), "a", encoding="utf-8") as fh:
+            fh.write("lonely_label\n")
+        assert main(["train-embed", "--dataset", str(config), "--out", out,
+                     "--epochs", "1"]) == EXIT_OK
+        assert main(["eval", "--dataset", str(config), "--model",
+                     f"{out}/model.ckpt"]) == EXIT_OK
+        assert main(["build-prompts", "--dataset", str(config), "--store",
+                     f"{out}/contexts.jsonl", "--out", out]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["gen-context", "--dataset", str(config), "--out", out,
+                     "--splits", "test"]) == EXIT_INPUT
+        assert ("images.tsv:9: expected 2 tab-separated fields, got 1"
+                in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["ingest", "gen-context"])
@@ -131,9 +143,7 @@ def test_missing_image_manifest_fails_structural_commands(capsys, tmp_path):
 @pytest.mark.parametrize("cap", ["2.7", "0", '"x"', "true", "null"])
 def test_bad_image_cap_is_input_error(capsys, tmp_path, cap):
     """image_cap must be an integer >= 1; the error names file and key."""
-    for f in ARLES_CONFIG.parent.iterdir():
-        (tmp_path / f.name).write_bytes(f.read_bytes())
-    config = tmp_path / "dataset.json"
+    config = copy_arles(tmp_path)
     config.write_text(config.read_text(encoding="utf-8").replace(
         '"image_cap": 3', f'"image_cap": {cap}'), encoding="utf-8")
     assert main(["ingest", "--dataset", str(config)]) == EXIT_INPUT
@@ -149,9 +159,7 @@ def test_bad_image_cap_is_input_error(capsys, tmp_path, cap):
 def test_malformed_dataset_config_is_input_error(capsys, tmp_path, config,
                                                  key):
     """A config of the wrong shape is an input error naming file and key."""
-    for f in ARLES_CONFIG.parent.iterdir():
-        (tmp_path / f.name).write_bytes(f.read_bytes())
-    path = tmp_path / "dataset.json"
+    path = copy_arles(tmp_path)
     if isinstance(config, dict):
         config = json.dumps({**json.loads(path.read_text(encoding="utf-8")),
                              **config})
@@ -166,14 +174,43 @@ def test_missing_dataset_is_input_error(capsys):
     assert main(["ingest", "--dataset", "/nope/ds.json"]) == EXIT_INPUT
 
 
-def test_ingest_summary(capsys):
-    code, summary = run(capsys, "ingest", "--dataset", ARLES)
+def test_ingest_summary(capsys, tmp_path):
+    code, summary = run(capsys, "ingest", "--dataset",
+                        str(copy_arles(tmp_path)))
     assert code == EXIT_OK
     assert summary["entities"] == 8
     assert summary["relations"] == 4
     assert summary["skipped_image_lines"] == 0
     assert summary["duplicate_description_lines"] == 0
+    assert summary["skipped_description_lines"] == 0
+    assert summary["skipped_name_lines"] == 0
     assert "config_hash" in summary
+
+
+def test_ingest_reports_a_snapshot_it_cannot_write(capsys, tmp_path):
+    """A snapshot that cannot be renamed into place costs one stderr line;
+    the dataset is still checked and summarised, and no file is left."""
+    config = copy_arles(tmp_path)
+    config.with_name("dataset.json.idx").mkdir()  # os.replace onto it fails
+    assert main(["ingest", "--dataset", str(config)]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert json.loads(out)["entities"] == 8
+    assert err.startswith("dataset index not written: ")
+    assert err.count("\n") == 1
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_ingest_counts_lines_naming_no_entity(capsys, tmp_path):
+    """Description and name lines for an entity no triple names are
+    dropped, and counted as image lines are."""
+    config = arles_copy(tmp_path, "descriptions.tsv", "atlantis\tA lost city.")
+    with open(tmp_path / "names.tsv", "a", encoding="utf-8") as fh:
+        fh.write("atlantis\tAtlantis\n")
+    code, summary = run(capsys, "ingest", "--dataset", config)
+    assert code == EXIT_OK
+    assert summary["skipped_description_lines"] == 1
+    assert summary["skipped_name_lines"] == 1
+    assert summary["duplicate_description_lines"] == 0
 
 
 def _subprocess_env() -> dict:
@@ -186,10 +223,11 @@ def test_mock_runs_never_import_requests(tmp_path):
     """The wire client's dependency and its worker pool's module are
     loaded only for ``--backend http``."""
     env = _subprocess_env()
+    config = str(copy_arles(tmp_path / "data"))
     script = ("import sys\n"
               "from fichad.cli import main\n"
-              f"assert main(['ingest', '--dataset', {ARLES!r}]) == 0\n"
-              f"assert main(['gen-context', '--dataset', {ARLES!r}, "
+              f"assert main(['ingest', '--dataset', {config!r}]) == 0\n"
+              f"assert main(['gen-context', '--dataset', {config!r}, "
               f"'--out', {str(tmp_path)!r}, '--splits', 'test']) == 0\n"
               "print('requests' in sys.modules,\n"
               "      'concurrent.futures' in sys.modules)\n")
@@ -243,13 +281,14 @@ def test_embed_subcommands_set_heap_policy(capsys, tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr("fichad.cli._retain_freed_heap",
                         lambda: calls.append(1))
-    code, summary = run(capsys, "train-embed", "--dataset", ARLES,
+    config = str(copy_arles(tmp_path / "data"))
+    code, summary = run(capsys, "train-embed", "--dataset", config,
                         "--out", str(tmp_path), "--dim", "4", "--epochs", "1")
     assert code == EXIT_OK and len(calls) == 1
-    assert main(["eval", "--dataset", ARLES,
+    assert main(["eval", "--dataset", config,
                  "--model", summary["checkpoint"]]) == EXIT_OK
     assert len(calls) == 2
-    assert main(["ingest", "--dataset", ARLES]) == EXIT_OK
+    assert main(["ingest", "--dataset", config]) == EXIT_OK
     assert len(calls) == 2
 
 
@@ -287,9 +326,7 @@ def test_eval_checkpoint_of_other_dataset_is_input_error(capsys, tmp_path):
                         "--epochs", "1")
     assert code == EXIT_OK
     other = tmp_path / "other"
-    other.mkdir()
-    for f in ARLES_CONFIG.parent.iterdir():
-        (other / f.name).write_bytes(f.read_bytes())
+    copy_arles(other)
     extra = "".join(f"view_of_arles\textra{i}\tvan_gogh\n" for i in range(5))
     train = other / "train.tsv"
     train.write_text(extra + train.read_text(encoding="utf-8"),

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -317,3 +318,213 @@ def test_load_dataset_fixture():
     # display name falls back to the label when absent
     v = make_vocab(["plain"])
     assert v.display_name(0) == "plain"
+
+
+def ingest(config) -> None:
+    from fichad.cli import main
+    assert main(["ingest", "--dataset", str(config)]) == 0
+
+
+def unindexed_copy(config: Path, dest: Path) -> Path:
+    """A copy of a dataset's files in ``dest``, without its snapshot."""
+    dest.mkdir(parents=True)
+    for f in config.parent.iterdir():
+        if f.is_file() and f.suffix != ".idx":
+            (dest / f.name).write_bytes(f.read_bytes())
+    return dest / config.name
+
+
+def assert_same_dataset(got, want):
+    """``got`` answers everything as ``want`` does."""
+    g, w = got.graph, want.graph
+    assert (got.dataset_id, got.image_cap, got.images.name,
+            got.descriptions.name, got.skipped_name_lines) \
+        == (want.dataset_id, want.image_cap, want.images.name,
+            want.descriptions.name, want.skipped_name_lines)
+    assert g.entities.labels == w.entities.labels
+    assert g.relations.labels == w.relations.labels
+    assert g.entities._display == w.entities._display
+    assert [g.entities.id_of(label) for label in w.entities.labels] \
+        == list(range(w.n_entities))
+    for split in SPLITS:
+        assert g.splits[split].dtype == np.int64
+        assert np.array_equal(g.splits[split], w.splits[split])
+    for e in range(-1, w.n_entities + 1):
+        assert g.neighbors(e, w.n_entities * 4) == w.neighbors(e, w.n_entities * 4)
+        for r in range(-1, w.n_relations + 1):
+            assert g.known_tails(e, r) == w.known_tails(e, r)
+            assert g.known_heads(e, r) == w.known_heads(e, r)
+    for r in range(-1, w.n_relations + 1):
+        assert np.array_equal(g.triples_with_relation(r),
+                              w.triples_with_relation(r))
+    rng = np.random.default_rng(0)
+    rows = np.concatenate([w.splits[s] for s in SPLITS] + [rng.integers(
+        -1, max(w.n_entities, w.n_relations) + 1, size=(200, 3))])
+    assert np.array_equal(g.in_train_rows(rows), w.in_train_rows(rows))
+    assert got.assets == want.assets
+
+
+@pytest.fixture
+def arles_extended(tmp_path) -> Path:
+    """arles with a line of every kind that is dropped, counted or kept
+    empty, and one long non-ASCII description that spans read blocks."""
+    config = unindexed_copy(ARLES_CONFIG, tmp_path / "arles")
+    extra = {"names.tsv": ["atlantis\tAtlantis", "orchard\t", "ghost\t"],
+             "images.tsv": ["atlantis\timg/atlantis.jpg"],
+             "descriptions.tsv": ["atlantis\tA lost city.", "france\t",
+                                  "arles\tArles again.",
+                                  "museum\t" + "美術館の説明。" * 40000]}
+    for name, lines in extra.items():
+        with open(config.with_name(name), "a", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    return config
+
+
+@pytest.fixture
+def generated(tmp_path) -> Path:
+    from test_same_bytes import load_datagen
+    datagen = load_datagen()
+    return datagen.generate(datagen.GraphSpec(entities=60, relations=6,
+                                              train=300, valid=30, test=30),
+                            5, tmp_path / "generated")
+
+
+class TestSnapshot:
+    @pytest.mark.parametrize("dataset", ["arles_extended", "generated"])
+    def test_snapshot_load_equals_a_parse(self, request, tmp_path, dataset):
+        config = request.getfixturevalue(dataset)
+        ingest(config)
+        got = load_dataset(config)
+        assert got.snapshot.served == {"graph"}
+        want = load_dataset(unindexed_copy(config, tmp_path / "plain"))
+        assert_same_dataset(got, want)
+        assert got.snapshot.served == {"graph", "assets"}
+        assert want.snapshot.served == set()
+        if dataset == "arles_extended":
+            a = got.assets
+            assert (a.skipped_image_lines, a.skipped_description_lines,
+                    a.duplicate_description_lines,
+                    got.skipped_name_lines) == (1, 1, 1, 2)
+
+    def test_same_dataset_gives_same_snapshot_bytes(self, tmp_path):
+        configs = [unindexed_copy(ARLES_CONFIG, tmp_path / name)
+                   for name in ("a", "b/moved")]
+        for config in configs:
+            ingest(config)
+        a, b = (c.with_name("dataset.json.idx").read_bytes() for c in configs)
+        assert a == b
+        inode = os.stat(configs[0].with_name("dataset.json.idx")).st_ino
+        ingest(configs[0])  # served wholly from the snapshot: no rewrite
+        assert os.stat(configs[0].with_name("dataset.json.idx")).st_ino == inode
+        moved = tmp_path / "elsewhere"
+        configs[1].parent.rename(moved)
+        ds = load_dataset(moved / "dataset.json")
+        ds.assets
+        assert ds.snapshot.served == {"graph", "assets"}
+
+    def test_loads_never_write_a_snapshot(self, tmp_path):
+        config = unindexed_copy(ARLES_CONFIG, tmp_path / "a")
+        ds = load_dataset(config)
+        ds.assets
+        assert not config.with_name("dataset.json.idx").exists()
+
+    def test_assets_are_neither_hashed_nor_read_until_used(self, tmp_path):
+        config = unindexed_copy(ARLES_CONFIG, tmp_path / "a")
+        ingest(config)
+        ds = load_dataset(config)
+        assert set(ds.snapshot.sources) == {"graph"}
+        ds.assets
+        assert set(ds.snapshot.sources) == {"graph", "assets"}
+
+    def test_a_missing_asset_file_still_fails_the_load(self, tmp_path):
+        config = unindexed_copy(ARLES_CONFIG, tmp_path / "a")
+        ingest(config)
+        config.with_name("descriptions.tsv").unlink()
+        with pytest.raises(FileNotFoundError, match="descriptions.tsv"):
+            load_dataset(config)
+
+    @pytest.mark.parametrize("name,line_no", [
+        ("train.tsv", 3), ("valid.tsv", 1), ("test.tsv", 1),
+        ("names.tsv", 2), ("images.tsv", 4), ("descriptions.tsv", 2)])
+    def test_an_edited_source_is_parsed(self, tmp_path, name, line_no):
+        """A same-length edit in place, with the modification time put back,
+        makes the next load parse that file: the malformed line it made is
+        reported where it is."""
+        config = unindexed_copy(ARLES_CONFIG, tmp_path / "a")
+        ingest(config)
+        path = config.with_name(name)
+        stat = path.stat()
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[line_no - 1] = lines[line_no - 1].replace("\t", " ", 1)
+        path.write_text("".join(lines), encoding="utf-8")
+        assert path.stat().st_size == stat.st_size
+        os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+        with pytest.raises(ParseError, match=f"{name}:{line_no}: expected"):
+            load_dataset(config).assets
+
+    def test_an_image_cap_change_is_parsed(self, tmp_path):
+        config = unindexed_copy(ARLES_CONFIG, tmp_path / "a")
+        ingest(config)
+        config.write_text(config.read_text(encoding="utf-8").replace(
+            '"image_cap": 3', '"image_cap": 2'), encoding="utf-8")
+        ds = load_dataset(config)
+        assert ds.assets.images_of(0) == ["img/voa_1.jpg", "img/voa_2.jpg"]
+        assert ds.snapshot.served == set()
+
+    def test_a_new_vocabulary_parses_the_assets_too(self, tmp_path):
+        """The assets section holds handles of the graph it was built with,
+        so a graph edit that renumbers the entities, with the asset files
+        unchanged, parses both."""
+        config = unindexed_copy(ARLES_CONFIG, tmp_path / "a")
+        ingest(config)
+        train = config.with_name("train.tsv")
+        train.write_text("atlantis\tlocated_in\tfrance\n"
+                         + train.read_text(encoding="utf-8"), encoding="utf-8")
+        got = load_dataset(config)
+        want = load_dataset(unindexed_copy(config, tmp_path / "plain"))
+        assert_same_dataset(got, want)
+        assert got.snapshot.served == set()
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "graph-byte", "assets-byte", "version", "lost-field",
+        "extra-field", "field-type", "negative-count", "other-dataset",
+        "garbage"])
+    def test_a_bad_snapshot_is_ignored_and_rewritten(self, tmp_path, generated,
+                                                     damage):
+        fresh = unindexed_copy(ARLES_CONFIG, tmp_path / "fresh")
+        ingest(fresh)
+        want = fresh.with_name("dataset.json.idx").read_bytes()
+        config = unindexed_copy(ARLES_CONFIG, tmp_path / "a")
+        index = config.with_name("dataset.json.idx")
+        head, body = want.split(b"\n", 1)
+        header = json.loads(head)
+        if damage == "truncated":
+            bad = want[:-1]
+        elif damage.endswith("-byte"):
+            at = len(head) + 1 + (2 if damage == "graph-byte" else len(body) - 1)
+            bad = want[:at] + bytes([want[at] ^ 1]) + want[at + 1:]
+        elif damage == "other-dataset":
+            ingest(generated)
+            bad = generated.with_name("dataset.json.idx").read_bytes()
+        elif damage == "garbage":
+            bad = b"[" * 3000 + b"\n" + body
+        else:
+            if damage == "version":
+                header["version"] += 1
+            elif damage == "lost-field":
+                del header["graph"]["skipped_name_lines"]
+            elif damage == "extra-field":
+                header["assets"]["extra"] = 0
+            elif damage == "field-type":
+                header["graph"]["train"] = float(header["graph"]["train"])
+            else:
+                header["graph"]["skipped_name_lines"] = -1
+            bad = json.dumps(header).encode() + b"\n" + body
+        index.write_bytes(bad)
+        ds = load_dataset(config)
+        ds.assets
+        assert ds.snapshot.served == ({"graph"} if damage == "assets-byte"
+                                      else set())
+        assert_same_dataset(ds, load_dataset(fresh))
+        ingest(config)
+        assert index.read_bytes() == want
