@@ -85,7 +85,7 @@ def _setup(args, ds, tau: float = cg.DEFAULT_TAU):
 # -- subcommands ---------------------------------------------------------
 
 def cmd_ingest(args, ds) -> int:
-    g = ds.graph
+    g, assets = ds.graph, ds.assets
     try:
         ds.write_snapshot()
     except OSError as exc:
@@ -95,10 +95,10 @@ def cmd_ingest(args, ds) -> int:
         "relations": g.n_relations,
         "train": len(g.splits["train"]), "valid": len(g.splits["valid"]),
         "test": len(g.splits["test"]),
-        "entities_with_images": len(ds.assets.entities_with_images()),
-        "skipped_image_lines": ds.assets.skipped_image_lines,
-        "duplicate_description_lines": ds.assets.duplicate_description_lines,
-        "skipped_description_lines": ds.assets.skipped_description_lines,
+        "entities_with_images": len(assets.entities_with_images()),
+        "skipped_image_lines": assets.skipped_image_lines,
+        "duplicate_description_lines": assets.duplicate_description_lines,
+        "skipped_description_lines": assets.skipped_description_lines,
         "skipped_name_lines": ds.skipped_name_lines,
     }, args)
     return EXIT_OK

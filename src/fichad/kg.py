@@ -729,8 +729,11 @@ def load_dataset(config_path) -> Dataset:
     recorded, and ``Dataset.assets`` reads the assets likewise; each section
     is otherwise parsed, so a stale or damaged snapshot changes nothing but
     the time taken, and the snapshot is safe to delete. Only
-    :meth:`Dataset.write_snapshot` writes it; a load never does. Every file
-    the config names is ``stat``-ed on every load.
+    :meth:`Dataset.write_snapshot` writes it, which ``ingest`` calls; a load
+    never does, and in a read-only directory ``ingest`` reports the failed
+    write and goes on. ``ingest`` still checks the whole dataset: it hashes
+    every byte of every file and matches the digests a full parse of those
+    bytes recorded. Every file the config names is ``stat``-ed on every load.
     """
     config_path = Path(config_path)
     with open(config_path, "rb") as fh:
