@@ -34,7 +34,6 @@ import hashlib
 import json
 import math
 import os
-import sys
 import time
 from array import array
 from contextlib import closing
@@ -44,7 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kg import written_beside
+from . import snapshot
 
 FREE_TEXT = "free-text"
 RELEVANCE = "relevance"
@@ -62,10 +61,6 @@ RETRY_STATUSES = (429, 500, 502, 503, 504)
 BACKOFF_JITTER_S = 0.5
 #: requests of one batch in flight at once on the wire
 WIRE_WORKERS = 8
-#: format of a cache's index snapshot
-INDEX_VERSION = 1
-#: bytes of a cache file hashed at a time while a snapshot is checked
-HASH_BLOCK = 1 << 20
 
 _quoted = json.encoder.encode_basestring_ascii
 _TEMPERATURE = json.dumps(TEMPERATURE)
@@ -400,21 +395,17 @@ class ResponseCache:
     array, 40 bytes a record; the ones put since the load sit in a dict.
     Free text sits in a dict keyed by the 32-byte digest.
 
-    The loaded index is kept beside the file as a snapshot, ``<path>.idx``:
-    one JSON header line, then the relevance digests, their values as
-    little-endian float64, the free-text digests, the texts' lengths in code
-    points as little-endian uint64, and the texts in UTF-8. The header holds
-    the format version, the byte length of the whole lines the snapshot
-    covers, the sha256 of those bytes, the corrupt lines among them, the
-    table sizes and the sha256 of the body. A load uses the snapshot only
-    when its header has exactly these fields and types, its body matches its
-    digest, and the file still begins with the covered bytes; it then parses
-    only the lines after them, whose records merge after the snapshot's.
-    Otherwise it parses the whole file. A load that parsed a line, or used no
-    snapshot, writes a new one covering every whole line it read, renamed
-    into place, so the snapshot may be deleted at any time. When it cannot be
-    written, as in a read-only directory, one line on stderr says so and the
-    run goes on.
+    The loaded index is kept beside the file as ``<path>.idx``, a
+    :mod:`fichad.snapshot` with one section, ``cache``: the sorted relevance
+    digests, their values, the free-text digests and the texts. Its fields
+    are the byte length of the whole lines it covers, the sha256 of those
+    bytes and the corrupt lines among them. A load uses it only when it
+    checks out and the file still begins with the covered bytes; it then
+    parses only the lines after them, whose records merge after the
+    snapshot's. Otherwise it parses the whole file. A load that parsed a
+    line, or used no snapshot, writes a new one covering every whole line it
+    read, so the snapshot may be deleted at any time; a failed write costs
+    one stderr line.
     """
 
     def __init__(self, path):
@@ -430,16 +421,18 @@ class ResponseCache:
             self._load()
 
     def _load(self) -> None:
-        snapshot = _read_index(self._index)
+        section = (_LAYOUT.read(self._index) or {}).get("cache")
+        loaded = section and section.read(_read_cache)
         prefix = hashlib.sha256()  # of the whole lines read
         keys, scores = bytearray(), array("d")
         with open(self.path, "rb") as fh:
-            if snapshot and (_hashed(fh, snapshot[0]["covered"], prefix)
-                             == snapshot[0]["prefix"]):
-                header, self._keys, self._scores, self._texts = snapshot
-                self.corrupt_lines = header["corrupt"]
+            if (loaded
+                    and snapshot.hash_next(fh, section.fields["covered"], prefix)
+                    and prefix.hexdigest() == section.fields["prefix"]):
+                self._keys, self._scores, self._texts = loaded
+                self.corrupt_lines = section.fields["corrupt"]
             else:
-                snapshot, prefix = None, hashlib.sha256()
+                loaded, prefix = None, hashlib.sha256()
                 fh.seek(0)
             start = end = fh.tell()
             for line in fh:
@@ -471,30 +464,13 @@ class ResponseCache:
             last = np.ones(len(keys), dtype=bool)  # the last of equal keys
             np.not_equal(keys[1:], keys[:-1], out=last[:-1])
             self._keys, self._scores = keys[last], scores[last]
-        if end > start or snapshot is None:
-            self._write_index(end, prefix.hexdigest())
-
-    def _write_index(self, covered: int, prefix: str) -> None:
-        """Snapshot the loaded index as covering the file's first ``covered``
-        bytes, whose sha256 is ``prefix``."""
-        texts = list(self._texts.values())
-        tables = (self._keys, self._scores.astype("<f8", copy=False),
-                  b"".join(self._texts),
-                  np.fromiter(map(len, texts), dtype="<u8", count=len(texts)),
-                  "".join(texts).encode("utf-8", "surrogatepass"))
-        body = hashlib.sha256()
-        for table in tables:
-            body.update(table)
-        header = {"version": INDEX_VERSION, "covered": covered,
-                  "prefix": prefix, "corrupt": self.corrupt_lines,
-                  "relevance": len(self._keys), "texts": len(texts),
-                  "text_bytes": len(tables[-1]), "body": body.hexdigest()}
-        try:
-            with written_beside(self._index) as tmp, open(tmp, "wb") as fh:
-                fh.write(json.dumps(header).encode("ascii") + b"\n")
-                fh.writelines(tables)
-        except OSError as exc:
-            print(f"cache index not written: {exc}", file=sys.stderr)
+        if end > start or loaded is None:
+            _LAYOUT.write(self._index, {"cache": (
+                {"covered": end, "prefix": prefix.hexdigest(),
+                 "corrupt": self.corrupt_lines},
+                {"relevance": self._keys, "scores": self._scores,
+                 "text_keys": np.frombuffer(b"".join(self._texts), "V32"),
+                 "texts": self._texts.values()})})
 
     def __len__(self) -> int:
         return len(self._keys) + len(self._new_scores) + len(self._texts)
@@ -541,64 +517,18 @@ class ResponseCache:
                                 sort_keys=True) + "\n")
 
 
-_INDEX_HEADER = {"version": int, "covered": int, "prefix": str,
-                 "corrupt": int, "relevance": int, "texts": int,
-                 "text_bytes": int, "body": str}
+#: the cache's snapshot: the sorted relevance digests and their values, and
+#: the free-text digests and texts
+_LAYOUT = snapshot.Layout("cache", {"cache": (
+    {"covered": int, "prefix": str, "corrupt": int},
+    {"relevance": "S32", "scores": "<f8", "text_keys": "V32",
+     "texts": snapshot.TEXT})})
 
 
-def _read_index(path: Path):
-    """(header, relevance digests, their values, texts) of the snapshot at
-    ``path``, or None when it is missing, its header is not exactly
-    :data:`_INDEX_HEADER`'s or its body does not match the header. Whether
-    it covers the cache file is for the caller to check."""
-    try:
-        fh = open(path, "rb")
-    except OSError:
-        return None
-    with fh:
-        try:
-            header = _json_value(fh.readline(4096).decode())
-        except ValueError:
-            return None
-        if (type(header) is not dict or header.keys() != _INDEX_HEADER.keys()
-                or any(type(header[name]) is not kind
-                       for name, kind in _INDEX_HEADER.items())
-                or header["version"] != INDEX_VERSION):
-            return None
-        n, m = header["relevance"], header["texts"]
-        text_bytes = header["text_bytes"]
-        if (min(n, m, text_bytes) < 0 or os.fstat(fh.fileno()).st_size
-                != fh.tell() + 40 * (n + m) + text_bytes):
-            return None
-        keys, scores = np.empty(n, dtype="S32"), np.empty(n, dtype="<f8")
-        lengths = np.empty(m, dtype="<u8")
-        fh.readinto(keys)
-        fh.readinto(scores)
-        digests = fh.read(32 * m)
-        fh.readinto(lengths)
-        blob = fh.read(text_bytes)
-    body = hashlib.sha256()
-    for table in (keys, scores, digests, lengths, blob):
-        body.update(table)
-    if body.hexdigest() != header["body"]:
-        return None
-    text, texts, at = blob.decode("utf-8", "surrogatepass"), {}, 0
-    for i, end in enumerate(np.cumsum(lengths).tolist()):
-        texts[digests[32 * i:32 * i + 32]] = text[at:end]
-        at = end
-    return header, keys, scores, texts
-
-
-def _hashed(fh, size: int, digest) -> str | None:
-    """The hex ``digest`` after the next ``size`` bytes of ``fh`` are read
-    into it in blocks, or None when the file ends first."""
-    while size:
-        block = fh.read(min(size, HASH_BLOCK))
-        if not block:
-            return None
-        digest.update(block)
-        size -= len(block)
-    return digest.hexdigest()
+def _read_cache(fields: dict, keys, scores, text_keys, texts):
+    """(relevance digests, their values, texts by digest) of a snapshot. The
+    free-text digests are read as ``V32``, whose items keep trailing NULs."""
+    return keys, scores, dict(zip(text_keys.tolist(), texts, strict=True))
 
 
 _space = json.decoder.WHITESPACE.match

@@ -86,10 +86,7 @@ def _setup(args, ds, tau: float = cg.DEFAULT_TAU):
 
 def cmd_ingest(args, ds) -> int:
     g, assets = ds.graph, ds.assets
-    try:
-        ds.write_snapshot()
-    except OSError as exc:
-        print(f"dataset index not written: {exc}", file=sys.stderr)
+    ds.write_snapshot()
     _summary({
         "dataset": ds.dataset_id, "entities": g.n_entities,
         "relations": g.n_relations,

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import KnowledgeGraph, written_beside
+from .kg import KnowledgeGraph
+from .snapshot import written_beside
 
 FAMILIES = ("transe", "distmult", "complex", "rotate")
 LOSSES = ("margin", "logistic")

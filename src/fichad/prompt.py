@@ -35,8 +35,9 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .context import GeneratedContext, V1, V2
-from .kg import KnowledgeGraph, OUT, written_beside
+from .kg import KnowledgeGraph, OUT
 from .linkpred import Query, TAIL
+from .snapshot import written_beside
 
 ENTITY_HEADER = "Entity:"
 DESC_HEADER = "# Generated Entity Description:"

@@ -11,11 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fichad.backend as be
+from fichad import snapshot
 from fichad.backend import (FREE_TEXT, RELEVANCE, BackendError,
                             CachedBackend, CapabilityError, GenerationRequest,
                             HttpBackend, MockBackend, RequestError,
                             ResponseCache, yes_probability)
-from conftest import StubHandler
+from conftest import StubHandler, copy_arles
 
 #: 64-hex cache keys, the form the program writes
 KA, KB, KC = (hashlib.sha256(name).hexdigest() for name in (b"a", b"b", b"c"))
@@ -428,11 +429,11 @@ class TestCacheSnapshot:
 
     def test_covering_snapshot_parses_no_line(self, cache_path, tmp_path,
                                               parsed):
-        """The only JSON such a load reads is the snapshot's header, and it
-        writes no new snapshot."""
+        """Such a load hands no line to the JSON scanner, and it writes no
+        new snapshot."""
         index = index_of(cache_path).read_bytes()
         cache = ResponseCache(cache_path)
-        assert parsed == [index.split(b"\n")[0].decode() + "\n"]
+        assert parsed == []
         assert state(cache) == state(loaded_bare(cache_path, tmp_path))
         assert state(cache)[:2] == (12, 1)
         assert index_of(cache_path).read_bytes() == index
@@ -442,7 +443,8 @@ class TestCacheSnapshot:
         "header-lost-a-key", "header-field-type", "header-covered",
         "header-version", "body-byte", "body-digest", "trailing-byte",
         "index-of-another-cache", "torn-tail", "duplicate-keys-in-tail",
-        "index-not-an-index"])
+        "index-not-an-index", "header-sizes-shifted", "header-corrupt-negative",
+        "header-corrupt", "dataset-snapshot", "bracket-texts"])
     def test_load_equals_a_load_without_snapshot(self, cache_path, tmp_path,
                                                  parsed, change):
         """A snapshot that still checks out is used, and only the lines
@@ -452,11 +454,13 @@ class TestCacheSnapshot:
         index = index_of(cache_path)
         header_line, body = index.read_bytes().split(b"\n", 1)
         header = json.loads(header_line)
+        fields = header["cache"]
 
-        def rewrite(**fields):
-            edited = {k: v for k, v in {**header, **fields}.items()
+        def rewrite(version=header["version"], **edits):
+            edited = {k: v for k, v in {**fields, **edits}.items()
                       if v is not None}
-            index.write_bytes(json.dumps(edited).encode() + b"\n" + body)
+            index.write_bytes(json.dumps({"version": version, "cache": edited})
+                              .encode() + b"\n" + body)
 
         text = cache_path.read_text(encoding="utf-8")
         if change == "record-edited-in-place":
@@ -465,20 +469,20 @@ class TestCacheSnapshot:
                                   encoding="utf-8")
         elif change == "truncated-below-covered":
             with open(cache_path, "r+b") as fh:
-                fh.truncate(header["covered"] // 2)
+                fh.truncate(fields["covered"] // 2)
         elif change == "header-lost-a-key":
             rewrite(corrupt=None)
         elif change == "header-field-type":
-            rewrite(corrupt=float(header["corrupt"]))
+            rewrite(corrupt=float(fields["corrupt"]))
         elif change == "header-covered":
-            rewrite(covered=header["covered"] - 1)
+            rewrite(covered=fields["covered"] - 1)
         elif change == "header-version":
             rewrite(version=header["version"] + 1)
         elif change == "body-byte":
             body = body[:-1] + bytes([body[-1] ^ 1])
             rewrite()
         elif change == "body-digest":
-            rewrite(body=hashlib.sha256(b"").hexdigest())
+            rewrite(digest=hashlib.sha256(b"").hexdigest())
         elif change == "trailing-byte":
             index.write_bytes(index.read_bytes() + b"\0")
         elif change == "index-of-another-cache":
@@ -488,6 +492,31 @@ class TestCacheSnapshot:
                                       for i in range(20)}), encoding="utf-8")
             ResponseCache(other)
             shutil.copyfile(index_of(other), index)
+        elif change == "header-sizes-shifted":
+            # one relevance record's worth moved from the free-text digests:
+            # the sizes still add up to the file's
+            rewrite(relevance=fields["relevance"] + 32,
+                    text_keys=fields["text_keys"] - 32)
+        elif change == "header-corrupt-negative":
+            rewrite(corrupt=-4)
+        elif change == "header-corrupt":
+            rewrite(corrupt=fields["corrupt"] + 1)
+        elif change == "dataset-snapshot":
+            from fichad.cli import main
+            config = copy_arles(tmp_path / "arles")
+            assert main(["ingest", "--dataset", str(config)]) == 0
+            shutil.copyfile(config.with_name("dataset.json.idx"), index)
+        elif change == "bracket-texts":
+            # the texts, the last table, become one line of "[" nested deeper
+            # than the JSON decoder goes, which reads it before the digest
+            # is checked
+            cache_path.write_text(text + records({15: "long " * 1000}),
+                                  encoding="utf-8")
+            ResponseCache(cache_path)
+            data = index.read_bytes()
+            size = json.loads(data.split(b"\n", 1)[0])["cache"]["texts"]
+            assert size > sys.getrecursionlimit()
+            index.write_bytes(data[:-size] + b"[" * (size - 1) + b"\n")
         elif change == "torn-tail":
             cache_path.write_text(text + records({12: 0.125})
                                   + records({13: "torn"})[:-9],
@@ -502,8 +531,8 @@ class TestCacheSnapshot:
         cache = ResponseCache(cache_path)
         data = cache_path.read_bytes()
         kept = change in ("torn-tail", "duplicate-keys-in-tail")
-        assert len(parsed) - 1 == data.count(b"\n") - (
-            data[:header["covered"]].count(b"\n") if kept else 0)
+        assert len(parsed) == data.count(b"\n") - (
+            data[:fields["covered"]].count(b"\n") if kept else 0)
         assert state(cache) == state(loaded_bare(cache_path, tmp_path))
         assert index.read_bytes() == index_of(
             loaded_bare(cache_path, tmp_path).path).read_bytes()
@@ -541,7 +570,7 @@ class TestCacheSnapshot:
         p = tmp_path / "c.jsonl"
         p.write_text(records({i: 0.5 if i % 2 == 0 else "t"
                               for i in range(6)}), encoding="utf-8")
-        monkeypatch.setattr(be, "written_beside", read_only)
+        monkeypatch.setattr(snapshot, "written_beside", read_only)
         bk = CachedBackend(MockBackend(1), ResponseCache(p))
         req = GenerationRequest(prompt="p?", kind=RELEVANCE)
         assert answer(bk, req) == answer(MockBackend(1), req)
@@ -552,21 +581,34 @@ class TestCacheSnapshot:
         assert state(bk.cache) == state(loaded_bare(p, tmp_path))
         assert len(ResponseCache(p)) == 7
 
-    def test_identical_caches_have_identical_snapshots(self, tmp_path):
-        """Texts with lone surrogates, NUL and astral characters keep their
-        code points through the snapshot."""
-        texts = {1: "\ud800 lone", 3: "nul \x00 and \U0001f600", 5: "é"}
+    def test_identical_caches_have_identical_snapshots(self, tmp_path,
+                                                      parsed):
+        """Texts with lone surrogates, NUL, astral characters and newlines
+        keep their code points through the snapshot, as does a non-ASCII
+        text with a character across a read block's end, and a text whose
+        digest ends in a NUL byte keeps its record."""
+        texts = {KEYS[1]: "\ud800 lone", KEYS[3]: "nul \x00 and \U0001f600",
+                 KEYS[5]: "é", KEYS[7]: "a reply\nover two lines\n",
+                 KEYS[9]: "ü" + "美術館" * 30000,
+                 hashlib.sha256(b"403").hexdigest(): "ends in NUL"}
+        assert bytes.fromhex(list(texts)[-1])[-1] == 0
         paths = []
         for name in ("a", "b"):
             p = tmp_path / name / "c.jsonl"
             p.parent.mkdir()
-            p.write_text(records({0: 0.5, **texts}), encoding="utf-8")
+            p.write_text(records({0: 0.5}) + "".join(
+                record(key, FREE_TEXT, text) for key, text in texts.items()),
+                encoding="utf-8")
             ResponseCache(p)
             paths.append(p)
-        assert (index_of(paths[0]).read_bytes()
-                == index_of(paths[1]).read_bytes())
+        data = index_of(paths[0]).read_bytes()
+        assert data == index_of(paths[1]).read_bytes()
+        table = data[-json.loads(data.split(b"\n", 1)[0])["cache"]["texts"]:]
+        assert table[snapshot.BLOCK] & 0xC0 == 0x80  # inside a character
+        parsed.clear()
         got = ResponseCache(paths[0]).get_many(
-            [bytes.fromhex(KEYS[i]) for i in texts], [FREE_TEXT] * 3)
+            [bytes.fromhex(key) for key in texts], [FREE_TEXT] * len(texts))
+        assert parsed == []  # the texts came from the snapshot
         assert got == list(texts.values())
 
 

@@ -488,7 +488,8 @@ class TestSnapshot:
     @pytest.mark.parametrize("damage", [
         "truncated", "graph-byte", "assets-byte", "version", "lost-field",
         "extra-field", "field-type", "negative-count", "other-dataset",
-        "garbage"])
+        "garbage", "rows-moved", "skipped-names", "cache-snapshot",
+        "bracket-texts"])
     def test_a_bad_snapshot_is_ignored_and_rewritten(self, tmp_path, generated,
                                                      damage):
         fresh = unindexed_copy(ARLES_CONFIG, tmp_path / "fresh")
@@ -508,6 +509,21 @@ class TestSnapshot:
             bad = generated.with_name("dataset.json.idx").read_bytes()
         elif damage == "garbage":
             bad = b"[" * 3000 + b"\n" + body
+        elif damage == "cache-snapshot":
+            cache = tmp_path / "cache" / "cache.jsonl"
+            cache.parent.mkdir()
+            cache.write_text(json.dumps({"k": "0" * 64, "kind": "relevance",
+                                         "v": 0.5}) + "\n", encoding="utf-8")
+            from fichad.backend import ResponseCache
+            ResponseCache(cache)
+            bad = cache.with_name("cache.jsonl.idx").read_bytes()
+        elif damage == "bracket-texts":
+            # the entity labels, the first text table, become one line of
+            # "[": the JSON decoder reads it before the digest is checked
+            g = header["graph"]
+            at = len(head) + 1 + g["train"] + g["valid"] + g["test"]
+            bad = (want[:at] + b"[" * (g["entities"] - 1) + b"\n"
+                   + want[at + g["entities"]:])
         else:
             if damage == "version":
                 header["version"] += 1
@@ -517,6 +533,15 @@ class TestSnapshot:
                 header["assets"]["extra"] = 0
             elif damage == "field-type":
                 header["graph"]["train"] = float(header["graph"]["train"])
+            elif damage == "rows-moved":
+                # one train row's worth of the train table's size moved to
+                # the valid table's: the sizes still add up to the file's
+                rows = len(load_dataset(fresh).graph.splits["train"])
+                row = header["graph"]["train"] // rows
+                header["graph"]["train"] -= row
+                header["graph"]["valid"] += row
+            elif damage == "skipped-names":
+                header["graph"]["skipped_name_lines"] += 1
             else:
                 header["graph"]["skipped_name_lines"] = -1
             bad = json.dumps(header).encode() + b"\n" + body
