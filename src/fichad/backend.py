@@ -37,9 +37,9 @@ import os
 import time
 from array import array
 from contextlib import closing
-from dataclasses import dataclass
 from itertools import compress
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,14 +82,16 @@ class RequestError(ValueError):
     """Invalid generation request."""
 
 
-@dataclass(frozen=True)
-class GenerationRequest:
+class GenerationRequest(NamedTuple):
     """One backend call: prompt, attached images, decoding parameters.
 
-    Every request samples at :data:`TEMPERATURE`. ``subjects`` carries the
-    display names the reply is expected to mention; the wire backend ignores
-    it, the mock uses it to compose realistic deterministic text. It is part
-    of the canonical form (and thus the cache key).
+    An immutable, hashable record: a named tuple, so it holds its five fields
+    and nothing else, and builds in about half the time of a frozen
+    dataclass. Every request samples at :data:`TEMPERATURE`. ``subjects``
+    carries the display names the reply is expected to mention; the wire
+    backend ignores it, the mock uses it to compose realistic deterministic
+    text. It is part of the canonical form (and thus the cache key), which
+    :func:`canonical_forms` writes.
     """
 
     prompt: str
@@ -105,14 +107,34 @@ class GenerationRequest:
             raise RequestError(f"unknown request kind: {self.kind!r}")
 
     def canonical(self) -> str:
-        """Stable JSON serialization used for cache keys and mock hashing:
-        ``json.dumps`` of the six fields with sorted keys, ASCII escapes and
-        no spaces, written out in that order."""
-        return (f'{{"images":[{",".join(map(_quoted, self.images))}],'
-                f'"kind":{_quoted(self.kind)},"max_tokens":{self.max_tokens},'
-                f'"prompt":{_quoted(self.prompt)},'
-                f'"subjects":[{",".join(map(_quoted, self.subjects))}],'
+        """The request's canonical form, as :func:`canonical_forms` writes
+        it for a batch of one."""
+        return canonical_forms([self])[0]
+
+
+def canonical_forms(requests: list[GenerationRequest]) -> list[str]:
+    """The canonical form of each request, in order: the stable JSON
+    serialization used for cache keys and mock hashing, ``json.dumps`` of the
+    six fields with sorted keys, ASCII escapes and no spaces.
+
+    ``images`` sorts first, so the fields after it are written once per
+    distinct (kind, max_tokens, prompt, subjects) of the batch and each
+    request's images are put in front: a relevance fan-out, one prompt over
+    many images, writes its prompt once. The written parts live only for the
+    call; nothing is kept on a request.
+    """
+    rests: dict[tuple, str] = {}
+    forms = []
+    for prompt, images, kind, max_tokens, subjects in requests:
+        rest = rests.get(shared := (kind, max_tokens, prompt, subjects))
+        if rest is None:
+            rest = rests[shared] = (
+                f'],"kind":{_quoted(kind)},"max_tokens":{max_tokens},'
+                f'"prompt":{_quoted(prompt)},'
+                f'"subjects":[{",".join(map(_quoted, subjects))}],'
                 f'"temperature":{_TEMPERATURE}}}')
+        forms.append(f'{{"images":[{",".join(map(_quoted, images))}{rest}')
+    return forms
 
 
 class GenerationBackend:
@@ -131,7 +153,7 @@ class GenerationBackend:
 
     def _answer(self, request: GenerationRequest, canonical: str):
         """The text or the probability of one request, as its kind says;
-        ``canonical`` is ``request.canonical()``."""
+        ``canonical`` is the request's canonical form."""
         raise NotImplementedError
 
     def answer_many(self, requests: list[GenerationRequest],
@@ -147,7 +169,7 @@ class GenerationBackend:
         cache front has for their keys, so no request is serialized twice.
         """
         if canonicals is None:
-            canonicals = map(GenerationRequest.canonical, requests)
+            canonicals = canonical_forms(requests)
         for request, canonical in zip(requests, canonicals):
             try:
                 yield self._answer(request, canonical)
@@ -596,7 +618,7 @@ class CachedBackend(GenerationBackend):
         read the same canonical form.
         """
         if canonicals is None:
-            canonicals = [r.canonical() for r in requests]
+            canonicals = canonical_forms(requests)
         keys = [self._key(r, c) for r, c in zip(requests, canonicals)]
         hits = self.cache.get_many(keys, [r.kind for r in requests])
         sent: dict[bytes, object] = {}  # key -> outcome of the request sent

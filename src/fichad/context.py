@@ -20,6 +20,7 @@ import string
 from collections.abc import Iterable, Iterator
 from contextlib import closing
 from dataclasses import dataclass, field, asdict
+from functools import lru_cache
 from itertools import chain, islice, starmap
 from pathlib import Path
 
@@ -78,10 +79,15 @@ DEFAULT_TEMPLATES = {
 }
 
 
-def _slots(template: str) -> set[str]:
-    """Names of the ``{slot}`` fields in ``template``; malformed is ValueError."""
-    return {name for _, name, _, _ in string.Formatter().parse(template)
-            if name is not None}
+@lru_cache(maxsize=64)
+def _slots(template: str) -> frozenset[str]:
+    """Names of the ``{slot}`` fields in ``template``; malformed is ValueError.
+
+    Parsed once per template: only template strings reach it, the defaults
+    and the ``--prompts`` overrides. A malformed one raises on every call,
+    as an exception is not cached."""
+    return frozenset(name for _, name, _, _
+                     in string.Formatter().parse(template) if name is not None)
 
 
 def instantiate(template: str, **slots: str) -> str:

@@ -72,6 +72,46 @@ class TestRequest:
              "subjects": subjects},
             sort_keys=True, ensure_ascii=True, separators=(",", ":"))
 
+    @given(pool=st.tuples(
+               st.lists(ANY_TEXT, min_size=1, max_size=3),
+               st.lists(st.lists(ANY_TEXT, max_size=2).map(tuple),
+                        min_size=1, max_size=3),
+               st.lists(st.integers(0, 1 << 20), min_size=1, max_size=3)),
+           picks=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                    st.sampled_from([FREE_TEXT, RELEVANCE]),
+                                    st.integers(0, 2),
+                                    st.lists(ANY_TEXT, max_size=2)),
+                          max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_forms_are_the_sorted_json_forms(self, pool, picks):
+        """Requests drawn from a small pool share some of the fields after
+        ``images`` and differ in others; each form stays its own."""
+        prompts, subject_sets, token_counts = pool
+        requests = [GenerationRequest(
+            prompt=prompts[p % len(prompts)], images=tuple(images), kind=kind,
+            max_tokens=token_counts[m % len(token_counts)],
+            subjects=subject_sets[s % len(subject_sets)])
+            for p, s, kind, m, images in picks]
+        assert be.canonical_forms(requests) == [json.dumps(
+            {"prompt": r.prompt, "images": list(r.images), "kind": r.kind,
+             "temperature": 1.0, "max_tokens": r.max_tokens,
+             "subjects": list(r.subjects)},
+            sort_keys=True, ensure_ascii=True, separators=(",", ":"))
+            for r in requests]
+
+    def test_request_is_an_immutable_hashable_record(self):
+        a = GenerationRequest(prompt="p", images=("x",), kind=RELEVANCE,
+                              max_tokens=1, subjects=("s",))
+        b = GenerationRequest(prompt="p", images=("x",), kind=RELEVANCE,
+                              max_tokens=1, subjects=("s",))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        for name in ("prompt", "images", "kind", "max_tokens", "subjects"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):  # nothing can be kept on it
+            a.form = a.canonical()
+        assert a != a._replace(max_tokens=2)
+
     @pytest.mark.parametrize("request_, canonical, key", [
         (GenerationRequest(
             prompt="Do these images depict both Arles and Vincent together? "
@@ -188,14 +228,15 @@ class TestCache:
 
     def test_request_sent_is_serialized_once(self, tmp_path, monkeypatch):
         """The mock's digest reads the canonical form the key was built
-        from; a hit is serialized once as well."""
+        from; a hit is serialized once as well. Counted through the batch
+        serializer, which ``GenerationRequest.canonical`` calls too."""
         built = []
 
-        def canonical(request, build=GenerationRequest.canonical):
-            built.append(request)
-            return build(request)
+        def canonical_forms(requests, build=be.canonical_forms):
+            built.extend(requests)
+            return build(requests)
 
-        monkeypatch.setattr(GenerationRequest, "canonical", canonical)
+        monkeypatch.setattr(be, "canonical_forms", canonical_forms)
         bk = CachedBackend(MockBackend(1), ResponseCache(tmp_path / "c.jsonl"))
         reqs = [GenerationRequest(prompt=f"p{i}", kind=kind)
                 for i in range(3) for kind in (RELEVANCE, FREE_TEXT)]

@@ -22,6 +22,23 @@ class TestTemplates:
         with pytest.raises(TemplateError, match="name"):
             instantiate("hi {name}")
 
+    def test_missing_slot_is_error_on_every_call(self):
+        """The parsed slots are memoized; the check against the given
+        slots is not."""
+        template = "hi {name} from {place}"
+        assert instantiate(template, name="x", place="y") == "hi x from y"
+        for _ in range(3):
+            with pytest.raises(TemplateError, match="place"):
+                instantiate(template, name="x")
+
+    def test_malformed_override_fails_every_load(self, tmp_path):
+        """A template that does not parse is not memoized: each load of the
+        directory raises again."""
+        (tmp_path / "relevance.txt").write_text("Is {head with {tail}?\n")
+        for _ in range(3):
+            with pytest.raises(TemplateError, match="malformed template"):
+                load_templates(tmp_path)
+
     def test_load_dir_overrides_defaults(self, tmp_path):
         default = DEFAULT_TEMPLATES["relevance"]
         (tmp_path / "relevance.txt").write_text("custom {head} {tail}\n")
