@@ -86,12 +86,12 @@ class GenerationRequest(NamedTuple):
     """One backend call: prompt, attached images, decoding parameters.
 
     An immutable, hashable record: a named tuple, so it holds its five fields
-    and nothing else, and builds in about half the time of a frozen
-    dataclass. Every request samples at :data:`TEMPERATURE`. ``subjects``
-    carries the display names the reply is expected to mention; the wire
-    backend ignores it, the mock uses it to compose realistic deterministic
-    text. It is part of the canonical form (and thus the cache key), which
-    :func:`canonical_forms` writes.
+    and nothing else, and is cheaper to build than a frozen dataclass. Every
+    request samples at :data:`TEMPERATURE`. ``subjects`` carries the display
+    names the reply is expected to mention; the wire backend ignores it, the
+    mock uses it to compose realistic deterministic text. It is part of the
+    canonical form (and thus the cache key), which :func:`canonical_forms`
+    writes.
     """
 
     prompt: str
