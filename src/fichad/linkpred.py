@@ -9,6 +9,7 @@ so a constant scorer cannot game Hits@K.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -105,20 +106,40 @@ def evaluate(scorer, graph: KnowledgeGraph, split: str = "test") -> EvalReport:
     ``scorer(query)`` must return one finite score per entity handle, shape
     ``(n_entities,)``; higher = more plausible. The other known answers are
     left out of the rank, not out of the scoring.
+
+    Queries are scored and ranked on a thread pool with one worker per CPU
+    the process may use, so ``scorer`` may be called from several threads
+    at once and must be safe to call concurrently (``model_scorer`` only
+    reads the model). numpy releases the interpreter lock inside its array
+    loops, so the scoring of different queries overlaps. Ranks are collected
+    in query order, so the report does not depend on the worker count. The
+    first failing query in that order raises; queries not yet started are
+    then cancelled, not awaited.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     queries = queries_for_split(graph, split)
     if not queries:
         raise EvalError(f"split {split!r} is empty")
-    ranks = {TAIL: [], HEAD: []}
-    for q in queries:
+
+    def query_rank(q: Query) -> float:
         scores = np.asarray(scorer(q), dtype=np.float64)
         if scores.shape != (graph.n_entities,):
             raise EvalError(f"scorer returned scores of shape {scores.shape}, "
                             f"expected ({graph.n_entities},)")
         if not np.all(np.isfinite(scores)):
             raise EvalError("scorer returned non-finite scores")
-        ranks[q.direction].append(rank(scores, q.answer,
-                                       other_answers(graph, q)))
+        return rank(scores, q.answer, other_answers(graph, q))
+
+    ranks = {TAIL: [], HEAD: []}
+    workers = (len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        for q, r in zip(queries, pool.map(query_rank, queries)):
+            ranks[q.direction].append(r)
+    finally:
+        pool.shutdown(cancel_futures=True)
     return report_from_ranks(ranks[HEAD], ranks[TAIL])
 
 

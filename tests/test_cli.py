@@ -598,6 +598,49 @@ def test_ctrl_c_abandons_requests_in_flight(tmp_path, monkeypatch):
                     conn.close()
 
 
+def test_ctrl_c_abandons_queued_eval_queries(capsys, tmp_path):
+    """A first SIGINT ends an eval with exit 130 while its queries are being
+    scored; the queries still queued on the scoring pool are not scored."""
+    config = write_synthetic_dataset(tmp_path / "ds", n_entities=50,
+                                     n_relations=2, n_train=60, n_valid=5,
+                                     n_test=40, images_per_entity=0)
+    code, summary = run(capsys, "train-embed", "--dataset", str(config),
+                        "--out", str(tmp_path / "run"), "--dim", "4",
+                        "--epochs", "1")
+    assert code == EXIT_OK
+    script = ("import signal, sys, time\n"
+              "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+              "from fichad import linkpred\n"
+              "from fichad.cli import main\n"
+              "model_scorer = linkpred.model_scorer\n"
+              "def slow_scorer(model):\n"
+              "    score = model_scorer(model)\n"
+              "    def scorer(q):\n"
+              "        print('scoring', flush=True)\n"
+              "        time.sleep(0.2)\n"
+              "        return score(q)\n"
+              "    return scorer\n"
+              "linkpred.model_scorer = slow_scorer\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    argv = ["eval", "--dataset", str(config), "--model", summary["checkpoint"]]
+    with subprocess.Popen([sys.executable, "-c", script, *argv],
+                          env=_subprocess_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            assert proc.stdout.readline() == "scoring\n"
+            proc.send_signal(signal.SIGINT)
+            try:
+                out, err = proc.communicate(timeout=5)
+            except subprocess.TimeoutExpired:
+                pytest.fail("the eval was still going 5 s after SIGINT")
+            assert proc.returncode == EXIT_INTERRUPTED
+            assert err.strip().endswith("interrupted")
+            assert 1 + out.count("scoring\n") < 80
+        finally:
+            proc.kill()
+            proc.communicate()
+
+
 def test_templates_wire_failure_is_backend_error(capsys, tmp_path,
                                                  stub_server):
     """A dead endpoint fails the run instead of yielding literal templates."""

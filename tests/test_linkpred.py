@@ -1,15 +1,26 @@
+import itertools
 import json
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fichad.kg import KnowledgeGraph, Triple
-from fichad.linkpred import (EvalError, Query, evaluate, other_answers,
-                             queries_for_split, rank, report_from_ranks)
-from conftest import (brute_force_candidates, brute_force_report, make_vocab,
-                      random_graph)
+import fichad
+from fichad.embed import init_model
+from fichad.kg import KnowledgeGraph, Triple, load_dataset, SPLITS
+from fichad.linkpred import (EvalError, Query, evaluate, model_scorer,
+                             other_answers, queries_for_split, rank,
+                             report_from_ranks)
+from conftest import (ARLES_CONFIG, brute_force_candidates,
+                      brute_force_report, make_vocab, random_graph,
+                      two_cluster_graph)
 
 
 def make_random_scorer(seed):
@@ -176,3 +187,131 @@ class TestOracleEquivalence:
         warped = evaluate(entity_scorer(score, g, lambda s: np.exp(3 * s) + 1),
                           g)
         assert base.to_dict() == warped.to_dict()
+
+
+def _cpus() -> int:
+    """The CPUs this process may use, counted as ``evaluate`` counts them."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def serial_evaluate(scorer, graph, split="test"):
+    """The reference: one query after another on the calling thread."""
+    ranks = {"tail": [], "head": []}
+    for q in queries_for_split(graph, split):
+        scores = np.asarray(scorer(q), dtype=np.float64)
+        if scores.shape != (graph.n_entities,):
+            raise EvalError(f"scorer returned scores of shape {scores.shape}, "
+                            f"expected ({graph.n_entities},)")
+        if not np.all(np.isfinite(scores)):
+            raise EvalError("scorer returned non-finite scores")
+        ranks[q.direction].append(rank(scores, q.answer,
+                                       other_answers(graph, q)))
+    return report_from_ranks(ranks["head"], ranks["tail"])
+
+
+def arles_reports(evaluate_fn, threads: list | None = None) -> dict:
+    """Report dicts of ``evaluate_fn`` on every arles split for every family,
+    TransE-L2 and a constant scorer; ``threads`` gets one set per evaluation,
+    of the idents of the threads that scored its queries."""
+    graph = load_dataset(ARLES_CONFIG).graph
+    scorers = {"constant": lambda q: np.zeros(graph.n_entities)}
+    for family, norm in (("transe", 1), ("transe", 2), ("distmult", 1),
+                         ("complex", 1), ("rotate", 1)):
+        model = init_model(family, graph.n_entities, graph.n_relations, 6,
+                           seed=5, transe_norm=norm)
+        scorers[f"{family}-l{norm}"] = model_scorer(model)
+
+    def recorded(scorer):
+        idents = set()
+        if threads is not None:
+            threads.append(idents)
+
+        def wrapped(q):
+            idents.add(threading.get_ident())
+            return scorer(q)
+        return wrapped
+
+    return {f"{name}/{split}": evaluate_fn(recorded(scorer), graph,
+                                           split).to_dict()
+            for name, scorer in scorers.items() for split in SPLITS}
+
+
+class TestThreadPool:
+    """``evaluate`` scores queries on a pool of one thread per usable CPU."""
+
+    def test_report_equals_the_serial_loop(self):
+        got = arles_reports(evaluate)
+        assert got == arles_reports(serial_evaluate)
+        assert all(r["hits1"] == 0.0 for name, r in got.items()
+                   if name.startswith("constant/")), "not a full tie"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="needs os.sched_setaffinity")
+    def test_report_on_one_cpu_equals_the_serial_loop(self):
+        """Pinned to one CPU, the pool has one worker, and the report is
+        still the serial loop's."""
+        src = str(Path(fichad.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH", "")]))
+        script = ("import json, os\n"
+                  "os.sched_setaffinity(os.getpid(), "
+                  "{min(os.sched_getaffinity(0))})\n"
+                  "from fichad.linkpred import evaluate\n"
+                  "from test_linkpred import arles_reports\n"
+                  "threads = []\n"
+                  "reports = arles_reports(evaluate, threads)\n"
+                  "print(json.dumps([max(map(len, threads)), reports]))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        n_threads, reports = json.loads(proc.stdout)
+        assert n_threads == 1
+        assert reports == arles_reports(serial_evaluate)
+
+    @pytest.mark.skipif(_cpus() < 2, reason="the process may use one CPU")
+    def test_two_queries_are_scored_at_once(self):
+        """The first two calls each wait for the other: a serial loop breaks
+        the barrier after 5 s."""
+        g = two_cluster_graph()
+        barrier = threading.Barrier(2, timeout=5)
+        calls = itertools.count()
+
+        def scorer(q):
+            if next(calls) < 2:
+                barrier.wait()
+            return np.zeros(g.n_entities)
+
+        assert evaluate(scorer, g).to_dict() == serial_evaluate(
+            lambda q: np.zeros(g.n_entities), g).to_dict()
+
+    @pytest.mark.parametrize("k", [0, 9])
+    def test_first_failing_query_raises_and_the_rest_are_cancelled(self, k):
+        """Query k fails after query k+1 has failed otherwise; the error is
+        query k's, as in the serial loop, and the queued queries are not
+        scored."""
+        g = two_cluster_graph()
+        index = {q: i for i, q in enumerate(queries_for_split(g, "test"))}
+        assert len(index) == 2 * len(g.splits["test"])
+        calls = []
+
+        def scorer(q):
+            i = index[q]
+            calls.append(i)
+            time.sleep(0.01 if i == k + 1 else 0.02)
+            if i == k:
+                return np.zeros(g.n_entities - 1)
+            if i == k + 1:
+                return np.full(g.n_entities, np.nan)
+            return np.zeros(g.n_entities)
+
+        with pytest.raises(EvalError) as serial:
+            serial_evaluate(lambda q: scorer(q) if index[q] <= k
+                            else pytest.fail("scored past the failure"), g)
+        calls.clear()
+        with pytest.raises(EvalError) as pooled:
+            evaluate(scorer, g)
+        assert str(pooled.value) == str(serial.value)
+        assert "shape" in str(pooled.value)
+        assert len(calls) <= k + 1 + 2 * _cpus()
