@@ -118,6 +118,8 @@ def _retain_freed_heap() -> None:
     case: each 256-row block's temporaries (400 KB at d = 200) sit above
     glibc's default 128 KB mmap threshold, so without the policy every block
     maps and faults them in afresh, about three times the time per query.
+    The thresholds hold for every malloc arena, so ``eval``'s scoring
+    threads, each allocating from its own arena, keep their blocks too.
     """
     import ctypes
 
