@@ -22,6 +22,7 @@ from pathlib import Path
 from . import backend as be
 from . import context as cg
 from . import embed, kg, linkpred, prompt
+from .snapshot import written_beside
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -139,8 +140,7 @@ def cmd_train_embed(args, ds) -> int:
                             loss=args.loss, l2=args.l2, seed=args.seed)
     losses = []
     model = embed.train(cfg, ds.graph, log=lambda e, l: losses.append(l))
-    out = _out_dir(args)
-    ckpt = out / "model.ckpt"
+    ckpt = _out_dir(args) / "model.ckpt"
     model.save(ckpt)
     _summary({"checkpoint": str(ckpt), "family": cfg.family,
               "final_loss": losses[-1] if losses else None,
@@ -159,9 +159,8 @@ def cmd_eval(args, ds) -> int:
     report = linkpred.evaluate(linkpred.model_scorer(model), g,
                                split=args.split)
     if args.out:
-        out = _out_dir(args)
-        (out / "report.json").write_text(report.to_json() + "\n",
-                                         encoding="utf-8")
+        with written_beside(_out_dir(args) / "report.json") as fh:
+            fh.write(report.to_json() + "\n")
         print(report.to_table(), file=sys.stderr)
     _summary(report.to_dict(), args)
     return EXIT_OK
@@ -171,8 +170,7 @@ def cmd_filter_images(args, ds) -> int:
     gen, out = _setup(args, ds, args.tau)
     g = ds.graph
     n_retained = 0
-    with open(out / "filtered_images.jsonl", "w", encoding="utf-8",
-              newline="\n") as fh:
+    with written_beside(out / "filtered_images.jsonl") as fh:
         for t, (fhd, ftl) in zip(g.triples(args.split),
                                  gen.filtered_images(g.triples(args.split))):
             n_retained += len(fhd) + len(ftl)
@@ -208,7 +206,7 @@ def cmd_hints(args, ds) -> int:
     pairs = dict.fromkeys((head, relation) for head, relation, _
                           in g.splits[args.split].tolist())
     n_flagged = 0
-    with open(out / "hints.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+    with written_beside(out / "hints.jsonl") as fh:
         for (head, relation), (text, flagged) in zip(pairs, gen.hints(pairs)):
             n_flagged += flagged
             fh.write(json.dumps({"entity": g.entities.label_of(head),
@@ -225,9 +223,9 @@ def cmd_templates(args, ds) -> int:
     rel = ds.graph.relations
     result = dict(zip(map(rel.label_of, range(len(rel))),
                       gen.relation_templates()))
-    (out / "templates.json").write_text(
-        json.dumps(result, sort_keys=True, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8")
+    with written_beside(out / "templates.json") as fh:
+        fh.write(json.dumps(result, sort_keys=True, indent=2,
+                            ensure_ascii=False) + "\n")
     _summary({"relations": len(result), **gen.backend.counts()}, args)
     return EXIT_OK
 
@@ -278,10 +276,9 @@ def cmd_stats(args, ds) -> int:
                                 dataset_id=ds.dataset_id)
     print(stats.to_table(), file=sys.stderr)
     if args.out:
-        out = _out_dir(args)
-        (out / "stats.json").write_text(
-            json.dumps(stats.to_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8")
+        with written_beside(_out_dir(args) / "stats.json") as fh:
+            fh.write(json.dumps(stats.to_dict(), sort_keys=True, indent=2)
+                     + "\n")
     _summary(stats.to_dict(), args)
     return EXIT_OK
 

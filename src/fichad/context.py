@@ -30,6 +30,7 @@ from .backend import RELEVANCE, BackendError, CapabilityError, \
     GenerationBackend, GenerationRequest
 from .kg import KnowledgeGraph, MultimodalAssets, Triple, _sorted_unique, \
     first_sentence
+from .snapshot import written_beside
 
 V1 = "fichad-1"
 V2 = "fichad-2"
@@ -220,7 +221,7 @@ def read_context_store(path) -> Iterator[GeneratedContext]:
 
 
 def write_context_store(path, contexts: list[GeneratedContext]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with written_beside(path) as fh:
         for ctx in contexts:
             fh.write(ctx.to_json_line() + "\n")
 

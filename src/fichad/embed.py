@@ -29,8 +29,10 @@ FAMILIES = ("transe", "distmult", "complex", "rotate")
 LOSSES = ("margin", "logistic")
 
 _MAGIC = b"FKGE0001"
-_HEADER_KEYS = ("dim", "entity_complex", "family", "margin", "n_entities",
-                "n_relations", "relation_complex", "seed", "transe_norm")
+_HEADER_TYPES = {"dim": (int,), "entity_complex": (bool,), "family": (str,),
+                 "margin": (int, float), "n_entities": (int,),
+                 "n_relations": (int,), "relation_complex": (bool,),
+                 "seed": (int,), "transe_norm": (int,)}
 #: entity rows per scoring block; a block's temporaries stay cache-sized
 SCORE_BLOCK = 256
 
@@ -145,7 +147,7 @@ class EmbeddingModel:
             "relation_complex": bool(np.iscomplexobj(self.relation)),
         }
         raw = json.dumps(header, sort_keys=True).encode("utf-8")
-        with written_beside(path) as tmp, open(tmp, "wb") as fh:
+        with written_beside(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
@@ -202,17 +204,22 @@ class EmbeddingModel:
 
 
 def _header(raw: bytes, path) -> dict:
-    """The checkpoint's JSON header, checked to hold every key ``load`` reads."""
+    """The checkpoint's JSON header, with every key ``load`` reads, typed."""
     try:
         header = json.loads(raw.decode("utf-8"))
     except ValueError:
         header = None
     if not isinstance(header, dict):
         raise ValueError(f"checkpoint header is not a JSON object: {path}")
-    missing = sorted(set(_HEADER_KEYS) - header.keys())
+    missing = sorted(_HEADER_TYPES.keys() - header.keys())
     if missing:
         raise ValueError(
             f"checkpoint header lacks {', '.join(missing)}: {path}")
+    wrong = [key for key, kinds in _HEADER_TYPES.items()
+             if type(header[key]) not in kinds]
+    if wrong:
+        raise ValueError(f"checkpoint header {', '.join(wrong)} is not of "
+                         f"its type: {path}")
     return header
 
 

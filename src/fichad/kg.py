@@ -141,15 +141,15 @@ class KnowledgeGraph:
     - ``known_tails``/``known_heads``: the sorted unique keys of all splits
       (the filtered-evaluation universe) in (h, r, t) order and again in
       (t, r, h) order; the answers to (h, r) are the key range
-      ``[(h·R + r)·E, (h·R + r + 1)·E)``, found by binary search;
+      ``[(h·R + r)·E, (h·R + r + 1)·E)``, found by binary search and
+      returned as sorted int64 handles;
     - ``neighbors``: the incident edges of the union sorted by (entity,
       relation, neighbor, out before in), with per-entity offsets;
     - ``triples_with_relation``: the train rows sorted by (relation, head,
       tail), with per-relation offsets.
 
-    ``in_train_rows`` and ``triples_with_relation`` answer with arrays, the
-    latter a read-only view of the sorted rows; the other answers are plain
-    Python ``int``, ``set`` and ``list`` values.
+    ``neighbors`` answers with a list of plain Python values, the others with
+    arrays; ``triples_with_relation`` with a read-only view of sorted rows.
     A triple whose handles lie outside the vocabularies, or a vocabulary so
     large that ``E²·R`` does not fit in int64, raises :class:`DatasetError`.
     """
@@ -197,9 +197,6 @@ class KnowledgeGraph:
     def _key(self, first, relation, last):
         return (first * self._n_rel + relation) * self._n_ent + last
 
-    def _pair_ok(self, entity, relation) -> bool:
-        return 0 <= entity < self._n_ent and 0 <= relation < self._n_rel
-
     @property
     def n_entities(self) -> int:
         return len(self.entities)
@@ -227,17 +224,17 @@ class KnowledgeGraph:
         i = np.minimum(keys.searchsorted(key), len(keys) - 1)
         return ok & (keys[i] == key)
 
-    def _answers(self, keys, entity: int, relation: int) -> set[int]:
-        if not self._pair_ok(entity, relation):
-            return set()
+    def _answers(self, keys, entity: int, relation: int) -> np.ndarray:
+        if not (0 <= entity < self._n_ent and 0 <= relation < self._n_rel):
+            return keys[:0]
         base = self._key(entity, relation, 0)
         lo, hi = keys.searchsorted((base, base + self._n_ent)).tolist()
-        return set((keys[lo:hi] - base).tolist())
+        return keys[lo:hi] - base
 
-    def known_tails(self, head: int, relation: int) -> set[int]:
+    def known_tails(self, head: int, relation: int) -> np.ndarray:
         return self._answers(self._hrt, head, relation)
 
-    def known_heads(self, tail: int, relation: int) -> set[int]:
+    def known_heads(self, tail: int, relation: int) -> np.ndarray:
         return self._answers(self._trh, tail, relation)
 
     def neighbors(self, entity: int, k: int) -> list[tuple[int, int, str]]:

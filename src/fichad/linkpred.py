@@ -67,28 +67,19 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def other_answers(graph: KnowledgeGraph, query: Query) -> set[int]:
-    """Known answers to ``query`` in any split, other than its own answer."""
-    if query.direction == TAIL:
-        known = graph.known_tails(query.known, query.relation)
-    else:
-        known = graph.known_heads(query.known, query.relation)
-    known.discard(query.answer)
-    return known
+def rank(scores: np.ndarray, answer: int, known: np.ndarray) -> float:
+    """Mean-tie real-valued rank of ``answer`` among entities that are not
+    other known answers; ``known`` holds each known answer once, ``answer``
+    too, so it ties itself once in each tie count below and they cancel.
 
-
-def rank(scores: np.ndarray, answer: int, excluded: set[int]) -> float:
-    """Mean-tie real-valued rank of ``answer`` among entities not ``excluded``.
-
-    rank = 1 + #{strictly greater} + #{ties excluding the answer} / 2, each
-    count taken over all scores minus the same count over the excluded ones.
-    """
+    rank = 1 + #{strictly greater} + #{ties} / 2, each count taken over all
+    scores minus the same count over ``known``."""
     s_true = scores[answer]
-    other = scores[np.fromiter(excluded, dtype=np.intp, count=len(excluded))]
+    known_scores = scores[known]
     greater = (np.count_nonzero(scores > s_true)
-               - np.count_nonzero(other > s_true))
+               - np.count_nonzero(known_scores > s_true))
     ties = (np.count_nonzero(scores == s_true)
-            - np.count_nonzero(other == s_true) - 1)
+            - np.count_nonzero(known_scores == s_true))
     return 1.0 + int(greater) + int(ties) / 2.0
 
 
@@ -129,7 +120,9 @@ def evaluate(scorer, graph: KnowledgeGraph, split: str = "test") -> EvalReport:
                             f"expected ({graph.n_entities},)")
         if not np.all(np.isfinite(scores)):
             raise EvalError("scorer returned non-finite scores")
-        return rank(scores, q.answer, other_answers(graph, q))
+        known = (graph.known_tails(q.known, q.relation) if q.direction == TAIL
+                 else graph.known_heads(q.known, q.relation))
+        return rank(scores, q.answer, known)
 
     ranks = {TAIL: [], HEAD: []}
     workers = (len(os.sched_getaffinity(0))

@@ -237,10 +237,9 @@ def truncate(s: Sections, limit: int) -> bool:
 
 
 def export_prompts(inputs: Iterable[KgcInput], path) -> None:
-    """Write one JSONL record per input as it arrives, to a file beside
-    ``path`` renamed over it at the end: a failed input leaves no half file."""
-    with written_beside(path) as tmp, \
-            open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+    """Write one JSONL record per input as it arrives, through
+    ``written_beside``: a failed input leaves no half file."""
+    with written_beside(path) as fh:
         for item in inputs:
             q = item.query
             rec = {"query": {"direction": q.direction, "known": q.known,

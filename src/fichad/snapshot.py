@@ -1,15 +1,17 @@
-"""Verified snapshots: binary files derived from other files and kept
-beside them, so that a load need not parse those files again.
+"""Output files and verified snapshots.
 
-A snapshot is one JSON header line, then each section's tables in order.
-The header holds the format :data:`VERSION` and, under each section's name,
-its fields, its tables' byte sizes and ``digest``: the sha256 of the
-section's other entries, as ``json.dumps`` writes them, then of its tables.
-An array table is a little-endian numpy array. A text table holds each text
-as its ``json.dumps(text, ensure_ascii=False)`` literal on a line of its
-own, in UTF-8 with ``surrogatepass``, so newlines, NUL and lone surrogates
-keep. A :class:`Layout` names the sections of one kind of snapshot, so one
-kind is never read as another.
+Every output file reaches the disk through :func:`written_beside`. A
+snapshot is a binary file derived from other files and kept beside them, so
+that a load need not parse those files again. It is one JSON header line,
+then each section's tables in order. The header holds the format
+:data:`VERSION` and, under each section's name, its fields, its tables'
+byte sizes and ``digest``: the sha256 of the section's other entries, as
+``json.dumps`` writes them, then of its tables. An array table is a
+little-endian numpy array. A text table holds each text as its
+``json.dumps(text, ensure_ascii=False)`` literal on a line of its own, in
+UTF-8 with ``surrogatepass``, so newlines, NUL and lone surrogates keep. A
+:class:`Layout` names the sections of one kind of snapshot, so one kind is
+never read as another.
 """
 
 from __future__ import annotations
@@ -38,13 +40,17 @@ TEXT = "text"
 
 
 @contextmanager
-def written_beside(path):
-    """A temporary path beside ``path``, renamed over it if the block succeeds
-    and removed if it fails: a failed write leaves the old file, or none."""
+def written_beside(path, mode: str = "w"):
+    """A file open at ``.<name>.<pid>.tmp`` beside ``path``, as UTF-8 text
+    with ``"\\n"`` line ends, or as bytes with ``mode="wb"``. It is renamed
+    over ``path`` if the block succeeds and removed if it raises, so a
+    failed run leaves the previous file, or none; a killed one may leave it."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
     try:
-        yield tmp
+        with open(tmp, mode, **text) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -164,7 +170,7 @@ class Layout(NamedTuple):
             header[name] = {**entries, "digest": digest.hexdigest()}
             data += blobs
         try:
-            with written_beside(path) as tmp, open(tmp, "wb") as fh:
+            with written_beside(path, "wb") as fh:
                 fh.write(json.dumps(header).encode("ascii") + b"\n")
                 fh.writelines(data)
         except OSError as exc:

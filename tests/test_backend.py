@@ -604,7 +604,7 @@ class TestCacheSnapshot:
     def test_index_write_that_fails_leaves_the_run_going(self, tmp_path,
                                                          monkeypatch, capsys):
         @contextlib.contextmanager
-        def read_only(path):
+        def read_only(path, mode="w"):
             raise PermissionError(13, "Permission denied", str(path))
             yield
 

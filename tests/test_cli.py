@@ -302,7 +302,8 @@ def test_eval_truncated_checkpoint_is_input_error(capsys, tmp_path):
     assert f"input error: truncated checkpoint: {ckpt}" in capsys.readouterr().err
 
 
-def test_eval_checkpoint_header_without_key_is_input_error(capsys, tmp_path):
+def edited_checkpoint(capsys, tmp_path, edit) -> Path:
+    """A checkpoint trained on arles whose JSON header went through ``edit``."""
     code, summary = run(capsys, "train-embed", "--dataset", ARLES,
                         "--out", str(tmp_path), "--dim", "4", "--epochs", "1")
     assert code == EXIT_OK
@@ -310,13 +311,38 @@ def test_eval_checkpoint_header_without_key_is_input_error(capsys, tmp_path):
     raw = ckpt.read_bytes()
     end = 12 + int.from_bytes(raw[8:12], "little")
     header = json.loads(raw[12:end])
-    del header["seed"]
+    edit(header)
     new = json.dumps(header).encode()
     ckpt.write_bytes(raw[:8] + len(new).to_bytes(4, "little") + new
                      + raw[end:])
+    return ckpt
+
+
+def test_eval_checkpoint_header_without_key_is_input_error(capsys, tmp_path):
+    ckpt = edited_checkpoint(capsys, tmp_path, lambda h: h.pop("seed"))
     assert main(["eval", "--dataset", ARLES, "--model", str(ckpt)]) == EXIT_INPUT
     assert (f"input error: checkpoint header lacks seed: {ckpt}"
             in capsys.readouterr().err)
+
+
+WRONG_HEADER_TYPES = [
+    ("dim", "4"), ("n_entities", 8.0), ("n_relations", None), ("seed", True),
+    ("transe_norm", 1.0), ("entity_complex", 0), ("relation_complex", "no"),
+    ("family", ["transe"]), ("margin", "1.0"), ("margin", False)]
+
+
+@pytest.mark.parametrize("key, value", WRONG_HEADER_TYPES,
+                         ids=[f"{k}-{type(v).__name__}"
+                              for k, v in WRONG_HEADER_TYPES])
+def test_eval_checkpoint_header_of_wrong_type_is_input_error(
+        capsys, tmp_path, key, value):
+    """Each header value must have its JSON type (an int is not a bool);
+    any other fails the run with one input-error line, not a traceback."""
+    ckpt = edited_checkpoint(capsys, tmp_path,
+                             lambda h: h.__setitem__(key, value))
+    assert main(["eval", "--dataset", ARLES, "--model", str(ckpt)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err == f"input error: checkpoint header {key} is not of its type: {ckpt}\n"
 
 
 def test_eval_checkpoint_of_other_dataset_is_input_error(capsys, tmp_path):
@@ -574,9 +600,9 @@ def test_ctrl_c_abandons_requests_in_flight(tmp_path, monkeypatch):
     with socket.create_server(("127.0.0.1", 0)) as server:
         server.settimeout(30)
         endpoint = f"http://127.0.0.1:{server.getsockname()[1]}"
-        argv = ["filter-images", "--dataset", str(config), "--out",
-                str(tmp_path / "f"), "--backend", "http", "--endpoint",
-                endpoint, "--model-id", "m"]
+        out = tmp_path / "f"
+        argv = ["filter-images", "--dataset", str(config), "--out", str(out),
+                "--backend", "http", "--endpoint", endpoint, "--model-id", "m"]
         with subprocess.Popen([sys.executable, "-c", script, *argv],
                               cwd=config.parent, env=_subprocess_env(),
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -591,6 +617,7 @@ def test_ctrl_c_abandons_requests_in_flight(tmp_path, monkeypatch):
                     pytest.fail("the run was still going 5 s after SIGINT")
                 assert proc.returncode == EXIT_INTERRUPTED
                 assert err.strip().endswith("interrupted")
+                assert not list(out.glob(".*.tmp"))
             finally:
                 proc.kill()
                 proc.communicate()
@@ -834,6 +861,59 @@ def test_build_prompts_failing_on_a_later_query_leaves_no_file(capsys,
     assert code == EXIT_INPUT
     assert "budget 7 cannot hold the query line" in capsys.readouterr().err
     assert (list(out.iterdir()) if out.exists() else []) == []
+
+
+#: (subcommand, its output, its extra arguments, the stub's script for the
+#: failing rerun, or None for a rerun with a budget of 7 words, and the
+#: exit code and stderr of that rerun)
+FAILED_RERUNS = [
+    ("filter-images", "filtered_images.jsonl", [], [], EXIT_BACKEND,
+     "logprobs"),
+    ("hints", "hints.jsonl", [], "503", EXIT_BACKEND, "503"),
+    ("gen-context", "contexts.jsonl", ["--splits", "test"], "503",
+     EXIT_BACKEND, "503"),
+    ("templates", "templates.json", [], "503", EXIT_BACKEND, "503"),
+    ("build-prompts", "prompts.jsonl", [], None, EXIT_INPUT,
+     "budget 7 cannot hold the query line"),
+]
+
+
+@pytest.mark.parametrize("command, output, extra, script, exit_code, error",
+                         FAILED_RERUNS, ids=[c[0] for c in FAILED_RERUNS])
+def test_failed_rerun_keeps_the_previous_output(
+        capsys, tmp_path, monkeypatch, stub_server, command, output, extra,
+        script, exit_code, error):
+    """A rerun into the same out dir that fails mid-run leaves the previous
+    run's output byte for byte and no temporary file. The HTTP reruns fail
+    on a reply without logprobs (filter-images) or on 503s after retries;
+    build-prompts fails on its second query, which a budget of 7 words
+    cannot hold."""
+    config = arles_copy(tmp_path / "ds", "names.tsv",
+                        "orchard\tThe Big Old Orchard Of Arles")
+    write_image_files(Path(config))
+    monkeypatch.chdir(Path(config).parent)  # image refs are relative paths
+    out = tmp_path / "out"
+    argv = [command, "--dataset", config, "--out", str(out), *extra]
+    if command == "build-prompts":
+        code, _ = run(capsys, "gen-context", "--dataset", config, "--out",
+                      str(tmp_path / "g"), "--splits", "test")
+        assert code == EXIT_OK
+        argv += ["--store", str(tmp_path / "g" / "contexts.jsonl")]
+    code, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    before = (out / output).read_bytes()
+    assert before
+    if script is None:
+        argv += ["--budget", "7"]
+    else:
+        argv += ["--backend", "http", "--endpoint", stub_server,
+                 "--model-id", "m"]
+        StubHandler.script = ([(503, {}, {"Retry-After": "0"})] * 1000
+                              if script == "503" else script)
+    assert main(argv) == exit_code
+    assert error in capsys.readouterr().err
+    assert (out / output).read_bytes() == before
+    assert not list(out.glob(".*.tmp"))
 
 
 def test_build_prompts_preview_prints_the_first_input(capsys, tmp_path):

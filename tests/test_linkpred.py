@@ -16,22 +16,26 @@ import fichad
 from fichad.embed import init_model
 from fichad.kg import KnowledgeGraph, Triple, load_dataset, SPLITS
 from fichad.linkpred import (EvalError, Query, evaluate, model_scorer,
-                             other_answers, queries_for_split, rank,
-                             report_from_ranks)
+                             queries_for_split, rank, report_from_ranks)
 from conftest import (ARLES_CONFIG, brute_force_candidates,
                       brute_force_report, make_vocab, random_graph,
                       two_cluster_graph)
 
 
 def make_random_scorer(seed):
+    """A random score per triple, drawn on first use and kept; the draw is
+    locked, as ``evaluate`` scores queries on several threads at once and
+    two threads drawing for one triple would see different scores."""
     rng = random.Random(seed)
     table = {}
+    lock = threading.Lock()
 
     def score(h, r, t):
         key = (h, r, t)
-        if key not in table:
-            table[key] = rng.random()
-        return table[key]
+        with lock:
+            if key not in table:
+                table[key] = rng.random()
+            return table[key]
 
     return score
 
@@ -49,8 +53,22 @@ def entity_scorer(score, graph, f=lambda s: s):
     return scorer
 
 
+def known_answers(graph, q):
+    """Every known answer to ``q`` in any split, its own answer included."""
+    if q.direction == "tail":
+        return graph.known_tails(q.known, q.relation)
+    return graph.known_heads(q.known, q.relation)
+
+
+def filtered_candidates(graph, q) -> set[int]:
+    """All entities but the known answers to ``q`` other than its own."""
+    other = set(known_answers(graph, q).tolist()) - {q.answer}
+    return set(range(graph.n_entities)) - other
+
+
 class TestFilteredCandidates:
-    """The filtered candidates are all entities minus ``other_answers``."""
+    """The filtered candidates are all entities minus the other known
+    answers in the graph's sorted answer range."""
 
     def test_known_answer_filtered(self):
         ents = make_vocab(["a", "b", "c"])
@@ -58,20 +76,20 @@ class TestFilteredCandidates:
         g = KnowledgeGraph(ents, rels,
                            {"train": [Triple(0, 0, 1), Triple(0, 0, 2)],
                             "valid": [], "test": []})
-        assert other_answers(g, Query("tail", 0, 0, 1)) == {2}
-        assert other_answers(g, Query("head", 2, 0, 0)) == set()
+        assert filtered_candidates(g, Query("tail", 0, 0, 1)) == {0, 1}
+        assert filtered_candidates(g, Query("head", 2, 0, 0)) == {0, 1, 2}
 
     def test_no_other_answers_keeps_all(self):
         ents = make_vocab(["a", "b", "c"])
         rels = make_vocab(["r"])
         g = KnowledgeGraph(ents, rels,
                            {"train": [Triple(0, 0, 1)], "valid": [], "test": []})
-        assert other_answers(g, Query("tail", 0, 0, 1)) == set()
+        assert filtered_candidates(g, Query("tail", 0, 0, 1)) == {0, 1, 2}
 
     def test_matches_brute_force_on_random_graph(self):
         g = random_graph(random.Random(99))
         for q in queries_for_split(g, "test"):
-            got = set(range(g.n_entities)) - other_answers(g, q)
+            got = filtered_candidates(g, q)
             want = brute_force_candidates(g, q.direction, q.known,
                                           q.relation, q.answer)
             assert got == want
@@ -81,20 +99,20 @@ class TestRank:
     def test_mean_tie_example(self):
         # A:0.9  B(true):0.5  C:0.5  D:0.1
         scores = np.array([0.9, 0.5, 0.5, 0.1])
-        assert rank(scores, 1, set()) == pytest.approx(2.5)
-        assert 1.0 / rank(scores, 1, set()) == pytest.approx(0.4)
+        assert rank(scores, 1, np.array([1])) == pytest.approx(2.5)
+        assert 1.0 / rank(scores, 1, np.array([1])) == pytest.approx(0.4)
         # two other known answers, one above and one tied, are not counted
         with_known = np.append(scores, [0.99, 0.5])
-        assert rank(with_known, 1, {4, 5}) == pytest.approx(2.5)
+        assert rank(with_known, 1, np.array([1, 4, 5])) == pytest.approx(2.5)
 
     def test_unique_maximum(self):
         scores = np.array([0.1, 0.9, 0.3])
-        assert rank(scores, 1, set()) == 1.0
+        assert rank(scores, 1, np.array([1])) == 1.0
 
     def test_full_tie(self):
         m = 7
         scores = np.full(m, 0.5)
-        assert rank(scores, 3, set()) == pytest.approx((m + 1) / 2)
+        assert rank(scores, 3, np.array([3])) == pytest.approx((m + 1) / 2)
 
 
 class TestMetrics:
@@ -206,7 +224,7 @@ def serial_evaluate(scorer, graph, split="test"):
         if not np.all(np.isfinite(scores)):
             raise EvalError("scorer returned non-finite scores")
         ranks[q.direction].append(rank(scores, q.answer,
-                                       other_answers(graph, q)))
+                                       known_answers(graph, q)))
     return report_from_ranks(ranks["head"], ranks["tail"])
 
 
