@@ -643,7 +643,10 @@ def test_ctrl_c_abandons_queued_eval_queries(capsys, tmp_path):
               "def slow_scorer(model):\n"
               "    score = model_scorer(model)\n"
               "    def scorer(q):\n"
-              "        print('scoring', flush=True)\n"
+              # one write per line: print writes the text and its newline
+              # apart, so lines from two scoring threads could interleave
+              "        sys.stdout.write('scoring\\n')\n"
+              "        sys.stdout.flush()\n"
               "        time.sleep(0.2)\n"
               "        return score(q)\n"
               "    return scorer\n"
